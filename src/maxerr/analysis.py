@@ -91,6 +91,19 @@ def _cond_error(prop: Propagator, input_assign: dict[int, int], comp_var: int) -
     return float(t[1]) / total
 
 
+def _cone_inputs(net: ErrorModelNet, roots) -> frozenset[int]:
+    """Primary inputs among the ancestors of ``roots``: their fan-in cone."""
+    parents = {cpt.child.id: cpt.parents for cpt in net.cpts}
+    seen: set[int] = set()
+    stack = list(roots)
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(p.id for p in parents[v])
+    return frozenset(seen.intersection(net.input_vars))
+
+
 def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
               use_seed: bool = True, prune: bool = True,
               joint: bool = False) -> ErrorReport:
@@ -101,6 +114,11 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     maximum is over all of it.  With ``joint`` the search instead
     evidences every comparator at once (all outputs wrong together).
     An output no fault combination can flip is marked unreachable.
+
+    The search branches only on the inputs in the query's fan-in cone
+    (the union of the cones in joint mode); the others cannot change
+    the error, are held at 0 and are reported as 0.  ``nodes_expanded``
+    and ``nodes_pruned`` count nodes over the cone inputs.
     """
     k = len(net.input_vars)
     cond_prop = Propagator(tree, net)
@@ -112,19 +130,23 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
         queries = [(names[j], {net.comparators[j]: 1}) for j in range(len(names))]
 
     for name, evid in queries:
-        res: MapResult = solve(MapQuery(net, tree, evid), use_seed=use_seed, prune=prune)
+        cone = _cone_inputs(net, evid)
+        fixed = {v: 0 for v in net.input_vars if v not in cone}
+        res: MapResult = solve(MapQuery(net, tree, {**evid, **fixed}),
+                               use_seed=use_seed, prune=prune)
         if res.p_map <= 0.0:
             rows.append(OutputReport(name, None, 0.0, True,
                                      res.nodes_expanded, res.nodes_pruned))
             continue
-        bits = [res.assignment[v] for v in net.input_vars]
+        assign = {**fixed, **res.assignment}
+        bits = [assign[v] for v in net.input_vars]
         if joint:
-            cond_prop.set_evidence(dict(res.assignment))
+            cond_prop.set_evidence(assign)
             p_inputs = cond_prop.query(tree.singleton[net.input_vars[0]])
             p = res.p_map / p_inputs
         else:
             comp = next(iter(evid))
-            p = _cond_error(cond_prop, dict(res.assignment), comp)
+            p = _cond_error(cond_prop, assign, comp)
         rows.append(OutputReport(name, vector_string(bits), p, False,
                                  res.nodes_expanded, res.nodes_pruned))
 

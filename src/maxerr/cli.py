@@ -317,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--joint-evidence", action="store_true",
                    help="single query with every output wrong at once")
     p.add_argument("--no-prune", action="store_true",
-                   help="exhaustive search (for audits)")
+                   help="exhaustive search over the cone inputs (for audits)")
     p.add_argument("--no-seed", action="store_true",
                    help="skip the greedy incumbent")
     p.set_defaults(fn=cmd_analyze)

@@ -4,10 +4,13 @@ The search instantiates the primary inputs one at a time.  Each child
 node gets an upper bound on P(inputs, comparator evidence) over all
 completions from a collect rooted at the singleton of the variable just
 assigned; a child whose bound falls below the incumbent by more than a
-hair is cut.  A complete instantiation makes the bound exact, so the
-incumbent at the end is the true maximum.  A greedy descent plus
-single-bit-flip hill climbing seeds the incumbent; it never changes the
-answer, only the amount of pruning.
+relative hair is cut.  The tolerance scales with the incumbent, so
+pruning does not depend on the absolute size of the probabilities
+(every bound carries the input prior of all k inputs).  A complete
+instantiation makes the bound exact, so the incumbent at the end is the
+true maximum.  Inputs named in the query evidence are fixed, not
+searched.  A greedy descent plus single-bit-flip hill climbing seeds
+the incumbent; it never changes the answer, only the amount of pruning.
 """
 
 from __future__ import annotations
@@ -19,21 +22,31 @@ from .jointree import BinaryJoinTree
 from .model import ErrorModelNet
 from .propagate import Propagator, best_bound_root
 
-PRUNE_TOL = 1e-12
+PRUNE_TOL = 1e-12   # relative to the incumbent
 
 
 @dataclass
 class MapQuery:
+    """One worst-vector query.
+
+    The search branches only on the inputs not in ``evid_o``; an input
+    given there is held at its state.  ``max_error`` uses that to fix
+    every input outside an output's fan-in cone at 0, so node counts
+    cover the cone inputs alone.
+    """
     net: ErrorModelNet
     tree: BinaryJoinTree
-    evid_o: dict[int, int]                 # comparator evidence, usually {O_j: 1}
-    var_order: tuple[int, ...] = ()        # branching order over the inputs
+    evid_o: dict[int, int]                 # comparator evidence, usually {O_j: 1},
+                                           # plus any inputs held fixed
+    var_order: tuple[int, ...] = ()        # branching order over the free inputs
 
     def __post_init__(self):
+        free = [v for v in self.net.input_vars if v not in self.evid_o]
         if not self.var_order:
-            self.var_order = var_order_heuristic(self.net)
-        if sorted(self.var_order) != sorted(self.net.input_vars):
-            raise ValueError("var_order must permute the input variables")
+            self.var_order = tuple(v for v in var_order_heuristic(self.net)
+                                   if v not in self.evid_o)
+        if sorted(self.var_order) != sorted(free):
+            raise ValueError("var_order must permute the input variables not in evid_o")
 
 
 @dataclass
@@ -63,11 +76,12 @@ def _assign_key(assignment: Mapping[int, int], order: tuple[int, ...]) -> tuple[
 
 class _Search:
     def __init__(self, q: MapQuery, prune: bool,
-                 on_bound: Callable[[dict, float], None] | None):
+                 on_bound: Callable[[dict, float], None] | None,
+                 prop: Propagator | None = None):
         self.q = q
         self.prune = prune
         self.on_bound = on_bound
-        self.prop = Propagator(q.tree, q.net, map_vars=q.net.input_vars)
+        self.prop = prop or Propagator(q.tree, q.net, map_vars=q.net.input_vars)
         self.best = -1.0
         self.best_assign: dict[int, int] | None = None
         self.expanded = 0
@@ -105,7 +119,7 @@ class _Search:
         del partial[v]
         kids.sort(key=lambda t: (-t[0], t[1]))
         for u, s in kids:
-            if self.prune and u < self.best - PRUNE_TOL:
+            if self.prune and u < self.best * (1.0 - PRUNE_TOL):
                 self.pruned += 1
                 continue
             partial[v] = s
@@ -116,11 +130,14 @@ class _Search:
             del partial[v]
 
 
-def seed(q: MapQuery) -> tuple[dict[int, int], float]:
+def seed(q: MapQuery, prop: Propagator | None = None) -> tuple[dict[int, int], float]:
     """Greedy descent on the child bounds, then single-bit-flip hill
     climbing on the exact P(i, evid_o).  Returns a feasible assignment
-    and its exact probability (a lower bound on the optimum)."""
-    s = _Search(q, prune=False, on_bound=None)
+    and its exact probability (a lower bound on the optimum).
+
+    ``prop`` lets the caller share its max-mode propagator, so the
+    messages cached here serve the search that follows."""
+    s = _Search(q, prune=False, on_bound=None, prop=prop)
     partial: dict[int, int] = {}
     for v in q.var_order:
         vals = []
@@ -154,8 +171,9 @@ def solve(q: MapQuery, use_seed: bool = True, prune: bool = True,
     """Exact worst-vector search.
 
     ``on_bound`` (assignment, bound) fires for every bound computed at a
-    search node, for auditing.  With ``prune`` off the search visits the
-    full binary tree over the inputs.  Ties resolve to the
+    search node, for auditing; the seed's bounds do not fire it.  With
+    ``prune`` off the search visits the full binary tree over the inputs
+    not in ``q.evid_o``.  Ties resolve to the
     lexicographically smallest assignment along ``q.var_order``.
     """
     if not q.var_order:
@@ -163,7 +181,7 @@ def solve(q: MapQuery, use_seed: bool = True, prune: bool = True,
     s = _Search(q, prune, on_bound)
     seed_value = None
     if use_seed:
-        assign, seed_value = seed(q)
+        assign, seed_value = seed(q, s.prop)
         s.best = seed_value
         s.best_assign = assign
     s.bound({}, None)  # root node

@@ -6,7 +6,7 @@ import pytest
 
 from maxerr.analysis import (MAX_SPECTRUM_INPUTS, avg_error, max_error,
                              prepare, spectrum, sweep)
-from maxerr.circuit import all_input_vectors, parse_bench
+from maxerr.circuit import Circuit, all_input_vectors, parse_bench, vector_index
 from maxerr.oracle import FaultEnumerator, random_circuit
 from maxerr.valuation import WidthLimitError
 
@@ -47,7 +47,9 @@ def test_search_counters_surface_in_report(c17):
     net, tree = prepare(c17, 0.05)
     rep = max_error(net, tree, use_seed=False, prune=False)
     for row in rep.per_output:
-        assert row.nodes_expanded == 2 ** (c17.n_inputs + 1) - 1
+        # the full tree over the output's cone: each c17 output depends on
+        # 4 of the 5 inputs
+        assert row.nodes_expanded == 2 ** (4 + 1) - 1
         assert row.nodes_pruned == 0
 
 
@@ -147,3 +149,90 @@ def test_reports_on_corpus_match_oracle(corpus):
         cond = enum.cond_errors(0.1)
         for j, row in enumerate(rep.per_output):
             assert row.p_error == pytest.approx(cond[:, j].max(), abs=1e-9)
+
+
+def _input_cone(c, nets) -> set[int]:
+    """Indices of the primary inputs in the transitive fan-in of ``nets``,
+    walked on the circuit itself."""
+    gate_of = {g.output: g for g in c.gates}
+    seen: set[str] = set()
+    stack = list(nets)
+    while stack:
+        name = stack.pop()
+        if name not in seen:
+            seen.add(name)
+            if name in gate_of:
+                stack.extend(gate_of[name].fanin)
+    return {j for j, name in enumerate(c.inputs) if name in seen}
+
+
+def _all_wrong(c, eps) -> np.ndarray:
+    """P(every output wrong | input vector) per vector, by fault-set
+    enumeration; shape (2**k,)."""
+    w = FaultEnumerator(c).weights(eps)
+    fault_rows = all_input_vectors(c.n_gates)
+    vectors = all_input_vectors(c.n_inputs)
+    good = c.eval_batch(vectors)
+    per_vec = []
+    for i in range(vectors.shape[0]):
+        tiled = np.broadcast_to(vectors[i], (fault_rows.shape[0], c.n_inputs))
+        out = c.eval_batch(tiled, fault_rows)
+        per_vec.append(float(w @ (out != good[i]).all(axis=1)))
+    return np.array(per_vec)
+
+
+def _check_cone_row(row, col, cone):
+    assert row.p_error == pytest.approx(col.max(), abs=1e-12)
+    bits = [int(ch) for ch in row.vector]
+    assert col[vector_index(bits)] == pytest.approx(col.max(), abs=1e-12)
+    assert all(b == 0 for j, b in enumerate(bits) if j not in cone)
+
+
+def test_cone_search_matches_enumeration_on_corpus(corpus):
+    eps = 0.05
+    for c in corpus:
+        net, tree = prepare(c, eps)
+        cond = FaultEnumerator(c).cond_errors(eps)
+        for j, row in enumerate(max_error(net, tree).per_output):
+            if row.unreachable:
+                assert cond[:, j].max() == 0.0
+                continue
+            _check_cone_row(row, cond[:, j], _input_cone(c, [c.outputs[j]]))
+
+        (row,) = max_error(net, tree, joint=True).per_output
+        joint = _all_wrong(c, eps)
+        if row.unreachable:
+            assert joint.max() == 0.0
+        else:
+            _check_cone_row(row, joint, _input_cone(c, c.outputs))
+
+
+def _with_unused_inputs(c, m):
+    return Circuit(c.inputs + tuple("u%d" % i for i in range(m)), c.gates, c.outputs)
+
+
+def _counts(c):
+    """Per output: name, vector on c17's inputs, p_error, node counts."""
+    net, tree = prepare(c, 0.05)
+    rep = max_error(net, tree)
+    assert all(set(r.vector[5:]) <= {"0"} for r in rep.per_output)
+    return [(r.output, r.vector[:5], r.p_error, r.nodes_expanded, r.nodes_pruned)
+            for r in rep.per_output]
+
+
+def test_unused_inputs_do_not_grow_the_search(c17):
+    base = _counts(c17)
+    for m in (4, 10):
+        got = _counts(_with_unused_inputs(c17, m))
+        assert [g[3:] for g in got] == [b[3:] for b in base]
+        assert [g[:2] for g in got] == [b[:2] for b in base]
+        for g, b in zip(got, base):
+            assert g[2] == pytest.approx(b[2], abs=1e-12)
+
+
+def test_pruning_is_independent_of_prior_scale(c17):
+    # 40 unused inputs scale every bound by 2**-40 through their priors;
+    # an absolute pruning tolerance would then cut nothing
+    base = _counts(c17)
+    got = _counts(_with_unused_inputs(c17, 40))
+    assert [g[3:] for g in got] == [b[3:] for b in base]

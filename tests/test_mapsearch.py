@@ -4,11 +4,12 @@ import itertools
 
 import pytest
 
-from maxerr.circuit import parse_bench, vector_index
+from maxerr.circuit import index_vector, parse_bench, vector_index
 from maxerr.jointree import build_tree
-from maxerr.mapsearch import MapQuery, MapResult, solve, var_order_heuristic
+from maxerr.mapsearch import MapQuery, MapResult, seed, solve, var_order_heuristic
 from maxerr.model import build_error_model, joint_prob
 from maxerr.oracle import FaultEnumerator, exact_map
+from maxerr.propagate import Propagator
 
 EPS = 0.05
 
@@ -187,3 +188,37 @@ def test_joint_evidence_over_all_comparators():
     assert r.p_map == pytest.approx(truth, abs=1e-12)
     assert joint_wrong(_vector_of(MapQuery(net, tree, evid), r)) == \
         pytest.approx(truth, abs=1e-12)
+
+
+def test_evidenced_inputs_are_held_not_searched(c17):
+    net = build_error_model(c17, EPS)
+    tree = build_tree(net)
+    held = net.input_vars[0]
+    evid = {net.comparators[0]: 1, held: 1}
+    q = MapQuery(net, tree, evid)
+    assert sorted(q.var_order) == sorted(net.input_vars[1:])
+    with pytest.raises(ValueError):
+        MapQuery(net, tree, evid, var_order=var_order_heuristic(net))
+
+    r = solve(q, use_seed=False, prune=False)
+    k = c17.n_inputs
+    assert r.nodes_expanded == 2 ** k - 1   # full tree over the k - 1 free inputs
+    assert held not in r.assignment
+    cond = FaultEnumerator(c17).cond_errors(EPS)[:, 0]
+    truth = max(cond[i] for i in range(2 ** k) if index_vector(i, k)[0] == 1)
+    assert r.p_map == pytest.approx(0.5 ** k * truth, abs=1e-12)
+    assert solve(q).p_map == r.p_map
+
+
+def test_seed_shares_the_search_propagator_silently(c17):
+    q = _query(c17)
+    seen = []
+    r = solve(q, use_seed=True, on_bound=lambda a, u: seen.append(u))
+    assert r.seed_value is not None
+    assert len(seen) == r.nodes_expanded   # seed bounds are not audited
+
+    # a propagator left with other evidence gives the seed bit for bit
+    prop = Propagator(q.tree, q.net, map_vars=q.net.input_vars)
+    prop.set_evidence({v: 1 for v in q.net.input_vars})
+    prop.query(q.tree.singleton[q.net.input_vars[0]])
+    assert seed(q, prop) == seed(q)
