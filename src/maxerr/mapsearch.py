@@ -4,9 +4,16 @@ The search instantiates the primary inputs one at a time.  Each child
 node gets an upper bound on P(inputs, comparator evidence) over all
 completions from a collect rooted at the singleton of the variable just
 assigned; a child whose bound falls below the incumbent by more than a
-relative hair is cut.  The tolerance scales with the incumbent, so
-pruning does not depend on the absolute size of the probabilities
-(every bound carries the input prior of all k inputs).  A complete
+relative hair is cut.  Values within that hair of each other tie, and a
+tie goes to the smaller assignment along the branching order, so a child
+whose bound at most ties the incumbent is cut too when its prefix sorts
+after the incumbent's.  Many vectors tie exactly in real circuits (an
+XOR chain fails on an odd number of gate faults whatever its inputs), so
+the search then follows one path instead of every tied one, and float
+noise among tied values does not change how much it searches.  The
+tolerance scales with the incumbent, so pruning does not depend on the
+absolute size of the probabilities (every bound carries the input prior
+of all k inputs).  A complete
 instantiation makes the bound exact, so the incumbent at the end is the
 true maximum.  Inputs named in the query evidence are fixed, not
 searched.  A greedy descent plus single-bit-flip hill climbing seeds
@@ -22,7 +29,7 @@ from .jointree import BinaryJoinTree
 from .model import ErrorModelNet
 from .propagate import Propagator, best_bound_root
 
-PRUNE_TOL = 1e-12   # relative to the incumbent
+PRUNE_TOL = 1e-12   # relative to the incumbent; closer values tie
 
 
 @dataclass
@@ -101,13 +108,27 @@ class _Search:
         return u
 
     def offer(self, assignment: dict[int, int], value: float) -> None:
-        if value > self.best:
+        if value > self.best * (1.0 + PRUNE_TOL):
             self.best = value
             self.best_assign = dict(assignment)
-        elif value == self.best and self.best_assign is not None:
+        elif value >= self.best * (1.0 - PRUNE_TOL):
             if _assign_key(assignment, self.q.var_order) < \
                _assign_key(self.best_assign, self.q.var_order):
+                self.best = value
                 self.best_assign = dict(assignment)
+
+    def cut(self, u: float, prefix: tuple[int, ...]) -> bool:
+        """Whether no completion of ``prefix`` (the states of the first
+        ``len(prefix)`` inputs along ``var_order``) can replace the
+        incumbent: its bound is below the incumbent, or ties it at best
+        while the prefix sorts after the incumbent's, so any tie loses
+        to the incumbent under the tie rule."""
+        if u < self.best * (1.0 - PRUNE_TOL):
+            return True
+        if u > self.best * (1.0 + PRUNE_TOL):
+            return False
+        order = self.q.var_order[:len(prefix)]
+        return prefix > _assign_key(self.best_assign, order)
 
     def walk(self, partial: dict[int, int], depth: int) -> None:
         v = self.q.var_order[depth]
@@ -117,9 +138,11 @@ class _Search:
             kids.append((self.bound(partial, v), s))
             self.expanded += 1
         del partial[v]
-        kids.sort(key=lambda t: (-t[0], t[1]))
+        if kids[1][0] > kids[0][0] * (1.0 + PRUNE_TOL):
+            kids.reverse()      # ties go to state 0 first
+        head = _assign_key(partial, self.q.var_order[:depth])
         for u, s in kids:
-            if self.prune and u < self.best * (1.0 - PRUNE_TOL):
+            if self.prune and self.cut(u, head + (s,)):
                 self.pruned += 1
                 continue
             partial[v] = s
@@ -145,7 +168,7 @@ def seed(q: MapQuery, prop: Propagator | None = None) -> tuple[dict[int, int], f
             partial[v] = state
             vals.append((s.bound(partial, v), state))
         u1, u0 = vals[1][0], vals[0][0]
-        partial[v] = 1 if u1 > u0 else 0
+        partial[v] = 1 if u1 > u0 * (1.0 + PRUNE_TOL) else 0
     best = s.bound(partial, q.var_order[-1])
     improved = True
     while improved:
@@ -155,7 +178,7 @@ def seed(q: MapQuery, prop: Propagator | None = None) -> tuple[dict[int, int], f
             partial[v] ^= 1
             p = s.bound(partial, v)
             partial[v] ^= 1
-            if p > best and (flip_best is None or p > flip_best[0]):
+            if p > best * (1.0 + PRUNE_TOL) and (flip_best is None or p > flip_best[0]):
                 flip_best = (p, v)
         if flip_best is not None:
             best = flip_best[0]
@@ -173,8 +196,9 @@ def solve(q: MapQuery, use_seed: bool = True, prune: bool = True,
     ``on_bound`` (assignment, bound) fires for every bound computed at a
     search node, for auditing; the seed's bounds do not fire it.  With
     ``prune`` off the search visits the full binary tree over the inputs
-    not in ``q.evid_o``.  Ties resolve to the
-    lexicographically smallest assignment along ``q.var_order``.
+    not in ``q.evid_o``.  Ties (values within a relative ``PRUNE_TOL``)
+    resolve to the lexicographically smallest assignment along
+    ``q.var_order``, and ``p_map`` is that assignment's value.
     """
     if not q.var_order:
         raise ValueError("no input variables to search over")

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from maxerr.circuit import index_vector, parse_bench, vector_index
@@ -222,3 +223,36 @@ def test_seed_shares_the_search_propagator_silently(c17):
     prop.set_evidence({v: 1 for v in q.net.input_vars})
     prop.query(q.tree.singleton[q.net.input_vars[0]])
     assert seed(q, prop) == seed(q)
+
+
+XOR_CHAIN = parse_bench("""
+INPUT(a)
+INPUT(b)
+INPUT(c)
+INPUT(d)
+OUTPUT(z)
+p = XOR(a, b)
+q = XOR(p, c)
+z = XOR(q, d)
+""")
+
+
+def _drawn_eps(circuit, seed):
+    rng = np.random.default_rng(seed)
+    return {gi: float(e) for gi, e in enumerate(rng.uniform(0.02, 0.08, circuit.n_gates))}
+
+
+def test_tied_branches_are_cut():
+    # an XOR chain fails on an odd number of gate faults whatever its
+    # inputs, so every vector ties up to float noise: the search follows
+    # one path of 0s and cuts each 1-branch
+    k = XOR_CHAIN.n_inputs
+    for seed_ in range(5):
+        net = build_error_model(XOR_CHAIN, _drawn_eps(XOR_CHAIN, seed_))
+        q = MapQuery(net, build_tree(net), {net.comparators[0]: 1})
+        r = solve(q)
+        assert (r.nodes_expanded, r.nodes_pruned) == (2 * k + 1, k)
+        assert set(r.assignment.values()) == {0}
+        full = solve(q, use_seed=False, prune=False)
+        assert full.assignment == r.assignment and full.p_map == r.p_map
+
