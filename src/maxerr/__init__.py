@@ -9,7 +9,7 @@ from .valuation import (DEFAULT_WIDTH_LIMIT, Valuation, WidthLimitError,
 from .jointree import (BinaryJoinTree, EliminationOrder, build_tree,
                        choose_order, moral_graph, order_width, validate_tree)
 from .propagate import (Propagator, best_bound_root, count_order_inversions,
-                        map_upper_bound, prob_evidence, propagate)
+                        prob_evidence, propagate)
 from .mapsearch import MapQuery, MapResult, seed, solve, var_order_heuristic
 from .analysis import (ErrorReport, Spectrum, SweepCurve, avg_error,
                        max_error, prepare, spectrum, sweep)

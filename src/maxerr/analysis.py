@@ -80,11 +80,10 @@ def prepare(c: Circuit, eps, prior1: float = 0.5, width_limit: int | None = None
     return net, tree
 
 
-def _cond_error(prop: Propagator, input_assign: dict[int, int], comp_var: int) -> float:
+def cond_error(prop: Propagator, input_assign: dict[int, int], comp_var: int) -> float:
     """P(comparator = 1 | inputs) via P(comparator, inputs) normalized."""
     prop.set_evidence(input_assign)
-    belief = prop.var_belief(comp_var)
-    t = belief.table if not belief.log else np.exp(belief.table)
+    t = prop.var_belief(comp_var).table
     total = float(t[0] + t[1])
     if total == 0.0:
         return 0.0
@@ -146,7 +145,7 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
             p = res.p_map / p_inputs
         else:
             comp = next(iter(evid))
-            p = _cond_error(cond_prop, assign, comp)
+            p = cond_error(cond_prop, assign, comp)
         rows.append(OutputReport(name, vector_string(bits), p, False,
                                  res.nodes_expanded, res.nodes_pruned))
 
@@ -164,12 +163,7 @@ def avg_error(net: ErrorModelNet, tree: BinaryJoinTree) -> float:
     """Max over outputs of P(output wrong) with no input evidence, i.e.
     the error rate averaged over uniformly weighted input vectors."""
     prop = Propagator(tree, net)
-    worst = 0.0
-    for comp in net.comparators:
-        belief = prop.var_belief(comp)
-        t = belief.table if not belief.log else np.exp(belief.table)
-        worst = max(worst, float(t[1]) / float(t[0] + t[1]))
-    return worst
+    return max(cond_error(prop, {}, comp) for comp in net.comparators)
 
 
 def sweep(c: Circuit, grid, prior1: float = 0.5, refine: bool = False,
@@ -185,15 +179,12 @@ def sweep(c: Circuit, grid, prior1: float = 0.5, refine: bool = False,
         raise ValueError("empty eps grid")
     _, tree = prepare(c, grid[0], prior1, width_limit)
 
-    def at(eps: float) -> tuple[float, ErrorReport]:
-        rep = max_error(build_error_model(c, eps, prior1), tree)
-        return rep.max_error, rep
-
     points: list[SweepPoint] = []
     for eps in grid:
-        m, rep = at(eps)
-        avg = avg_error(build_error_model(c, eps, prior1), tree)
-        points.append(SweepPoint(eps, m, avg, rep.worst_vector, rep.worst_output))
+        net = build_error_model(c, eps, prior1)
+        rep = max_error(net, tree)
+        points.append(SweepPoint(eps, rep.max_error, avg_error(net, tree),
+                                 rep.worst_vector, rep.worst_output))
 
     curve = SweepCurve(points)
     crossing = next((i for i, p in enumerate(points) if p.max_error >= 0.5), None)
@@ -204,7 +195,7 @@ def sweep(c: Circuit, grid, prior1: float = 0.5, refine: bool = False,
             hi = points[crossing].epsilon
             while hi - lo > 2e-4:
                 mid = 0.5 * (lo + hi)
-                if at(mid)[0] >= 0.5:
+                if max_error(build_error_model(c, mid, prior1), tree).max_error >= 0.5:
                     hi = mid
                 else:
                     lo = mid
@@ -234,6 +225,6 @@ def spectrum(c: Circuit, eps, prior1: float = 0.5,
         bits = index_vector(idx, k)
         assign = {v: bits[j] for j, v in enumerate(net.input_vars)}
         for j, comp in enumerate(net.comparators):
-            table[idx, j] = _cond_error(prop, assign, comp)
+            table[idx, j] = cond_error(prop, assign, comp)
     maxes = table.max(axis=1)
     return Spectrum(c.inputs, table, maxes, float(maxes.mean()), float(maxes.std()))

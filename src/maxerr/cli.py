@@ -20,10 +20,8 @@ import json
 import sys
 import time
 
-import numpy as np
-
-from .analysis import max_error, prepare, spectrum, sweep
-from .circuit import BenchParseError, load_circuit, vector_string
+from .analysis import cond_error, max_error, prepare, spectrum, sweep
+from .circuit import BenchParseError, index_vector, load_circuit, vector_string
 from .jointree import choose_order
 from .model import eps_by_net_name
 from .oracle import FaultEnumerator, McConfig, monte_carlo
@@ -192,7 +190,7 @@ def cmd_spectrum(args) -> int:
             "inputs": list(sp.input_order),
             "mu": round(sp.mu, 6),
             "sigma": round(sp.sigma, 6),
-            "rows": [{"vector": vector_string(_bits(i, k)),
+            "rows": [{"vector": vector_string(index_vector(i, k)),
                       "per_output": [round(float(x), 6) for x in sp.per_output[i]],
                       "max": round(float(sp.max_probs[i]), 6)}
                      for i in range(1 << k)],
@@ -204,16 +202,12 @@ def cmd_spectrum(args) -> int:
                  "vector," + ",".join(c.outputs) + ",max"]
         for i in range(1 << k):
             cells = ",".join(_fmt(float(x)) for x in sp.per_output[i])
-            lines.append("%s,%s,%s" % (vector_string(_bits(i, k)), cells,
+            lines.append("%s,%s,%s" % (vector_string(index_vector(i, k)), cells,
                                        _fmt(float(sp.max_probs[i]))))
         lines.append("# mu=%s sigma=%s above_mu_plus_sigma=%d" % (
             _fmt(sp.mu), _fmt(sp.sigma), len(sp.above())))
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
-
-
-def _bits(idx: int, k: int) -> tuple[int, ...]:
-    return tuple((idx >> (k - 1 - j)) & 1 for j in range(k))
 
 
 def cmd_validate(args) -> int:
@@ -225,7 +219,7 @@ def cmd_validate(args) -> int:
     t0 = time.perf_counter()
     rows = []
     for i in range(exact.shape[0]):
-        bits = _bits(i, c.n_inputs)
+        bits = index_vector(i, c.n_inputs)
         est = monte_carlo(c, bits, eps, cfg)
         for j, name in enumerate(c.outputs):
             rows.append((vector_string(bits), name, float(exact[i, j]),
@@ -261,13 +255,10 @@ def cmd_oracle_check(args) -> int:
     rows = []
     worst = 0.0
     for i in range(exact.shape[0]):
-        bits = _bits(i, c.n_inputs)
+        bits = index_vector(i, c.n_inputs)
         assign = {v: bits[j] for j, v in enumerate(net.input_vars)}
         for j, comp in enumerate(net.comparators):
-            prop.set_evidence(assign)
-            belief = prop.var_belief(comp)
-            t = belief.table if not belief.log else np.exp(belief.table)
-            engine = float(t[1]) / float(t[0] + t[1])
+            engine = cond_error(prop, assign, comp)
             diff = abs(engine - float(exact[i, j]))
             worst = max(worst, diff)
             rows.append((vector_string(bits), c.outputs[j], engine, float(exact[i, j]), diff))

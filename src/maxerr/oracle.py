@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateFunc, all_input_vectors, index_vector
+from .circuit import (Circuit, Gate, GateFunc, all_input_vectors, index_vector,
+                      vector_index)
 
 MAX_ENUM_GATES = 22
 MAX_ENUM_INPUTS = 16
@@ -76,11 +77,7 @@ def exact_cond_error(c: Circuit, input_bits: Sequence[int], eps) -> np.ndarray:
     disagree with the fault-free ones.
     """
     enum = FaultEnumerator(c)
-    w = enum.weights(eps)
-    idx = 0
-    for b in input_bits:
-        idx = (idx << 1) | int(b)
-    return w @ enum._diff[idx]
+    return enum.weights(eps) @ enum._diff[vector_index(input_bits)]
 
 
 @dataclass

@@ -3,10 +3,15 @@
 Messages follow the two-way scheme: the message from cluster b to a
 neighbor c combines b's own valuations with the messages from its other
 neighbors and marginalizes down to the shared scope.  Every message is
-cached per direction; changing the evidence only discards messages whose
-sending side contains a cluster where the evidence changed, so repeated
-queries (different roots, incrementally grown evidence) reuse most of
-the work.
+cached per direction, so repeated queries (different roots,
+incrementally grown evidence) reuse most of the work.  Changing the
+evidence on a variable discards the cached messages whose sending side
+holds that variable's singleton cluster, found by a walk: pop every
+cached message out of the singleton, continue past each popped
+message's receiver, and stop at the first edge with no cached message.
+A message is computed only after every message into its sender, and is
+dropped only together with everything downstream of it, so an edge with
+no cached message has none beyond it.
 
 Marginalization is per variable: sum for chance variables, max for the
 variables being maximized (the primary inputs during a worst-vector
@@ -22,7 +27,7 @@ from typing import Mapping
 from .jointree import BinaryJoinTree
 from .model import ErrorModelNet
 from .valuation import (Valuation, combine, indicator, reduce_all,
-                        reduce_mixed, to_log, unit)
+                        reduce_mixed, unit)
 
 
 class Propagator:
@@ -30,13 +35,12 @@ class Propagator:
     variables and an evidence assignment."""
 
     def __init__(self, tree: BinaryJoinTree, net: ErrorModelNet,
-                 map_vars=(), log_space: bool = False):
+                 map_vars=()):
         if tree._scope_key is not None and not tree.compatible(net):
             raise ValueError("tree was built for a different network structure")
         self.tree = tree
         self.net = net
         self.map_vars = frozenset(map_vars)
-        self.log = log_space
         self.evidence: dict[int, int] = {}
         self._msg: dict[tuple[int, int], Valuation] = {}
         self._limit = max(tree.width, 1)
@@ -45,11 +49,8 @@ class Propagator:
         for cpt in net.cpts:
             cid = tree.attach[cpt.child.id]
             val = cpt.to_valuation()
-            if log_space:
-                val = to_log(val)
             pots[cid] = val if pots[cid] is None else combine(pots[cid], val, self._limit)
         self._potential = pots
-        self._root0, self._parent, self._tin, self._tout = _orient(tree, 0)
 
     # -- evidence --------------------------------------------------------
 
@@ -63,20 +64,19 @@ class Propagator:
             cid = self.tree.singleton.get(v)
             if cid is None:
                 raise KeyError("variable %d has no singleton cluster for evidence" % v)
-        if changed and self._msg:
-            spots = [self.tree.singleton[v] for v in changed]
-            stale = [key for key in self._msg
-                     if any(self._on_source_side(key[0], key[1], x) for x in spots)]
-            for key in stale:
-                del self._msg[key]
+        for v in changed:
+            self._invalidate(self.tree.singleton[v])
         self.evidence = new
 
-    def _on_source_side(self, b: int, c: int, x: int) -> bool:
-        # Side of b when edge (b, c) is removed, tested via the fixed
-        # rooting at cluster 0.
-        if self._parent[b] == c:
-            return self._tin[b] <= self._tin[x] < self._tout[b]
-        return not (self._tin[c] <= self._tin[x] < self._tout[c])
+    def _invalidate(self, cid: int) -> None:
+        """Drop the cached messages whose sending side holds ``cid``,
+        by the walk the module docstring describes."""
+        stack = [(cid, -1)]
+        while stack:
+            b, prev = stack.pop()
+            for c in self.tree.neighbors[b]:
+                if c != prev and self._msg.pop((b, c), None) is not None:
+                    stack.append((c, b))
 
     # -- messages --------------------------------------------------------
 
@@ -84,13 +84,13 @@ class Propagator:
         vals = [] if self._potential[cid] is None else [self._potential[cid]]
         for v, s in self.evidence.items():
             if self.tree.singleton[v] == cid:
-                vals.append(indicator(v, s, self.log))
+                vals.append(indicator(v, s))
         return vals
 
     def _compute(self, b: int, c: int) -> None:
         parts = self._local(b)
         parts += [self._msg[(a, b)] for a in self.tree.neighbors[b] if a != c]
-        val = unit(self.log)
+        val = unit()
         for p in parts:
             val = combine(val, p, self._limit)
         drop = (self.tree.clusters[b].scope - self.tree.clusters[c].scope) & set(val.scope)
@@ -116,62 +116,45 @@ class Propagator:
         the (possibly max-reduced) joint over the cluster scope."""
         for a in self.tree.neighbors[cid]:
             self._ensure(a, cid)
-        val = unit(self.log)
+        val = unit()
         for p in self._local(cid) + [self._msg[(a, cid)] for a in self.tree.neighbors[cid]]:
             val = combine(val, p, self._limit)
         return val
 
     def query(self, root_cluster: int) -> float:
-        """Collapse the belief at the root to a scalar (always returned
-        in linear space)."""
+        """Collapse the belief at the root to a scalar."""
         return reduce_all(self.belief(root_cluster), self.map_vars)
 
     def var_belief(self, var: int) -> Valuation:
         return self.belief(self.tree.singleton[var])
 
 
-def _orient(tree: BinaryJoinTree, root: int):
-    """Iterative DFS: parents plus entry/exit times for subtree tests."""
-    n = tree.n_clusters
-    parent = [-1] * n
-    tin = [0] * n
-    tout = [0] * n
-    clock = 0
-    stack = [(root, False)]
-    seen = [False] * n
+def _orient(tree: BinaryJoinTree, root: int) -> list[int]:
+    """Parent of every cluster when the tree hangs from ``root``."""
+    parent = [-1] * tree.n_clusters
+    stack = [root]
     while stack:
-        u, leaving = stack.pop()
-        if leaving:
-            tout[u] = clock
-            continue
-        if seen[u]:
-            continue
-        seen[u] = True
-        tin[u] = clock
-        clock += 1
-        stack.append((u, True))
+        u = stack.pop()
         for w in tree.neighbors[u]:
-            if not seen[w]:
+            if w != parent[u]:
                 parent[w] = u
-                stack.append((w, False))
-    return root, parent, tin, tout
+                stack.append(w)
+    return parent
 
 
 def propagate(tree: BinaryJoinTree, net: ErrorModelNet,
-              evidence: Mapping[int, int], root_cluster: int,
-              log_space: bool = False) -> Valuation:
+              evidence: Mapping[int, int], root_cluster: int) -> Valuation:
     """Sum-mode collect toward one cluster; the result holds
     P(scope, evidence) cell-wise."""
-    p = Propagator(tree, net, log_space=log_space)
+    p = Propagator(tree, net)
     p.set_evidence(evidence)
     return p.belief(root_cluster)
 
 
 def prob_evidence(tree: BinaryJoinTree, net: ErrorModelNet,
-                  evidence: Mapping[int, int], root_var: int | None = None,
-                  log_space: bool = False) -> float:
+                  evidence: Mapping[int, int], root_var: int | None = None) -> float:
     """P(evidence); identical (up to 1e-9) for every choice of root."""
-    p = Propagator(tree, net, log_space=log_space)
+    p = Propagator(tree, net)
     p.set_evidence(evidence)
     if root_var is None:
         root_var = min(tree.singleton)
@@ -184,7 +167,7 @@ def count_order_inversions(tree: BinaryJoinTree, root: int, map_vars) -> int:
     the schedule sums everything before it maxes anything, so the mixed
     collect is exact rather than an upper bound."""
     map_vars = frozenset(map_vars)
-    _, parent, _, _ = _orient(tree, root)
+    parent = _orient(tree, root)
     scope = [c.scope for c in tree.clusters]
     # sums_downstream(u): sum-drops on the rootward path after u's edge,
     # including the final aggregation at the root itself.
@@ -213,26 +196,3 @@ def best_bound_root(tree: BinaryJoinTree, map_vars) -> int:
         tree._root_cache[key] = min(
             candidates, key=lambda cid: (count_order_inversions(tree, cid, key), cid))
     return tree._root_cache[key]
-
-
-def map_upper_bound(tree: BinaryJoinTree, net: ErrorModelNet,
-                    partial: Mapping[int, int], evid_o: Mapping[int, int],
-                    new_var: int | None = None,
-                    _prop: Propagator | None = None) -> float:
-    """Upper bound U >= max over completions of the uninstantiated
-    inputs of P(inputs, evid_o).
-
-    ``partial`` assigns a subset of the input variables.  The collect
-    root is the singleton of ``new_var`` (the input just assigned) when
-    given, otherwise the structurally best singleton.  For a complete
-    ``partial`` the returned value is exactly P(inputs, evid_o).
-    """
-    p = _prop or Propagator(tree, net, map_vars=net.input_vars)
-    ev = dict(evid_o)
-    ev.update(partial)
-    p.set_evidence(ev)
-    if new_var is not None:
-        root = tree.singleton[new_var]
-    else:
-        root = best_bound_root(tree, p.map_vars)
-    return p.query(root)

@@ -6,16 +6,11 @@ array of shape (2,)*len(scope); flattened in C order the first scope
 variable is the most significant bit of the cell index.  Combination is
 pointwise multiplication over the union scope, marginalization removes
 variables by summing or maximizing.
-
-Tables may alternatively hold log-probabilities (``log=True``): combine
-adds, marg_sum does log-sum-exp, zeros become -inf.  Deep circuits whose
-cell values underflow in linear space can run the whole pipeline in log
-space; both modes share every code path here.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,12 +30,11 @@ class WidthLimitError(RuntimeError):
 
 
 class Valuation:
-    __slots__ = ("scope", "table", "log")
+    __slots__ = ("scope", "table")
 
-    def __init__(self, scope: Sequence[int], table: np.ndarray, log: bool = False):
+    def __init__(self, scope: Sequence[int], table: np.ndarray):
         self.scope = tuple(scope)
         self.table = np.asarray(table, dtype=np.float64)
-        self.log = log
         if self.table.shape != (2,) * len(self.scope):
             raise ValueError("table shape %s does not match scope size %d"
                              % (self.table.shape, len(self.scope)))
@@ -48,52 +42,28 @@ class Valuation:
             raise ValueError("scope must be strictly increasing: %s" % (self.scope,))
 
     def __repr__(self):
-        return "Valuation(scope=%s%s)" % (self.scope, ", log" if self.log else "")
-
-    def value_at(self, assignment: Mapping[int, int]) -> float:
-        """Table cell for a full assignment of the scope."""
-        idx = tuple(assignment[v] for v in self.scope)
-        return float(self.table[idx])
-
-    def copy(self) -> "Valuation":
-        return Valuation(self.scope, self.table.copy(), self.log)
+        return "Valuation(scope=%s)" % (self.scope,)
 
 
-def unit(log: bool = False) -> Valuation:
+def unit() -> Valuation:
     """Neutral element of combination (empty scope)."""
-    return Valuation((), np.array(0.0 if log else 1.0), log)
+    return Valuation((), np.array(1.0))
 
 
-def from_cells(scope: Sequence[int], cells: Sequence[float], log: bool = False) -> Valuation:
+def from_cells(scope: Sequence[int], cells: Sequence[float]) -> Valuation:
     """Valuation from a flat cell list in the given (not necessarily
     sorted) scope order; axes are permuted into canonical order."""
     scope = tuple(scope)
     table = np.asarray(cells, dtype=np.float64).reshape((2,) * len(scope))
     perm = sorted(range(len(scope)), key=lambda i: scope[i])
-    return Valuation(tuple(scope[i] for i in perm), np.transpose(table, perm), log)
+    return Valuation(tuple(scope[i] for i in perm), np.transpose(table, perm))
 
 
-def indicator(var: int, state: int, log: bool = False) -> Valuation:
+def indicator(var: int, state: int) -> Valuation:
     """Evidence valuation: 1 on the observed state, 0 elsewhere."""
     t = np.zeros(2)
     t[state] = 1.0
-    if log:
-        with np.errstate(divide="ignore"):
-            t = np.log(t)
-    return Valuation((var,), t, log)
-
-
-def to_log(v: Valuation) -> Valuation:
-    if v.log:
-        return v
-    with np.errstate(divide="ignore"):
-        return Valuation(v.scope, np.log(v.table), True)
-
-
-def from_log(v: Valuation) -> Valuation:
-    if not v.log:
-        return v
-    return Valuation(v.scope, np.exp(v.table), False)
+    return Valuation((var,), t)
 
 
 def _merge_scopes(a: tuple[int, ...], b: tuple[int, ...]):
@@ -114,15 +84,13 @@ def _merge_scopes(a: tuple[int, ...], b: tuple[int, ...]):
 
 def combine(a: Valuation, b: Valuation,
             width_limit: int = DEFAULT_WIDTH_LIMIT) -> Valuation:
-    """Pointwise product over the union scope (sum in log space)."""
-    if a.log != b.log:
-        raise ValueError("cannot combine linear and log-space valuations")
+    """Pointwise product over the union scope."""
     union, sa, sb = _merge_scopes(a.scope, b.scope)
     if len(union) > width_limit:
         raise WidthLimitError(len(union), width_limit, "combine")
     ta = a.table.reshape(sa)
     tb = b.table.reshape(sb)
-    return Valuation(union, ta + tb if a.log else ta * tb, a.log)
+    return Valuation(union, ta * tb)
 
 
 def _drop_axes(v: Valuation, drop: Iterable[int]):
@@ -135,21 +103,12 @@ def _drop_axes(v: Valuation, drop: Iterable[int]):
     return axes, kept
 
 
-def _logsumexp(table: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    m = np.max(table, axis=axes, keepdims=True)
-    safe = np.where(np.isneginf(m), 0.0, m)
-    with np.errstate(divide="ignore"):  # log(0) -> -inf is the point
-        out = np.log(np.sum(np.exp(table - safe), axis=axes)) + np.squeeze(safe, axis=axes)
-    return np.where(np.isneginf(np.squeeze(m, axis=axes)), -np.inf, out)
-
-
 def marg_sum(v: Valuation, drop: Iterable[int]) -> Valuation:
     """Sum out the given variables."""
     axes, kept = _drop_axes(v, drop)
     if not axes:
         return v
-    table = _logsumexp(v.table, axes) if v.log else np.sum(v.table, axis=axes)
-    return Valuation(kept, table, v.log)
+    return Valuation(kept, np.sum(v.table, axis=axes))
 
 
 def marg_max(v: Valuation, drop: Iterable[int]):
@@ -168,7 +127,7 @@ def marg_max(v: Valuation, drop: Iterable[int]):
     flat = moved.reshape(moved.shape[:len(kept)] + (-1,))
     witness = np.argmax(flat, axis=-1)
     table = np.max(flat, axis=-1)
-    return Valuation(kept, table, v.log), witness
+    return Valuation(kept, table), witness
 
 
 def decode_witness(packed: int, dropped: Sequence[int]) -> dict[int, int]:
@@ -186,16 +145,14 @@ def reduce_mixed(v: Valuation, drop_sum: Iterable[int], drop_max: Iterable[int])
     variable must leave early.
     """
     out = marg_sum(v, drop_sum)
-    drop_max = set(drop_max)
-    if drop_max:
-        out, _ = marg_max(out, drop_max)
-    return out
+    axes, kept = _drop_axes(out, drop_max)
+    if not axes:
+        return out
+    return Valuation(kept, np.max(out.table, axis=axes))
 
 
 def reduce_all(v: Valuation, max_vars: Iterable[int] = ()) -> float:
     """Collapse the whole scope to a scalar: sum variables not in
-    ``max_vars``, then max the rest.  Scalar is linear-space."""
+    ``max_vars``, then max the rest."""
     mv = set(max_vars) & set(v.scope)
-    out = reduce_mixed(v, set(v.scope) - mv, mv)
-    x = float(out.table)
-    return float(np.exp(x)) if v.log else x
+    return float(reduce_mixed(v, set(v.scope) - mv, mv).table)

@@ -1,5 +1,6 @@
 """Message passing: totals, cache deltas, bounds, root choices."""
 
+import collections
 import itertools
 
 import numpy as np
@@ -7,12 +8,11 @@ import pytest
 
 from maxerr.circuit import parse_bench, vector_index
 from maxerr.jointree import build_tree
+from maxerr.mapsearch import MapQuery, _Search
 from maxerr.model import build_error_model, joint_prob
 from maxerr.oracle import FaultEnumerator
 from maxerr.propagate import (Propagator, best_bound_root,
-                              count_order_inversions, map_upper_bound,
-                              prob_evidence, propagate)
-from maxerr.valuation import from_log, reduce_all
+                              count_order_inversions, prob_evidence, propagate)
 
 SMALL = parse_bench("""
 INPUT(a)
@@ -118,12 +118,43 @@ def test_evidence_delta_keeps_unrelated_messages(c17):
     assert got == pytest.approx(fresh.query(tree.singleton[net.comparators[0]]), abs=1e-12)
 
 
-def test_log_space_parity(c17):
-    net, tree = _net_tree(c17)
-    ev = {net.comparators[0]: 1, net.input_vars[2]: 1}
-    lin = prob_evidence(tree, net, ev)
-    logv = prob_evidence(tree, net, ev, log_space=True)
-    assert logv == pytest.approx(lin, rel=1e-10)
+def _sending_side(tree, b, c):
+    """Clusters on b's side of the edge (b, c): a BFS from b that never
+    crosses that edge."""
+    side = {b}
+    queue = collections.deque([b])
+    while queue:
+        u = queue.popleft()
+        for w in tree.neighbors[u]:
+            if w not in side and (u, w) != (b, c):
+                side.add(w)
+                queue.append(w)
+    return side
+
+
+@pytest.mark.parametrize("max_mode", [False, True])
+def test_flip_drops_exactly_the_messages_that_saw_it(c17, corpus, max_mode):
+    for circuit in [c17] + corpus[:5]:
+        net, tree = _net_tree(circuit)
+        ev = {v: 0 for v in net.input_vars}
+        ev[net.comparators[0]] = 1
+        roots = sorted({tree.singleton[v] for v in ev})
+        map_vars = net.input_vars if max_mode else ()
+        p = Propagator(tree, net, map_vars=map_vars)
+        p.set_evidence(ev)
+        for r in roots:
+            p.query(r)
+        for var in list(ev):
+            before = set(p._msg)
+            spot = tree.singleton[var]
+            ev = {**ev, var: 1 - ev[var]}
+            p.set_evidence(ev)
+            assert set(p._msg) == {(b, c) for b, c in before
+                                   if spot not in _sending_side(tree, b, c)}
+            fresh = Propagator(tree, net, map_vars=map_vars)
+            fresh.set_evidence(ev)
+            for r in roots:
+                assert p.query(r) == pytest.approx(fresh.query(r), abs=1e-12)
 
 
 def test_propagate_belief_cells_are_joint_probs():
@@ -132,8 +163,6 @@ def test_propagate_belief_cells_are_joint_probs():
     bel = propagate(tree, net, {}, tree.singleton[cmp_var])
     assert bel.scope == (cmp_var,)
     assert bel.table[1] == pytest.approx(_enum_prob(net, {cmp_var: 1}), abs=1e-12)
-    bel_log = propagate(tree, net, {}, tree.singleton[cmp_var], log_space=True)
-    assert from_log(bel_log).table == pytest.approx(bel.table, rel=1e-10)
 
 
 def test_sum_only_schedule_has_no_inversions():
@@ -173,11 +202,10 @@ def test_complete_assignment_bound_is_exact():
     k = SMALL.n_inputs
     enum = FaultEnumerator(SMALL)
     cond = enum.cond_errors(EPS)[:, 0]
-    prop = Propagator(tree, net, map_vars=net.input_vars)
+    search = _Search(MapQuery(net, tree, {cmp_var: 1}), prune=False, on_bound=None)
     for bits in itertools.product((0, 1), repeat=k):
         partial = dict(zip(net.input_vars, bits))
-        u = map_upper_bound(tree, net, partial, {cmp_var: 1},
-                            new_var=net.input_vars[-1], _prop=prop)
+        u = search.bound(partial, net.input_vars[-1])
         want = 0.5 ** k * cond[vector_index(bits)]
         assert u == pytest.approx(want, abs=1e-12)
 
@@ -188,13 +216,13 @@ def test_partial_assignment_bound_dominates_completions():
     k = SMALL.n_inputs
     enum = FaultEnumerator(SMALL)
     cond = enum.cond_errors(EPS)[:, 0]
-    prop = Propagator(tree, net, map_vars=net.input_vars)
+    search = _Search(MapQuery(net, tree, {cmp_var: 1}), prune=False, on_bound=None)
     for pattern in itertools.product((None, 0, 1), repeat=k):
         partial = {net.input_vars[j]: b for j, b in enumerate(pattern) if b is not None}
         best = max(0.5 ** k * cond[vector_index(bits)]
                    for bits in itertools.product((0, 1), repeat=k)
                    if all(bits[j] == b for j, b in enumerate(pattern) if b is not None))
-        u = map_upper_bound(tree, net, partial, {cmp_var: 1}, _prop=prop)
+        u = search.bound(partial, None)
         assert u >= best - 1e-12
 
 

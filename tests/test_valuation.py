@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxerr.valuation import (Valuation, WidthLimitError, combine,
-                              decode_witness, from_cells, from_log, indicator,
-                              marg_max, marg_sum, reduce_all, reduce_mixed,
-                              to_log, unit)
+                              decode_witness, from_cells, indicator, marg_max,
+                              marg_sum, reduce_all, reduce_mixed, unit)
 
 
 def rand_val(rng, scope):
@@ -61,14 +60,6 @@ def test_sum_marginal_order_irrelevant(v):
     one = marg_sum(marg_sum(v, [a]), [b])
     both = marg_sum(v, [a, b])
     np.testing.assert_allclose(one.table, both.table, rtol=1e-12)
-
-
-@given(valuations())
-@settings(max_examples=100, deadline=None)
-def test_log_space_combine_matches(v):
-    w = combine(to_log(v), to_log(v))
-    lin = combine(v, v)
-    np.testing.assert_allclose(from_log(w).table, lin.table, rtol=1e-9, atol=1e-12)
 
 
 def test_combine_broadcasts_disjoint_scopes():
