@@ -1,7 +1,7 @@
 """Exact worst-case output error analysis for gate-level circuits."""
 
 from .circuit import (BenchParseError, Circuit, Gate, GateFunc, load_circuit,
-                      parse_bench, to_bench, to_json, from_json, topo_order)
+                      parse_bench, to_bench, to_json, from_json)
 from .model import (Cpt, ErrorModelNet, Var, VarClass, build_error_model,
                     cpt_for_gate, eps_by_net_name, input_prior, joint_prob)
 from .valuation import (DEFAULT_WIDTH_LIMIT, Valuation, WidthLimitError,

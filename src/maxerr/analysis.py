@@ -104,8 +104,7 @@ def _cone_inputs(net: ErrorModelNet, roots) -> frozenset[int]:
 
 
 def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
-              use_seed: bool = True, prune: bool = True,
-              joint: bool = False) -> ErrorReport:
+              prune: bool = True, joint: bool = False) -> ErrorReport:
     """Worst-case output error report.
 
     Per output: search for the input vector maximizing P(inputs, output
@@ -131,8 +130,7 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     for name, evid in queries:
         cone = _cone_inputs(net, evid)
         fixed = {v: 0 for v in net.input_vars if v not in cone}
-        res: MapResult = solve(MapQuery(net, tree, {**evid, **fixed}),
-                               use_seed=use_seed, prune=prune)
+        res: MapResult = solve(MapQuery(net, tree, {**evid, **fixed}), prune=prune)
         if res.p_map <= 0.0:
             rows.append(OutputReport(name, None, 0.0, True,
                                      res.nodes_expanded, res.nodes_pruned))
@@ -177,11 +175,12 @@ def sweep(c: Circuit, grid, prior1: float = 0.5, refine: bool = False,
     grid = [float(e) for e in grid]
     if not grid:
         raise ValueError("empty eps grid")
-    _, tree = prepare(c, grid[0], prior1, width_limit)
+    net, tree = prepare(c, grid[0], prior1, width_limit)
 
     points: list[SweepPoint] = []
-    for eps in grid:
-        net = build_error_model(c, eps, prior1)
+    for i, eps in enumerate(grid):
+        if i:
+            net = build_error_model(c, eps, prior1)
         rep = max_error(net, tree)
         points.append(SweepPoint(eps, rep.max_error, avg_error(net, tree),
                                  rep.worst_vector, rep.worst_output))

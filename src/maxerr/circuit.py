@@ -253,11 +253,6 @@ class Circuit:
         return np.stack([vals[nid] for nid in self._out_ids], axis=1)
 
 
-def topo_order(c: Circuit) -> tuple[int, ...]:
-    """Gate indices ordered so every fan-in is defined before use."""
-    return c._topo
-
-
 def all_input_vectors(k: int) -> np.ndarray:
     """All 2**k input rows; row index reads the vector as a binary number
     whose most significant bit is the first declared input."""

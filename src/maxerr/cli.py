@@ -99,8 +99,7 @@ def cmd_analyze(args) -> int:
     eps = _load_eps(args, c)
     net, tree = prepare(c, eps, width_limit=args.width_limit)
     t0 = time.perf_counter()
-    rep = max_error(net, tree, use_seed=not args.no_seed,
-                    prune=not args.no_prune, joint=args.joint_evidence)
+    rep = max_error(net, tree, prune=not args.no_prune, joint=args.joint_evidence)
     dt = time.perf_counter() - t0
     if args.explain:
         _explain(net, tree)
@@ -309,8 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="single query with every output wrong at once")
     p.add_argument("--no-prune", action="store_true",
                    help="exhaustive search over the cone inputs (for audits)")
-    p.add_argument("--no-seed", action="store_true",
-                   help="skip the greedy incumbent")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("sweep", help="max/avg error across an eps grid")

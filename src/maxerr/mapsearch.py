@@ -16,8 +16,9 @@ absolute size of the probabilities (every bound carries the input prior
 of all k inputs).  A complete
 instantiation makes the bound exact, so the incumbent at the end is the
 true maximum.  Inputs named in the query evidence are fixed, not
-searched.  A greedy descent plus single-bit-flip hill climbing seeds
-the incumbent; it never changes the answer, only the amount of pruning.
+searched.  The incumbent starts at the all-zero assignment, the one
+every tie resolves toward, at its exact value; that costs one bound per
+query and changes only the amount of pruning, never the answer.
 """
 
 from __future__ import annotations
@@ -154,39 +155,15 @@ class _Search:
 
 
 def seed(q: MapQuery, prop: Propagator | None = None) -> tuple[dict[int, int], float]:
-    """Greedy descent on the child bounds, then single-bit-flip hill
-    climbing on the exact P(i, evid_o).  Returns a feasible assignment
-    and its exact probability (a lower bound on the optimum).
+    """The all-zero assignment and its exact probability (a lower bound
+    on the optimum), collected at the root the walk uses for complete
+    nodes so the value is bit-identical to the walk's.
 
     ``prop`` lets the caller share its max-mode propagator, so the
     messages cached here serve the search that follows."""
+    zero = {v: 0 for v in q.var_order}
     s = _Search(q, prune=False, on_bound=None, prop=prop)
-    partial: dict[int, int] = {}
-    for v in q.var_order:
-        vals = []
-        for state in (0, 1):
-            partial[v] = state
-            vals.append((s.bound(partial, v), state))
-        u1, u0 = vals[1][0], vals[0][0]
-        partial[v] = 1 if u1 > u0 * (1.0 + PRUNE_TOL) else 0
-    best = s.bound(partial, q.var_order[-1])
-    improved = True
-    while improved:
-        improved = False
-        flip_best = None
-        for v in q.var_order:
-            partial[v] ^= 1
-            p = s.bound(partial, v)
-            partial[v] ^= 1
-            if p > best * (1.0 + PRUNE_TOL) and (flip_best is None or p > flip_best[0]):
-                flip_best = (p, v)
-        if flip_best is not None:
-            best = flip_best[0]
-            partial[flip_best[1]] ^= 1
-            improved = True
-    # re-collect at the root the walk uses for complete nodes, so the
-    # incumbent is bit-identical whether it came from here or the walk
-    return dict(partial), s.bound(partial, q.var_order[-1])
+    return zero, s.bound(zero, q.var_order[-1])
 
 
 def solve(q: MapQuery, use_seed: bool = True, prune: bool = True,
@@ -194,7 +171,7 @@ def solve(q: MapQuery, use_seed: bool = True, prune: bool = True,
     """Exact worst-vector search.
 
     ``on_bound`` (assignment, bound) fires for every bound computed at a
-    search node, for auditing; the seed's bounds do not fire it.  With
+    search node, for auditing; the seed's bound does not fire it.  With
     ``prune`` off the search visits the full binary tree over the inputs
     not in ``q.evid_o``.  Ties (values within a relative ``PRUNE_TOL``)
     resolve to the lexicographically smallest assignment along

@@ -131,17 +131,8 @@ class ErrorModelNet:
     def n_vars(self) -> int:
         return len(self.vars)
 
-    def var_named(self, name: str) -> Var:
-        for v in self.vars:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
     def comparator_of(self, output_name: str) -> int:
         return self.comparators[self.circuit.outputs.index(output_name)]
-
-    def valuations(self) -> list[Valuation]:
-        return [c.to_valuation() for c in self.cpts]
 
 
 def _normalize_eps(c: Circuit, eps) -> dict[int, float]:

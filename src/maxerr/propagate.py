@@ -90,8 +90,8 @@ class Propagator:
     def _compute(self, b: int, c: int) -> None:
         parts = self._local(b)
         parts += [self._msg[(a, b)] for a in self.tree.neighbors[b] if a != c]
-        val = unit()
-        for p in parts:
+        val = parts[0] if parts else unit()   # a leaf singleton without evidence has none
+        for p in parts[1:]:
             val = combine(val, p, self._limit)
         drop = (self.tree.clusters[b].scope - self.tree.clusters[c].scope) & set(val.scope)
         self._msg[(b, c)] = reduce_mixed(val, drop - self.map_vars, drop & self.map_vars)
@@ -116,8 +116,9 @@ class Propagator:
         the (possibly max-reduced) joint over the cluster scope."""
         for a in self.tree.neighbors[cid]:
             self._ensure(a, cid)
-        val = unit()
-        for p in self._local(cid) + [self._msg[(a, cid)] for a in self.tree.neighbors[cid]]:
+        parts = self._local(cid) + [self._msg[(a, cid)] for a in self.tree.neighbors[cid]]
+        val = parts[0] if parts else unit()
+        for p in parts[1:]:
             val = combine(val, p, self._limit)
         return val
 

@@ -45,7 +45,7 @@ def test_per_output_matches_oracle_across_eps(c17):
 
 def test_search_counters_surface_in_report(c17):
     net, tree = prepare(c17, 0.05)
-    rep = max_error(net, tree, use_seed=False, prune=False)
+    rep = max_error(net, tree, prune=False)
     for row in rep.per_output:
         # the full tree over the output's cone: each c17 output depends on
         # 4 of the 5 inputs

@@ -44,7 +44,7 @@ def test_analyze_json(capsys):
 
 def test_analyze_joint_and_audit_flags(capsys):
     code, out, _ = run(capsys, "analyze", C17_PATH, "--epsilon", "0.05",
-                       "--joint-evidence", "--no-seed", "--no-prune",
+                       "--joint-evidence", "--no-prune",
                        "--format", "json")
     assert code == 0
     doc = json.loads(out)

@@ -7,7 +7,8 @@ import pytest
 
 from maxerr.circuit import index_vector, parse_bench, vector_index
 from maxerr.jointree import build_tree
-from maxerr.mapsearch import MapQuery, MapResult, seed, solve, var_order_heuristic
+from maxerr.mapsearch import (MapQuery, MapResult, _Search, seed, solve,
+                              var_order_heuristic)
 from maxerr.model import build_error_model, joint_prob
 from maxerr.oracle import FaultEnumerator, exact_map
 from maxerr.propagate import Propagator
@@ -97,11 +98,34 @@ def test_pruning_and_seeding_do_not_change_answer(corpus):
 
 
 def test_seed_is_a_lower_bound(corpus):
+    # the seed is the all-zero vector at its exact value
     for circuit in corpus[:8]:
         q = _query(circuit)
-        r = solve(q, use_seed=True)
-        assert r.seed_value is not None
+        assign, value = seed(q)
+        assert assign == {v: 0 for v in q.var_order}
+        cond = FaultEnumerator(circuit).cond_errors(EPS)[0, 0]
+        assert value == pytest.approx(0.5 ** circuit.n_inputs * cond, abs=1e-12)
+        r = solve(q)
+        assert r.seed_value == value
         assert r.seed_value <= r.p_map + 1e-15
+
+
+def test_search_issues_one_bound_per_node_plus_the_seed(c17, corpus, monkeypatch):
+    calls = [0]
+    bound = _Search.bound
+
+    def counted(self, partial, new_var):
+        calls[0] += 1
+        return bound(self, partial, new_var)
+
+    monkeypatch.setattr(_Search, "bound", counted)
+    for circuit in [c17] + corpus[:8]:
+        for j in range(circuit.n_outputs):
+            q = _query(circuit, j)
+            for use_seed in (True, False):
+                calls[0] = 0
+                r = solve(q, use_seed=use_seed)
+                assert calls[0] == r.nodes_expanded + use_seed
 
 
 def test_pruning_reduces_work(c17):
