@@ -116,10 +116,11 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     The search branches only on the inputs in the query's fan-in cone
     (the union of the cones in joint mode); the others cannot change
     the error, are held at 0 and are reported as 0.  ``nodes_expanded``
-    and ``nodes_pruned`` count nodes over the cone inputs.
+    and ``nodes_pruned`` count nodes over the cone inputs.  All searches
+    share one max-mode propagator and its cached messages.
     """
-    k = len(net.input_vars)
     cond_prop = Propagator(tree, net)
+    map_prop = Propagator(tree, net, map_vars=net.input_vars)
     rows: list[OutputReport] = []
     names = list(net.circuit.outputs)
     if joint:
@@ -130,7 +131,8 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     for name, evid in queries:
         cone = _cone_inputs(net, evid)
         fixed = {v: 0 for v in net.input_vars if v not in cone}
-        res: MapResult = solve(MapQuery(net, tree, {**evid, **fixed}), prune=prune)
+        res: MapResult = solve(MapQuery(net, tree, {**evid, **fixed}), prune=prune,
+                               prop=map_prop)
         if res.p_map <= 0.0:
             rows.append(OutputReport(name, None, 0.0, True,
                                      res.nodes_expanded, res.nodes_pruned))

@@ -137,7 +137,6 @@ class BinaryJoinTree:
             nb.sort()
         self.width = max((len(c.scope) for c in clusters), default=0)
         self._scope_key = scope_key  # for compatibility checks against a net
-        self._root_cache: dict = {}
 
     @property
     def n_clusters(self) -> int:

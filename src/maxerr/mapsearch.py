@@ -28,7 +28,7 @@ from typing import Callable, Mapping
 
 from .jointree import BinaryJoinTree
 from .model import ErrorModelNet
-from .propagate import Propagator, best_bound_root
+from .propagate import Propagator
 
 PRUNE_TOL = 1e-12   # relative to the incumbent; closer values tie
 
@@ -89,21 +89,23 @@ class _Search:
         self.q = q
         self.prune = prune
         self.on_bound = on_bound
-        self.prop = prop or Propagator(q.tree, q.net, map_vars=q.net.input_vars)
+        if prop is None:
+            prop = Propagator(q.tree, q.net, map_vars=q.net.input_vars)
+        elif prop.tree is not q.tree or prop.net is not q.net \
+                or prop.map_vars != frozenset(q.net.input_vars):
+            raise ValueError("propagator must be built on the query's tree and net "
+                             "with the net's inputs as max variables")
+        self.prop = prop
         self.best = -1.0
         self.best_assign: dict[int, int] | None = None
         self.expanded = 0
         self.pruned = 0
 
-    def bound(self, partial: dict[int, int], new_var: int | None) -> float:
+    def bound(self, partial: dict[int, int], new_var: int) -> float:
         ev = dict(self.q.evid_o)
         ev.update(partial)
         self.prop.set_evidence(ev)
-        if new_var is None:
-            root = best_bound_root(self.q.tree, self.prop.map_vars)
-        else:
-            root = self.q.tree.singleton[new_var]
-        u = self.prop.query(root)
+        u = self.prop.query(self.q.tree.singleton[new_var])
         if self.on_bound is not None:
             self.on_bound(dict(partial), u)
         return u
@@ -167,26 +169,32 @@ def seed(q: MapQuery, prop: Propagator | None = None) -> tuple[dict[int, int], f
 
 
 def solve(q: MapQuery, use_seed: bool = True, prune: bool = True,
-          on_bound: Callable[[dict, float], None] | None = None) -> MapResult:
+          on_bound: Callable[[dict, float], None] | None = None,
+          prop: Propagator | None = None) -> MapResult:
     """Exact worst-vector search.
 
     ``on_bound`` (assignment, bound) fires for every bound computed at a
-    search node, for auditing; the seed's bound does not fire it.  With
+    search node, for auditing: every node but the root, which is never
+    cut and so gets no bound; the seed's bound does not fire it.  With
     ``prune`` off the search visits the full binary tree over the inputs
     not in ``q.evid_o``.  Ties (values within a relative ``PRUNE_TOL``)
     resolve to the lexicographically smallest assignment along
     ``q.var_order``, and ``p_map`` is that assignment's value.
+
+    ``prop`` shares a max-mode propagator over ``q.tree``, ``q.net`` and
+    the net's inputs between queries (``ValueError`` otherwise); the
+    answer does not change, since a cached message depends only on the
+    evidence on its sending side.
     """
     if not q.var_order:
         raise ValueError("no input variables to search over")
-    s = _Search(q, prune, on_bound)
+    s = _Search(q, prune, on_bound, prop)
     seed_value = None
     if use_seed:
         assign, seed_value = seed(q, s.prop)
         s.best = seed_value
         s.best_assign = assign
-    s.bound({}, None)  # root node
-    s.expanded += 1
+    s.expanded += 1     # the root
     s.walk({}, 0)
     assert s.best_assign is not None
     return MapResult(s.best_assign, max(s.best, 0.0), s.expanded, s.pruned, seed_value)

@@ -143,23 +143,12 @@ def _orient(tree: BinaryJoinTree, root: int) -> list[int]:
     return parent
 
 
-def propagate(tree: BinaryJoinTree, net: ErrorModelNet,
-              evidence: Mapping[int, int], root_cluster: int) -> Valuation:
-    """Sum-mode collect toward one cluster; the result holds
-    P(scope, evidence) cell-wise."""
-    p = Propagator(tree, net)
-    p.set_evidence(evidence)
-    return p.belief(root_cluster)
-
-
 def prob_evidence(tree: BinaryJoinTree, net: ErrorModelNet,
-                  evidence: Mapping[int, int], root_var: int | None = None) -> float:
+                  evidence: Mapping[int, int]) -> float:
     """P(evidence); identical (up to 1e-9) for every choice of root."""
     p = Propagator(tree, net)
     p.set_evidence(evidence)
-    if root_var is None:
-        root_var = min(tree.singleton)
-    return p.query(tree.singleton[root_var])
+    return p.query(tree.singleton[min(tree.singleton)])
 
 
 def count_order_inversions(tree: BinaryJoinTree, root: int, map_vars) -> int:
@@ -186,14 +175,3 @@ def count_order_inversions(tree: BinaryJoinTree, root: int, map_vars) -> int:
                 down[w] = below
                 stack.append(w)
     return inv
-
-
-def best_bound_root(tree: BinaryJoinTree, map_vars) -> int:
-    """Singleton cluster whose collect order is closest to valid
-    (fewest max-before-sum inversions; ties on the lowest cluster id)."""
-    key = frozenset(map_vars)
-    if key not in tree._root_cache:
-        candidates = sorted(set(tree.singleton.values()))
-        tree._root_cache[key] = min(
-            candidates, key=lambda cid: (count_order_inversions(tree, cid, key), cid))
-    return tree._root_cache[key]

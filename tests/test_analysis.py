@@ -8,6 +8,7 @@ from maxerr.analysis import (MAX_SPECTRUM_INPUTS, avg_error, max_error,
                              prepare, spectrum, sweep)
 from maxerr.circuit import Circuit, all_input_vectors, parse_bench, vector_index
 from maxerr.oracle import FaultEnumerator, random_circuit
+from maxerr.propagate import Propagator
 from maxerr.valuation import WidthLimitError
 
 GRID = [round(0.005 * i, 3) for i in range(1, 41)]  # 0.005 .. 0.2
@@ -51,6 +52,25 @@ def test_search_counters_surface_in_report(c17):
         # 4 of the 5 inputs
         assert row.nodes_expanded == 2 ** (4 + 1) - 1
         assert row.nodes_pruned == 0
+
+
+def test_max_error_builds_two_propagators(c17, corpus, monkeypatch):
+    # one sum-mode propagator for the conditional errors and one
+    # max-mode propagator that every output's search shares
+    calls = [0]
+    init = Propagator.__init__
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Propagator, "__init__", counted)
+    for circuit in [c17] + corpus[:8]:
+        net, tree = prepare(circuit, 0.05)
+        for joint in (False, True):
+            calls[0] = 0
+            max_error(net, tree, joint=joint)
+            assert calls[0] == 2
 
 
 def test_joint_mode_matches_direct_enumeration(c17):

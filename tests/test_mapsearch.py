@@ -125,7 +125,7 @@ def test_search_issues_one_bound_per_node_plus_the_seed(c17, corpus, monkeypatch
             for use_seed in (True, False):
                 calls[0] = 0
                 r = solve(q, use_seed=use_seed)
-                assert calls[0] == r.nodes_expanded + use_seed
+                assert calls[0] == r.nodes_expanded - 1 + use_seed
 
 
 def test_pruning_reduces_work(c17):
@@ -180,7 +180,7 @@ def test_bound_audit_dominates_completions():
     k = SMALL.n_inputs
     seen = []
     solve(q, use_seed=False, prune=False, on_bound=lambda a, u: seen.append((a, u)))
-    assert len(seen) == 2 ** (k + 1) - 1
+    assert len(seen) == 2 ** (k + 1) - 2    # every node but the root
     for partial, u in seen:
         best = max(0.5 ** k * cond[vector_index(bits)]
                    for bits in itertools.product((0, 1), repeat=k)
@@ -240,13 +240,39 @@ def test_seed_shares_the_search_propagator_silently(c17):
     seen = []
     r = solve(q, use_seed=True, on_bound=lambda a, u: seen.append(u))
     assert r.seed_value is not None
-    assert len(seen) == r.nodes_expanded   # seed bounds are not audited
+    assert len(seen) == r.nodes_expanded - 1   # nor are the root's and the seed's
 
     # a propagator left with other evidence gives the seed bit for bit
     prop = Propagator(q.tree, q.net, map_vars=q.net.input_vars)
     prop.set_evidence({v: 1 for v in q.net.input_vars})
     prop.query(q.tree.singleton[q.net.input_vars[0]])
     assert seed(q, prop) == seed(q)
+
+
+def test_shared_propagator_gives_fresh_answers(c17, corpus):
+    # a cached message depends only on the evidence on its sending side,
+    # so queries that share one propagator, in any order, answer exactly
+    # as on a fresh one
+    for circuit in [c17] + corpus[:20]:
+        net = build_error_model(circuit, EPS)
+        tree = build_tree(net)
+        queries = [MapQuery(net, tree, {cv: 1}) for cv in net.comparators]
+        fresh = [solve(q) for q in queries]
+        shared = Propagator(tree, net, map_vars=net.input_vars)
+        for j in list(range(len(queries))) + list(reversed(range(len(queries)))):
+            assert solve(queries[j], prop=shared) == fresh[j]
+
+
+def test_foreign_propagator_rejected(c17):
+    q = _query(c17)
+    other = build_error_model(c17, EPS)
+    for prop in (Propagator(q.tree, q.net),
+                 Propagator(q.tree, other, map_vars=other.input_vars),
+                 Propagator(build_tree(q.net), q.net, map_vars=q.net.input_vars)):
+        with pytest.raises(ValueError):
+            solve(q, prop=prop)
+        with pytest.raises(ValueError):
+            seed(q, prop)
 
 
 XOR_CHAIN = parse_bench("""

@@ -11,8 +11,7 @@ from maxerr.jointree import build_tree
 from maxerr.mapsearch import MapQuery, _Search
 from maxerr.model import build_error_model, joint_prob
 from maxerr.oracle import FaultEnumerator
-from maxerr.propagate import (Propagator, best_bound_root,
-                              count_order_inversions, prob_evidence, propagate)
+from maxerr.propagate import Propagator, count_order_inversions, prob_evidence
 
 SMALL = parse_bench("""
 INPUT(a)
@@ -160,7 +159,7 @@ def test_flip_drops_exactly_the_messages_that_saw_it(c17, corpus, max_mode):
 def test_propagate_belief_cells_are_joint_probs():
     net, tree = _net_tree(SMALL)
     cmp_var = net.comparator_of("z")
-    bel = propagate(tree, net, {}, tree.singleton[cmp_var])
+    bel = Propagator(tree, net).var_belief(cmp_var)
     assert bel.scope == (cmp_var,)
     assert bel.table[1] == pytest.approx(_enum_prob(net, {cmp_var: 1}), abs=1e-12)
 
@@ -169,14 +168,6 @@ def test_sum_only_schedule_has_no_inversions():
     net, tree = _net_tree(SMALL)
     for cid in range(tree.n_clusters):
         assert count_order_inversions(tree, cid, ()) == 0
-
-
-def test_best_bound_root_minimizes_inversions(c17):
-    net, tree = _net_tree(c17)
-    root = best_bound_root(tree, net.input_vars)
-    counts = {cid: count_order_inversions(tree, cid, net.input_vars)
-              for cid in set(tree.singleton.values())}
-    assert counts[root] == min(counts.values())
 
 
 def test_mixed_query_bounds_exact_max():
@@ -222,7 +213,7 @@ def test_partial_assignment_bound_dominates_completions():
         best = max(0.5 ** k * cond[vector_index(bits)]
                    for bits in itertools.product((0, 1), repeat=k)
                    if all(bits[j] == b for j, b in enumerate(pattern) if b is not None))
-        u = search.bound(partial, None)
+        u = search.bound(partial, max(partial, default=net.input_vars[0]))
         assert u >= best - 1e-12
 
 
