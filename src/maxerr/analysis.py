@@ -15,7 +15,7 @@ import numpy as np
 
 from .circuit import Circuit, index_vector, vector_string
 from .jointree import BinaryJoinTree, build_tree, choose_order
-from .mapsearch import MapQuery, MapResult, solve
+from .mapsearch import PRUNE_TOL, MapQuery, MapResult, solve
 from .model import ErrorModelNet, build_error_model
 from .propagate import Propagator
 
@@ -65,16 +65,17 @@ class Spectrum:
 
     def above(self, threshold: float | None = None) -> list[tuple[str, float]]:
         """Vectors whose worst-output error reaches the threshold
-        (default mu + sigma)."""
+        (default mu + sigma).  Values within a relative ``PRUNE_TOL``
+        below it tie and count, so a flat spectrum returns every vector."""
         t = self.mu + self.sigma if threshold is None else threshold
         k = len(self.input_order)
         return [(vector_string(index_vector(i, k)), float(p))
-                for i, p in enumerate(self.max_probs) if p >= t]
+                for i, p in enumerate(self.max_probs) if p >= t * (1.0 - PRUNE_TOL)]
 
 
-def prepare(c: Circuit, eps, prior1: float = 0.5, width_limit: int | None = None):
+def prepare(c: Circuit, eps, width_limit: int | None = None):
     """Model plus join tree for a circuit; the usual entry point."""
-    net = build_error_model(c, eps, prior1)
+    net = build_error_model(c, eps)
     kwargs = {} if width_limit is None else {"width_limit": width_limit}
     tree = build_tree(net, choose_order(net), **kwargs)
     return net, tree
@@ -84,10 +85,7 @@ def cond_error(prop: Propagator, input_assign: dict[int, int], comp_var: int) ->
     """P(comparator = 1 | inputs) via P(comparator, inputs) normalized."""
     prop.set_evidence(input_assign)
     t = prop.var_belief(comp_var).table
-    total = float(t[0] + t[1])
-    if total == 0.0:
-        return 0.0
-    return float(t[1]) / total
+    return float(t[1]) / float(t[0] + t[1])
 
 
 def _cone_inputs(net: ErrorModelNet, roots) -> frozenset[int]:
@@ -166,7 +164,7 @@ def avg_error(net: ErrorModelNet, tree: BinaryJoinTree) -> float:
     return max(cond_error(prop, {}, comp) for comp in net.comparators)
 
 
-def sweep(c: Circuit, grid, prior1: float = 0.5, refine: bool = False,
+def sweep(c: Circuit, grid, refine: bool = False,
           width_limit: int | None = None) -> SweepCurve:
     """Max/avg error across a gate error probability grid.
 
@@ -177,12 +175,12 @@ def sweep(c: Circuit, grid, prior1: float = 0.5, refine: bool = False,
     grid = [float(e) for e in grid]
     if not grid:
         raise ValueError("empty eps grid")
-    net, tree = prepare(c, grid[0], prior1, width_limit)
+    net, tree = prepare(c, grid[0], width_limit)
 
     points: list[SweepPoint] = []
     for i, eps in enumerate(grid):
         if i:
-            net = build_error_model(c, eps, prior1)
+            net = build_error_model(c, eps)
         rep = max_error(net, tree)
         points.append(SweepPoint(eps, rep.max_error, avg_error(net, tree),
                                  rep.worst_vector, rep.worst_output))
@@ -196,7 +194,7 @@ def sweep(c: Circuit, grid, prior1: float = 0.5, refine: bool = False,
             hi = points[crossing].epsilon
             while hi - lo > 2e-4:
                 mid = 0.5 * (lo + hi)
-                if max_error(build_error_model(c, mid, prior1), tree).max_error >= 0.5:
+                if max_error(build_error_model(c, mid), tree).max_error >= 0.5:
                     hi = mid
                 else:
                     lo = mid
@@ -207,8 +205,7 @@ def sweep(c: Circuit, grid, prior1: float = 0.5, refine: bool = False,
 MAX_SPECTRUM_INPUTS = 20
 
 
-def spectrum(c: Circuit, eps, prior1: float = 0.5,
-             width_limit: int | None = None) -> Spectrum:
+def spectrum(c: Circuit, eps, width_limit: int | None = None) -> Spectrum:
     """Exact per-vector worst-output error over all 2**k input vectors.
 
     Enumerates vectors in Gray order so each step moves one evidence
@@ -217,7 +214,7 @@ def spectrum(c: Circuit, eps, prior1: float = 0.5,
     if c.n_inputs > MAX_SPECTRUM_INPUTS:
         raise ValueError("spectrum enumeration capped at %d inputs, circuit has %d"
                          % (MAX_SPECTRUM_INPUTS, c.n_inputs))
-    net, tree = prepare(c, eps, prior1, width_limit)
+    net, tree = prepare(c, eps, width_limit)
     prop = Propagator(tree, net)
     k = c.n_inputs
     table = np.zeros((1 << k, len(net.comparators)))

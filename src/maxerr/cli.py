@@ -51,8 +51,6 @@ def _parse_grid(text: str) -> list[float]:
         grid = [round(start + i * step, 12) for i in range(n + 1)]
     else:
         grid = [float(x) for x in text.split(",") if x.strip()]
-    if not grid:
-        raise ValueError("empty eps grid")
     if any(not 0.0 < e <= 0.5 for e in grid):
         raise ValueError("grid values must lie in (0, 0.5]")
     return grid
@@ -81,16 +79,16 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _explain(net, tree, note: str = "") -> None:
+def _explain(net, tree) -> None:
     order = choose_order(net)
     print("elimination order: %s" % (order.order,), file=sys.stderr)
-    print("join tree: %d clusters, width Z = %d%s"
-          % (tree.n_clusters, tree.width, note), file=sys.stderr)
+    print("join tree: %d clusters, width Z = %d"
+          % (tree.n_clusters, tree.width), file=sys.stderr)
     print(tree.describe(net), file=sys.stderr)
 
 
 def _inputs_header(c) -> str:
-    return "# inputs: " + " ".join(c.inputs) + "\n"
+    return "# inputs: " + " ".join(c.inputs)
 
 
 def cmd_analyze(args) -> int:
@@ -122,7 +120,7 @@ def cmd_analyze(args) -> int:
         }
         _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
-        lines = [_inputs_header(c).rstrip("\n"),
+        lines = [_inputs_header(c),
                  "output,vector,p_error,nodes_expanded,nodes_pruned"]
         for r in rep.per_output:
             lines.append("%s,%s,%s,%d,%d" % (
@@ -196,7 +194,7 @@ def cmd_spectrum(args) -> int:
         }
         _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
-        lines = [_inputs_header(c).rstrip("\n"),
+        lines = [_inputs_header(c),
                  "vector," + ",".join(c.outputs) + ",max"]
         for i in range(1 << k):
             cells = ",".join(_fmt(float(x)) for x in sp.per_output[i])
@@ -233,7 +231,7 @@ def cmd_validate(args) -> int:
                         for v, o, e, m, s in rows]}
         _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
-        lines = [_inputs_header(c).rstrip("\n"),
+        lines = [_inputs_header(c),
                  "vector,output,exact,mc_estimate,mc_stderr,abs_diff"]
         for v, o, e, m, s in rows:
             lines.append(",".join((v, o, _fmt(e), _fmt(m), _fmt(s), _fmt(abs(e - m)))))
@@ -266,7 +264,7 @@ def cmd_oracle_check(args) -> int:
                "max_abs_diff": worst}
         _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
-        lines = [_inputs_header(c).rstrip("\n"),
+        lines = [_inputs_header(c),
                  "vector,output,engine,exact,abs_diff"]
         for v, o, g, e, d in rows:
             lines.append("%s,%s,%.9f,%.9f,%.2e" % (v, o, g, e, d))

@@ -122,13 +122,11 @@ class Cluster:
 
 class BinaryJoinTree:
     def __init__(self, clusters: list[Cluster], edges: list[tuple[int, int]],
-                 attach: dict[int, int], singleton: dict[int, int], scope_key,
-                 targets: tuple[int, ...] = ()):
+                 attach: dict[int, int], singleton: dict[int, int], scope_key):
         self.clusters = clusters
         self.edges = edges
         self.attach = attach        # CPT child var id -> cluster id
         self.singleton = singleton  # var id -> cluster with scope {var}
-        self.targets = targets      # vars promised a singleton cluster
         self.neighbors: list[list[int]] = [[] for _ in clusters]
         for a, b in edges:
             self.neighbors[a].append(b)
@@ -165,19 +163,16 @@ def _net_scope_key(net: ErrorModelNet):
 
 
 def build_tree(net: ErrorModelNet, order: EliminationOrder | None = None,
-               targets=None, width_limit: int = DEFAULT_WIDTH_LIMIT) -> BinaryJoinTree:
+               width_limit: int = DEFAULT_WIDTH_LIMIT) -> BinaryJoinTree:
     """Construct a binary join tree for the network.
 
-    ``targets`` lists variables that must get singleton clusters (roots
-    and evidence entry points); the default gives every variable one.
-    Raises WidthLimitError when the largest cluster would exceed
-    ``width_limit`` variables.
+    Every variable gets a singleton cluster, the entry point for its
+    evidence and the root of its queries.  Raises WidthLimitError when
+    the largest cluster would exceed ``width_limit`` variables.
     """
     if order is None:
         order = choose_order(net)
     order.validate(net)
-    if targets is None:
-        targets = [v.id for v in net.vars]
 
     scopes: list[frozenset[int]] = []
     attach: dict[int, int] = {}
@@ -192,8 +187,8 @@ def build_tree(net: ErrorModelNet, order: EliminationOrder | None = None,
         if scope not in seen:
             seen[scope] = add_node(scope)
         attach[cpt.child.id] = seen[scope]
-    for t in targets:
-        s = frozenset((t,))
+    for v in net.vars:
+        s = frozenset((v.id,))
         if s not in seen:
             seen[s] = add_node(s)
 
@@ -233,7 +228,6 @@ def build_tree(net: ErrorModelNet, order: EliminationOrder | None = None,
         remaining.discard(y)
 
     tree = _assemble(scopes, edges, attach)
-    tree.targets = tuple(targets)
     tree._scope_key = _net_scope_key(net)
     if tree.width > width_limit:
         raise WidthLimitError(tree.width, width_limit, "largest cluster in the tree")
@@ -361,9 +355,9 @@ def validate_tree(tree: BinaryJoinTree, net: ErrorModelNet) -> list[str]:
         if tree.clusters[cid].scope != frozenset((v,)):
             bad.append("singleton index for variable %d points at %s"
                        % (v, sorted(tree.clusters[cid].scope)))
-    for t in tree.targets:
-        if t not in tree.singleton:
-            bad.append("target variable %d has no singleton cluster" % t)
+    for v in net.vars:
+        if v.id not in tree.singleton:
+            bad.append("variable %d has no singleton cluster" % v.id)
     for cpt in net.cpts:
         cid = tree.attach.get(cpt.child.id)
         if cid is None:

@@ -11,6 +11,11 @@ A gate with error rate eps emits the complement of its correct output
 with probability 2*eps, so eps = 0.25 makes the gate a fair coin and
 eps = 0.5 a deterministic inverter.  Everything downstream (oracles,
 sweeps, the CLI) quotes eps on this scale.
+
+Inputs are uniform by definition.  Every input vector then has the same
+probability 2^-k, so the vector maximizing the joint P(inputs, output
+wrong), which the search finds, also maximizes the conditional error
+P(output wrong | inputs).
 """
 
 from __future__ import annotations
@@ -91,11 +96,9 @@ def cpt_for_gate(func: GateFunc, fan_in: int, eps: float, faulty: bool,
     return Cpt(child, parents, table)
 
 
-def input_prior(child: Var, p1: float = 0.5) -> Cpt:
-    """Parentless CPT giving P(input = 1) = p1."""
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError("input prior %g outside [0, 1]" % p1)
-    return Cpt(child, (), np.array([1.0 - p1, p1]))
+def input_prior(child: Var) -> Cpt:
+    """Parentless uniform CPT of a primary input."""
+    return Cpt(child, (), np.array([0.5, 0.5]))
 
 
 def _xor_cpt(child: Var, parents: tuple[Var, ...]) -> Cpt:
@@ -110,14 +113,12 @@ class ErrorModelNet:
     """The assembled network plus bookkeeping back to circuit nets."""
 
     def __init__(self, circuit: Circuit, vars: list[Var], cpts: list[Cpt],
-                 epsilon: dict[int, float], prior1: float,
-                 ideal_of: dict[str, int], faulty_of: dict[str, int],
-                 comparators: tuple[int, ...]):
+                 epsilon: dict[int, float], ideal_of: dict[str, int],
+                 faulty_of: dict[str, int], comparators: tuple[int, ...]):
         self.circuit = circuit
         self.vars = tuple(vars)
         self.cpts = tuple(cpts)
         self.epsilon = epsilon
-        self.prior1 = prior1
         self.ideal_of = ideal_of      # net name -> error-free twin var id
         self.faulty_of = faulty_of    # net name -> error-prone twin var id
         self.comparators = comparators
@@ -164,7 +165,7 @@ def eps_by_net_name(c: Circuit, named: Mapping[str, float],
     return out
 
 
-def build_error_model(c: Circuit, eps, prior1: float = 0.5) -> ErrorModelNet:
+def build_error_model(c: Circuit, eps) -> ErrorModelNet:
     """Assemble the three-block network for a circuit.
 
     ``eps`` is a single float applied to every gate or a {gate index:
@@ -191,7 +192,7 @@ def build_error_model(c: Circuit, eps, prior1: float = 0.5) -> ErrorModelNet:
 
     cpts: list[Cpt] = []
     for j in range(k):
-        cpts.append(input_prior(vars[j], prior1))
+        cpts.append(input_prior(vars[j]))
     for gi, g in enumerate(c.gates):
         parents = tuple(vars[ideal_of[n]] for n in g.fanin)
         cpts.append(cpt_for_gate(g.func, len(g.fanin), 0.0, False, vars[k + gi], parents))
@@ -209,8 +210,8 @@ def build_error_model(c: Circuit, eps, prior1: float = 0.5) -> ErrorModelNet:
         cpts.append(_xor_cpt(child, parents))
         comparators.append(child.id)
 
-    return ErrorModelNet(c, vars, cpts, eps_map, prior1,
-                         ideal_of, faulty_of, tuple(comparators))
+    return ErrorModelNet(c, vars, cpts, eps_map, ideal_of, faulty_of,
+                         tuple(comparators))
 
 
 def joint_prob(net: ErrorModelNet, assignment: Sequence[int]) -> float:

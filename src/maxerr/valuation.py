@@ -130,13 +130,6 @@ def marg_max(v: Valuation, drop: Iterable[int]):
     return Valuation(kept, table), witness
 
 
-def decode_witness(packed: int, dropped: Sequence[int]) -> dict[int, int]:
-    """Unpack one witness cell into an assignment of the dropped vars
-    (sorted ascending)."""
-    d = len(dropped)
-    return {var: (packed >> (d - 1 - i)) & 1 for i, var in enumerate(sorted(dropped))}
-
-
 def reduce_mixed(v: Valuation, drop_sum: Iterable[int], drop_max: Iterable[int]) -> Valuation:
     """Drop ``drop_sum`` by summation, then ``drop_max`` by maximization.
 

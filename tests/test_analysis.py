@@ -143,6 +143,35 @@ def test_spectrum_frozen(c17):
     assert np.allclose(sp.max_probs, sp.per_output.max(axis=1))
 
 
+# Output g3 is the worst on every vector: an XOR passes each flip of g0
+# or g3 through whatever the inputs are, so its error is 2 * 0.1 * 0.9
+# = 0.18 everywhere at eps 0.05, equal only up to float noise.
+FLAT = parse_bench("""
+INPUT(i0)
+INPUT(i1)
+INPUT(i2)
+INPUT(i3)
+INPUT(i4)
+INPUT(i5)
+INPUT(i6)
+OUTPUT(g3)
+OUTPUT(g4)
+OUTPUT(g5)
+g0 = AND(i1, i3)
+g1 = OR(i2, g0)
+g2 = NOR(g0, g1)
+g3 = XOR(i5, g0)
+g4 = BUF(i5)
+g5 = AND(g1, g2)
+""")
+
+
+def test_spectrum_above_keeps_every_vector_when_flat():
+    sp = spectrum(FLAT, 0.05)
+    assert np.ptp(sp.max_probs) < 1e-15
+    assert len(sp.above()) == 1 << 7
+
+
 def test_spectrum_matches_oracle_cellwise(c17):
     sp = spectrum(c17, 0.05)
     cond = FaultEnumerator(c17).cond_errors(0.05)

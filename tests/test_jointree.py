@@ -74,13 +74,12 @@ def test_width_limit_enforced(c17):
         build_tree(net, width_limit=2)
 
 
-def test_targets_subset_allowed(c17):
+def test_validate_reports_missing_singleton(c17):
     net = build_error_model(c17, 0.05)
-    targets = list(net.input_vars) + list(net.comparators)
-    tree = build_tree(net, targets=targets)
-    for t in targets:
-        assert t in tree.singleton
-    assert validate_tree(tree, net) == []
+    tree = build_tree(net)
+    v = net.comparators[0]
+    del tree.singleton[v]
+    assert validate_tree(tree, net) == ["variable %d has no singleton cluster" % v]
 
 
 def test_order_width_reasonable(c17):

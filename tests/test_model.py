@@ -3,7 +3,7 @@ import pytest
 
 from maxerr.circuit import GateFunc, parse_bench
 from maxerr.model import (Var, VarClass, build_error_model, cpt_for_gate,
-                          eps_by_net_name, input_prior, joint_prob)
+                          eps_by_net_name, joint_prob)
 
 AND2 = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b)\n")
 
@@ -46,8 +46,6 @@ def test_eps_validation():
         cpt_for_gate(GateFunc.NOT, 1, 0.6, True, child, parent)
     with pytest.raises(ValueError):
         cpt_for_gate(GateFunc.NOT, 1, -0.1, True, child, parent)
-    with pytest.raises(ValueError):
-        input_prior(child, 1.5)
 
 
 def test_comparator_is_deterministic_xor():
@@ -116,9 +114,3 @@ def test_joint_marginal_matches_flip_semantics():
             if assign[3] != 1:  # faulty copy of z disagrees with AND(1,1)
                 wrong += p
     assert wrong / seen == pytest.approx(2 * eps, abs=1e-12)
-
-
-def test_prior_parameter():
-    net = build_error_model(AND2, 0.05, prior1=0.25)
-    cpt = net.cpts[0]
-    assert cpt.prob(1, ()) == pytest.approx(0.25)

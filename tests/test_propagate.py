@@ -225,10 +225,8 @@ def test_rejects_tree_from_other_network(c17):
 
 
 def test_evidence_requires_singleton_cluster():
-    net = build_error_model(SMALL, EPS)
-    tree = build_tree(net, targets=list(net.input_vars) + list(net.comparators))
+    net, tree = _net_tree(SMALL)
     p = Propagator(tree, net)
-    hidden = [v.id for v in net.vars if v.id not in tree.singleton]
-    assert hidden, "expected some variable without a singleton cluster"
+    assert net.n_vars not in tree.singleton
     with pytest.raises(KeyError):
-        p.set_evidence({hidden[0]: 1})
+        p.set_evidence({net.n_vars: 1})
