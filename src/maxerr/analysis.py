@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, index_vector, vector_string
+# perfbench/tracing.py wraps the imported layer functions by name in this module.
 from .jointree import BinaryJoinTree, build_tree, choose_order
 from .mapsearch import PRUNE_TOL, MapQuery, MapResult, solve
 from .model import ErrorModelNet, build_error_model

@@ -58,8 +58,10 @@ class Cpt:
         if self.table.shape != (2,) * (1 + len(parents)):
             raise ValueError("CPT shape %s does not match %d parents"
                              % (self.table.shape, len(parents)))
+        # np.allclose(col_sums, 1.0, atol=1e-12) without its overhead: the
+        # same tolerance (numpy's default rtol 1e-5 included), NaN rejected
         col_sums = self.table.sum(axis=0)
-        if not np.allclose(col_sums, 1.0, atol=1e-12):
+        if not np.all(np.abs(col_sums - 1.0) <= 1e-12 + 1e-5):
             raise ValueError("CPT columns for %r do not normalize" % child.name)
 
     @property
@@ -123,6 +125,7 @@ class ErrorModelNet:
         self.faulty_of = faulty_of    # net name -> error-prone twin var id
         self.comparators = comparators
         self.input_vars = tuple(v.id for v in vars if v.klass is VarClass.INPUT)
+        self.potentials: dict = {}    # join tree -> cluster potentials (propagate)
         if [v.id for v in vars] != list(range(len(vars))):
             raise ValueError("variable ids must be dense 0..N-1")
         if len(cpts) != len(vars):

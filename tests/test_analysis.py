@@ -118,6 +118,25 @@ def test_sweep_curve_frozen(c17):
     assert at[0.105].max_error < 0.5 < at[0.110].max_error
 
 
+def test_sweep_compiles_plans_at_its_first_point_only(c17, monkeypatch):
+    # the tree is shared across eps, and so are its message plans
+    import maxerr.analysis as analysis
+    sizes, trees = [], []
+
+    def recording(net, tree):
+        out = avg_error(net, tree)
+        trees.append(tree)
+        sizes.append(sum(len(plans) for plans in tree.plans.values()))
+        return out
+
+    monkeypatch.setattr(analysis, "avg_error", recording)
+    curve = sweep(c17, GRID, refine=True)
+    assert curve.refined_bound is not None
+    assert len(sizes) == len(GRID) and all(t is trees[0] for t in trees)
+    assert sizes[0] > 0
+    assert sum(len(plans) for plans in trees[0].plans.values()) == sizes[0]
+
+
 def test_sweep_without_crossing_leaves_bounds_unset(c17):
     curve = sweep(c17, [0.01, 0.03, 0.05], refine=True)
     assert curve.error_bound is None

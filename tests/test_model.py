@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maxerr.circuit import GateFunc, parse_bench
-from maxerr.model import (Var, VarClass, build_error_model, cpt_for_gate,
+from maxerr.model import (Cpt, Var, VarClass, build_error_model, cpt_for_gate,
                           eps_by_net_name, joint_prob)
 
 AND2 = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b)\n")
@@ -46,6 +46,19 @@ def test_eps_validation():
         cpt_for_gate(GateFunc.NOT, 1, 0.6, True, child, parent)
     with pytest.raises(ValueError):
         cpt_for_gate(GateFunc.NOT, 1, -0.1, True, child, parent)
+
+
+def test_cpt_column_tolerance_is_allclose_default():
+    """Columns must sum to 1 within 1e-12 + 1e-5 (np.allclose with
+    atol=1e-12 and its default rtol); NaN never passes."""
+    child, parent = Var(1, "z", VarClass.INTERNAL), Var(0, "a", VarClass.INPUT)
+    ok = np.array([[0.5, 0.3], [0.5 + 5e-6, 0.7]])
+    assert Cpt(child, (parent,), ok).table is not None
+    for bad in (0.5 + 2e-5, 0.5 - 2e-5, np.nan):
+        with pytest.raises(ValueError):
+            Cpt(child, (parent,), np.array([[0.5, 0.3], [bad, 0.7]]))
+    with pytest.raises(ValueError):
+        Cpt(child, (), np.array([0.5, np.inf]))
 
 
 def test_comparator_is_deterministic_xor():

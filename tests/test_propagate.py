@@ -12,6 +12,7 @@ from maxerr.mapsearch import MapQuery, _Search
 from maxerr.model import build_error_model, joint_prob
 from maxerr.oracle import FaultEnumerator
 from maxerr.propagate import Propagator, count_order_inversions, prob_evidence
+from maxerr.valuation import combine, reduce_mixed, unit
 
 SMALL = parse_bench("""
 INPUT(a)
@@ -217,6 +218,16 @@ def test_partial_assignment_bound_dominates_completions():
         assert u >= best - 1e-12
 
 
+def test_potentials_built_once_per_net_and_tree(c17):
+    net, tree = _net_tree(c17)
+    a = Propagator(tree, net)
+    b = Propagator(tree, net, map_vars=net.input_vars)
+    assert a._potential is b._potential is net.potentials[tree]
+    other = build_tree(net)
+    assert Propagator(other, net)._potential is not a._potential
+    assert set(net.potentials) == {tree, other}
+
+
 def test_rejects_tree_from_other_network(c17):
     net_small, tree_small = _net_tree(SMALL)
     net_c17 = build_error_model(c17, EPS)
@@ -230,3 +241,61 @@ def test_evidence_requires_singleton_cluster():
     assert net.n_vars not in tree.singleton
     with pytest.raises(KeyError):
         p.set_evidence({net.n_vars: 1})
+
+
+def test_message_counter(c17, corpus):
+    for circuit in [c17] + corpus[:8]:
+        net, tree = _net_tree(circuit)
+        ev = {v: 0 for v in net.input_vars}
+        for root in range(tree.n_clusters):
+            p = Propagator(tree, net)
+            p.query(root)
+            assert p.messages == tree.n_clusters - 1
+            p.query(root)
+            assert p.messages == tree.n_clusters - 1
+        root = tree.singleton[net.comparators[0]]
+        p = Propagator(tree, net, map_vars=net.input_vars)
+        p.set_evidence(ev)
+        p.query(root)
+        for var in net.input_vars:
+            ev = {**ev, var: 1 - ev[var]}
+            kept, done = len(p._msg), p.messages
+            p.set_evidence(ev)
+            dropped = kept - len(p._msg)
+            p.query(root)
+            assert p.messages - done == dropped
+
+
+def _reference_message(p, b, c):
+    """The message (b, c) from the cached operands by ``combine`` and
+    ``reduce_mixed``, the path the compiled plans replace."""
+    parts = p._local(b) + [p._msg[(a, b)] for a in p.tree.neighbors[b] if a != c]
+    val = parts[0] if parts else unit()
+    for q in parts[1:]:
+        val = combine(val, q)
+    drop = (p.tree.clusters[b].scope - p.tree.clusters[c].scope) & set(val.scope)
+    return reduce_mixed(val, drop - p.map_vars, drop & p.map_vars)
+
+
+@pytest.mark.parametrize("max_mode", [False, True])
+def test_compiled_messages_equal_combine_then_reduce(c17, corpus, max_mode):
+    for circuit in [c17] + corpus[:20]:
+        net, tree = _net_tree(circuit)
+        inputs = net.input_vars
+        for ev in ({}, {v: j % 2 for j, v in enumerate(inputs[::2])},
+                   {v: j % 2 for j, v in enumerate(inputs)}):
+            p = Propagator(tree, net, map_vars=inputs if max_mode else ())
+            p.set_evidence(ev)
+            beliefs = [p.belief(cid) for cid in range(tree.n_clusters)]
+            assert len(p._msg) == 2 * (tree.n_clusters - 1)
+            for (b, c), msg in p._msg.items():
+                want = _reference_message(p, b, c)
+                assert msg.scope == want.scope
+                assert np.array_equal(msg.table, want.table)
+            for cid, bel in enumerate(beliefs):
+                parts = p._local(cid) + [p._msg[(a, cid)] for a in tree.neighbors[cid]]
+                want = parts[0]
+                for q in parts[1:]:
+                    want = combine(want, q)
+                assert bel.scope == want.scope
+                assert np.array_equal(bel.table, want.table)
