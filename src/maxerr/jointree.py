@@ -135,8 +135,9 @@ class BinaryJoinTree:
             nb.sort()
         self.width = max((len(c.scope) for c in clusters), default=0)
         self._scope_key = scope_key  # for compatibility checks against a net
-        # map_vars -> {(sender, receiver, operand scopes): message plan},
-        # compiled lazily by the propagators on this tree
+        # compiled lazily by propagators: the numbered directed edges, and per
+        # map_vars ([(summed, maxed) per id], {(id, operand scopes): plan})
+        self.schedule = None
         self.plans: dict = {}
 
     @property

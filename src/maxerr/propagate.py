@@ -4,24 +4,30 @@ Messages follow the two-way scheme: the message from cluster b to a
 neighbor c combines b's own valuations with the messages from its other
 neighbors and marginalizes down to the shared scope.  Every message is
 cached per direction, so repeated queries (different roots,
-incrementally grown evidence) reuse most of the work.  Changing the
-evidence on a variable discards the cached messages whose sending side
-holds that variable's singleton cluster, found by a walk: pop every
-cached message out of the singleton, continue past each popped
-message's receiver, and stop at the first edge with no cached message.
-A message is computed only after every message into its sender, and is
-dropped only together with everything downstream of it, so an edge with
-no cached message has none beyond it.
+incrementally grown evidence) reuse most of the work.
+
+The schedule is compiled once per tree, on its first propagator.
+Directed edges get ids; each lists the messages into its sender but the
+one from its receiver, each cluster lists its outbound ids, and a belief
+is one more id, fed by every message into its cluster.  A collect is a
+depth-first pass over the missing messages, then one loop computing
+them in reverse pass order.  The pass stops at cached messages: a
+message is computed only after every message into its sender and
+dropped only with everything downstream of it, so all messages upstream
+of a cached one are cached.  An evidence change on a variable drops the
+cached messages whose sending side holds its singleton cluster, by a
+walk over edge ids out of the singleton that stops at uncached edges.
 
 Each message runs from a plan compiled on first use and kept on the
 tree, so every propagator, evidence change and eps value on that tree
 shares it: each operand's broadcast shape over their union scope, the
 axes summed, then the axes maxed, and the scope kept.  A plan is keyed
-on the edge, the operand scopes (evidence on a leaf singleton turns its
-message from a scalar into a table) and the max variables.  It
-multiplies and reduces exactly as ``combine`` and ``reduce_mixed``
-would, so answers are bit-identical.  Cluster potentials are built once
-per (network, tree) pair and kept on the network.
+on the max variables, the edge id and the operand scopes (evidence on a
+leaf singleton turns its message from a scalar into a table); what each
+edge sums and maxes is split once per (tree, max variables).  Plans
+multiply and reduce exactly as ``combine`` and ``reduce_mixed`` would,
+so answers are bit-identical.  Cluster potentials are built once per
+(network, tree) pair and kept on the network.
 
 Marginalization is per variable: sum for chance variables, max for the
 variables being maximized (the primary inputs during a worst-vector
@@ -61,10 +67,33 @@ def _potentials(tree: BinaryJoinTree, net: ErrorModelNet) -> list[Valuation | No
     return pots
 
 
+def _schedule(tree: BinaryJoinTree):
+    """The tree's directed edges, numbered once and kept on the tree.
+
+    Edge 2i runs along ``tree.edges[i]`` and 2i+1 back, so ``e ^ 1``
+    reverses ``e``; id E + c, past the E edges, is the belief at cluster
+    c.  Per id: sender, the ids of the messages into the sender in
+    neighbor order, and the variables dropped (a tuple: most are empty,
+    and every ``()`` is one shared object where sets are not); per
+    cluster, its outbound edge ids.
+    """
+    if tree.schedule is None:
+        ends = [e for a, b in tree.edges for e in ((a, b), (b, a))]
+        ends += [(c, -1) for c in range(tree.n_clusters)]
+        ids = {ab: e for e, ab in enumerate(ends)}
+        nb, scope = tree.neighbors, [c.scope for c in tree.clusters]
+        tree.schedule = (
+            [b for b, _ in ends],
+            [tuple([ids[a, b] for a in nb[b] if a != c]) for b, c in ends],
+            [tuple([ids[b, a] for a in nb[b]]) for b in range(tree.n_clusters)],
+            [tuple(scope[b] - scope[c]) if c >= 0 else () for b, c in ends])
+    return tree.schedule
+
+
 class Propagator:
     """One query context: a tree, a network binding, optional max
     variables and an evidence assignment.  ``messages`` counts the
-    messages computed."""
+    messages computed, ``dropped`` the cached messages invalidated."""
 
     def __init__(self, tree: BinaryJoinTree, net: ErrorModelNet,
                  map_vars=()):
@@ -73,11 +102,18 @@ class Propagator:
         self.map_vars = frozenset(map_vars)
         self.evidence: dict[int, int] = {}
         self.messages = 0
-        self._msg: dict[tuple[int, int], Valuation] = {}
+        self.dropped = 0
+        self._src, self._into, self._out, drop = _schedule(tree)
+        self._msg: list[Valuation | None] = [None] * (2 * len(tree.edges))
         self._ev_at: dict[int, Valuation] = {}   # singleton cluster -> indicator
         self._limit = max(tree.width, 1)
         self._potential = _potentials(tree, net)
-        self._plans = tree.plans.setdefault(self.map_vars, {})
+        mv = self.map_vars
+        if mv not in tree.plans:   # most drops are empty and share one ((), ())
+            split = [(tuple([v for v in d if v not in mv]), tuple([v for v in d if v in mv]))
+                     if d else ((), ()) for d in drop]
+            tree.plans[mv] = (split, {})
+        self._split, self._plans = tree.plans[mv]
 
     # -- evidence --------------------------------------------------------
 
@@ -103,12 +139,14 @@ class Propagator:
     def _invalidate(self, cid: int) -> None:
         """Drop the cached messages whose sending side holds ``cid``,
         by the walk the module docstring describes."""
-        stack = [(cid, -1)]
+        msg, out, src = self._msg, self._out, self._src
+        stack = list(out[cid])
         while stack:
-            b, prev = stack.pop()
-            for c in self.tree.neighbors[b]:
-                if c != prev and self._msg.pop((b, c), None) is not None:
-                    stack.append((c, b))
+            e = stack.pop()
+            if msg[e] is not None:
+                msg[e] = None
+                self.dropped += 1
+                stack += [f for f in out[src[e ^ 1]] if f != e ^ 1]
 
     # -- messages --------------------------------------------------------
 
@@ -119,32 +157,29 @@ class Propagator:
             vals.append(ev)
         return vals
 
-    def _compile(self, b: int, c: int, scopes: tuple[tuple[int, ...], ...]):
-        """Plan of the product of operands with ``scopes`` at cluster
-        ``b``, marginalized to the scope shared with ``c``; nothing is
-        dropped for ``c`` = -1, a belief."""
+    def _compile(self, e: int, scopes: tuple[tuple[int, ...], ...]):
+        """Plan of the product of operands with ``scopes`` at the sender
+        of ``e``, marginalized as ``e`` drops."""
         union = tuple(sorted(set().union(*scopes)))
         if len(union) > self._limit:
             raise WidthLimitError(len(union), self._limit, "combine")
         shapes = tuple(tuple(2 if v in s else 1 for v in union) for s in scopes)
-        drop = set() if c < 0 else self.tree.clusters[b].scope - self.tree.clusters[c].scope
-        summed = drop - self.map_vars
-        maxed = drop & self.map_vars
+        summed, maxed = self._split[e]
         mid = tuple(v for v in union if v not in summed)
         return (shapes,
                 tuple(i for i, v in enumerate(union) if v in summed),
                 tuple(i for i, v in enumerate(mid) if v in maxed),
                 tuple(v for v in mid if v not in maxed))
 
-    def _apply(self, b: int, c: int, parts: list[Valuation]) -> Valuation:
+    def _apply(self, e: int, parts: list[Valuation]) -> Valuation:
         """``reduce_mixed(combine(...))`` of ``parts`` by the compiled
         plan: the same products and reductions in the same order."""
         if not parts:
             return unit()   # a leaf singleton without evidence has none
-        key = (b, c, tuple(p.scope for p in parts))
+        key = (e, tuple([p.scope for p in parts]))
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = self._compile(b, c, key[2])
+            plan = self._plans[key] = self._compile(e, key[1])
         shapes, sum_axes, max_axes, kept = plan
         if len(parts) == 1:
             if not sum_axes and not max_axes:
@@ -155,39 +190,29 @@ class Propagator:
             for p, shape in zip(parts[1:], shapes[1:]):
                 t = t * p.table.reshape(shape)
         if sum_axes:
-            t = np.sum(t, axis=sum_axes)
+            t = np.add.reduce(t, axis=sum_axes)
         if max_axes:
-            t = np.max(t, axis=max_axes)
+            t = np.maximum.reduce(t, axis=max_axes)
         return trusted(kept, np.asarray(t))   # reducing every axis gives a numpy scalar
 
-    def _compute(self, b: int, c: int) -> None:
-        parts = self._local(b)
-        parts += [self._msg[(a, b)] for a in self.tree.neighbors[b] if a != c]
-        self._msg[(b, c)] = self._apply(b, c, parts)
-        self.messages += 1
-
-    def _ensure(self, b: int, c: int) -> None:
-        stack = [(b, c)]
-        while stack:
-            x, y = stack[-1]
-            if (x, y) in self._msg:
-                stack.pop()
-                continue
-            todo = [(a, x) for a in self.tree.neighbors[x]
-                    if a != y and (a, x) not in self._msg]
-            if todo:
-                stack.extend(todo)
-            else:
-                self._compute(x, y)
-                stack.pop()
+    def _message(self, e: int) -> Valuation:
+        msg = self._msg
+        return self._apply(e, self._local(self._src[e]) + [msg[f] for f in self._into[e]])
 
     def belief(self, cid: int) -> Valuation:
         """Combined local valuations, evidence and incoming messages:
         the (possibly max-reduced) joint over the cluster scope."""
-        for a in self.tree.neighbors[cid]:
-            self._ensure(a, cid)
-        parts = self._local(cid) + [self._msg[(a, cid)] for a in self.tree.neighbors[cid]]
-        return self._apply(cid, -1, parts)
+        msg, into = self._msg, self._into
+        b = len(msg) + cid
+        order, stack = [], [f for f in into[b] if msg[f] is None]
+        while stack:
+            e = stack.pop()
+            order.append(e)
+            stack += [f for f in into[e] if msg[f] is None]
+        for e in reversed(order):
+            msg[e] = self._message(e)
+        self.messages += len(order)
+        return self._message(b)
 
     def query(self, root_cluster: int) -> float:
         """Collapse the belief at the root to a scalar."""

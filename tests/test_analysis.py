@@ -126,7 +126,7 @@ def test_sweep_compiles_plans_at_its_first_point_only(c17, monkeypatch):
     def recording(net, tree):
         out = avg_error(net, tree)
         trees.append(tree)
-        sizes.append(sum(len(plans) for plans in tree.plans.values()))
+        sizes.append(sum(len(plans) for _, plans in tree.plans.values()))
         return out
 
     monkeypatch.setattr(analysis, "avg_error", recording)
@@ -134,7 +134,7 @@ def test_sweep_compiles_plans_at_its_first_point_only(c17, monkeypatch):
     assert curve.refined_bound is not None
     assert len(sizes) == len(GRID) and all(t is trees[0] for t in trees)
     assert sizes[0] > 0
-    assert sum(len(plans) for plans in trees[0].plans.values()) == sizes[0]
+    assert sum(len(plans) for _, plans in trees[0].plans.values()) == sizes[0]
 
 
 def test_sweep_without_crossing_leaves_bounds_unset(c17):

@@ -32,6 +32,12 @@ def _net_tree(circuit, eps=EPS):
     return net, build_tree(net)
 
 
+def _cached(p):
+    """The propagator's cached messages by (sender, receiver); edge e
+    and its reverse e ^ 1 have their ends swapped."""
+    return {(p._src[e], p._src[e ^ 1]): m for e, m in enumerate(p._msg) if m is not None}
+
+
 def _enum_prob(net, evidence):
     """Brute-force P(evidence) over all 2**N joint assignments."""
     total = 0.0
@@ -108,9 +114,9 @@ def test_evidence_delta_keeps_unrelated_messages(c17):
     p = Propagator(tree, net)
     p.set_evidence({net.input_vars[0]: 0})
     p.query(tree.singleton[net.comparators[0]])
-    before = set(p._msg)
+    before = set(_cached(p))
     p.set_evidence({net.input_vars[0]: 1})
-    assert before & set(p._msg), "flipping one input should not drop every message"
+    assert before & set(_cached(p)), "flipping one input should not drop every message"
     # and the reused cache still gives the fresh answer
     got = p.query(tree.singleton[net.comparators[0]])
     fresh = Propagator(tree, net)
@@ -145,12 +151,12 @@ def test_flip_drops_exactly_the_messages_that_saw_it(c17, corpus, max_mode):
         for r in roots:
             p.query(r)
         for var in list(ev):
-            before = set(p._msg)
+            before = set(_cached(p))
             spot = tree.singleton[var]
             ev = {**ev, var: 1 - ev[var]}
             p.set_evidence(ev)
-            assert set(p._msg) == {(b, c) for b, c in before
-                                   if spot not in _sending_side(tree, b, c)}
+            assert set(_cached(p)) == {(b, c) for b, c in before
+                                       if spot not in _sending_side(tree, b, c)}
             fresh = Propagator(tree, net, map_vars=map_vars)
             fresh.set_evidence(ev)
             for r in roots:
@@ -259,17 +265,93 @@ def test_message_counter(c17, corpus):
         p.query(root)
         for var in net.input_vars:
             ev = {**ev, var: 1 - ev[var]}
-            kept, done = len(p._msg), p.messages
+            kept, done = len(_cached(p)), p.messages
             p.set_evidence(ev)
-            dropped = kept - len(p._msg)
+            dropped = kept - len(_cached(p))
             p.query(root)
             assert p.messages - done == dropped
+
+
+@pytest.mark.parametrize("max_mode", [False, True])
+def test_dropped_counter(c17, corpus, max_mode):
+    for circuit in [c17] + corpus[:8]:
+        net, tree = _net_tree(circuit)
+        ev = {v: 0 for v in net.input_vars}
+        root = tree.singleton[net.comparators[0]]
+        p = Propagator(tree, net, map_vars=net.input_vars if max_mode else ())
+        p.set_evidence(ev)
+        p.query(root)
+        assert p.dropped == 0
+        for var in net.input_vars:
+            ev = {**ev, var: 1 - ev[var]}
+            kept, dropped, done = len(_cached(p)), p.dropped, p.messages
+            p.set_evidence(ev)
+            gone = kept - len(_cached(p))
+            assert gone > 0
+            assert p.dropped - dropped == gone
+            p.query(root)
+            assert p.messages - done == gone
+
+
+def _toward(tree, r):
+    """Directed edges pointing at cluster r: (u, parent of u) with the
+    tree hung from r."""
+    edges, seen, queue = set(), {r}, collections.deque([r])
+    while queue:
+        u = queue.popleft()
+        for w in tree.neighbors[u]:
+            if w not in seen:
+                seen.add(w)
+                edges.add((w, u))
+                queue.append(w)
+    return edges
+
+
+def _random_change(rng, ev, inputs, comparators):
+    """Set, flip or clear an input at random; with ``comparators``, a
+    quarter of the changes set one of them instead."""
+    kind = rng.integers(4 if comparators else 3)
+    if kind == 3:
+        ev[int(rng.choice(comparators))] = int(rng.integers(2))
+    elif kind == 2 and ev:
+        del ev[int(rng.choice(sorted(ev)))]
+    else:
+        v = int(rng.choice(inputs))
+        ev[v] = 1 - ev[v] if kind == 1 and v in ev else int(rng.integers(2))
+
+
+@pytest.mark.parametrize("max_mode", [False, True])
+def test_collect_computes_exactly_the_missing_edges(c17, corpus, max_mode):
+    """Random evidence changes and beliefs at random clusters: every
+    belief is bit-identical to a fresh propagator's, and each collect
+    computes exactly the edges toward its root that were not cached."""
+    rng = np.random.default_rng(2026)
+    for circuit in [c17] + corpus[:20]:
+        net, tree = _net_tree(circuit)
+        map_vars = net.input_vars if max_mode else ()
+        p = Propagator(tree, net, map_vars=map_vars)
+        ev: dict[int, int] = {}
+        for _ in range(12):
+            _random_change(rng, ev, net.input_vars, net.comparators if max_mode else ())
+            p.set_evidence(ev)
+            for r in rng.choice(tree.n_clusters, size=3):
+                r = int(r)
+                before, done = set(_cached(p)), p.messages
+                got = p.belief(r)
+                missing = _toward(tree, r) - before
+                assert set(_cached(p)) == before | missing
+                assert p.messages - done == len(missing)
+                fresh = Propagator(tree, net, map_vars=map_vars)
+                fresh.set_evidence(ev)
+                want = fresh.belief(r)
+                assert got.scope == want.scope
+                assert np.array_equal(got.table, want.table)
 
 
 def _reference_message(p, b, c):
     """The message (b, c) from the cached operands by ``combine`` and
     ``reduce_mixed``, the path the compiled plans replace."""
-    parts = p._local(b) + [p._msg[(a, b)] for a in p.tree.neighbors[b] if a != c]
+    parts = p._local(b) + [_cached(p)[(a, b)] for a in p.tree.neighbors[b] if a != c]
     val = parts[0] if parts else unit()
     for q in parts[1:]:
         val = combine(val, q)
@@ -287,13 +369,13 @@ def test_compiled_messages_equal_combine_then_reduce(c17, corpus, max_mode):
             p = Propagator(tree, net, map_vars=inputs if max_mode else ())
             p.set_evidence(ev)
             beliefs = [p.belief(cid) for cid in range(tree.n_clusters)]
-            assert len(p._msg) == 2 * (tree.n_clusters - 1)
-            for (b, c), msg in p._msg.items():
+            assert len(_cached(p)) == 2 * (tree.n_clusters - 1)
+            for (b, c), msg in _cached(p).items():
                 want = _reference_message(p, b, c)
                 assert msg.scope == want.scope
                 assert np.array_equal(msg.table, want.table)
             for cid, bel in enumerate(beliefs):
-                parts = p._local(cid) + [p._msg[(a, cid)] for a in tree.neighbors[cid]]
+                parts = p._local(cid) + [_cached(p)[(a, cid)] for a in tree.neighbors[cid]]
                 want = parts[0]
                 for q in parts[1:]:
                     want = combine(want, q)
