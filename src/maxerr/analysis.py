@@ -19,6 +19,7 @@ from .jointree import BinaryJoinTree, build_tree, choose_order
 from .mapsearch import PRUNE_TOL, MapQuery, MapResult, solve
 from .model import ErrorModelNet, build_error_model
 from .propagate import Propagator
+from .valuation import DEFAULT_WIDTH_LIMIT
 
 
 @dataclass
@@ -74,17 +75,16 @@ class Spectrum:
                 for i, p in enumerate(self.max_probs) if p >= t * (1.0 - PRUNE_TOL)]
 
 
-def prepare(c: Circuit, eps, width_limit: int | None = None):
+def prepare(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT):
     """Model plus join tree for a circuit; the usual entry point."""
     net = build_error_model(c, eps)
-    kwargs = {} if width_limit is None else {"width_limit": width_limit}
-    tree = build_tree(net, choose_order(net), **kwargs)
+    tree = build_tree(net, choose_order(net), width_limit)
     return net, tree
 
 
-def cond_error(prop: Propagator, input_assign: dict[int, int], comp_var: int) -> float:
-    """P(comparator = 1 | inputs) via P(comparator, inputs) normalized."""
-    prop.set_evidence(input_assign)
+def cond_error(prop: Propagator, comp_var: int) -> float:
+    """P(comparator = 1 | the evidence set on ``prop``), via
+    P(comparator, evidence) normalized."""
     t = prop.var_belief(comp_var).table
     return float(t[1]) / float(t[0] + t[1])
 
@@ -107,8 +107,8 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     """Worst-case output error report.
 
     Per output: search for the input vector maximizing P(inputs, output
-    wrong), then condition every comparator on that vector; the report
-    maximum is over all of it.  With ``joint`` the search instead
+    wrong), then condition that output's comparator on that vector; the
+    report maximum is over the outputs.  With ``joint`` the search instead
     evidences every comparator at once (all outputs wrong together).
     An output no fault combination can flip is marked unreachable.
 
@@ -138,13 +138,12 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
             continue
         assign = {**fixed, **res.assignment}
         bits = [assign[v] for v in net.input_vars]
+        cond_prop.set_evidence(assign)
         if joint:
-            cond_prop.set_evidence(assign)
             p_inputs = cond_prop.query(tree.singleton[net.input_vars[0]])
             p = res.p_map / p_inputs
         else:
-            comp = next(iter(evid))
-            p = cond_error(cond_prop, assign, comp)
+            p = cond_error(cond_prop, next(iter(evid)))
         rows.append(OutputReport(name, vector_string(bits), p, False,
                                  res.nodes_expanded, res.nodes_pruned))
 
@@ -162,11 +161,11 @@ def avg_error(net: ErrorModelNet, tree: BinaryJoinTree) -> float:
     """Max over outputs of P(output wrong) with no input evidence, i.e.
     the error rate averaged over uniformly weighted input vectors."""
     prop = Propagator(tree, net)
-    return max(cond_error(prop, {}, comp) for comp in net.comparators)
+    return max(cond_error(prop, comp) for comp in net.comparators)
 
 
 def sweep(c: Circuit, grid, refine: bool = False,
-          width_limit: int | None = None) -> SweepCurve:
+          width_limit: int = DEFAULT_WIDTH_LIMIT) -> SweepCurve:
     """Max/avg error across a gate error probability grid.
 
     The join tree depends only on the structure, so it is built once
@@ -206,7 +205,7 @@ def sweep(c: Circuit, grid, refine: bool = False,
 MAX_SPECTRUM_INPUTS = 20
 
 
-def spectrum(c: Circuit, eps, width_limit: int | None = None) -> Spectrum:
+def spectrum(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT) -> Spectrum:
     """Exact per-vector worst-output error over all 2**k input vectors.
 
     Enumerates vectors in Gray order so each step moves one evidence
@@ -222,8 +221,8 @@ def spectrum(c: Circuit, eps, width_limit: int | None = None) -> Spectrum:
     for step in range(1 << k):
         idx = step ^ (step >> 1)
         bits = index_vector(idx, k)
-        assign = {v: bits[j] for j, v in enumerate(net.input_vars)}
+        prop.set_evidence({v: bits[j] for j, v in enumerate(net.input_vars)})
         for j, comp in enumerate(net.comparators):
-            table[idx, j] = cond_error(prop, assign, comp)
+            table[idx, j] = cond_error(prop, comp)
     maxes = table.max(axis=1)
     return Spectrum(c.inputs, table, maxes, float(maxes.mean()), float(maxes.std()))

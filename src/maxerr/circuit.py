@@ -197,10 +197,6 @@ class Circuit:
     def n_outputs(self) -> int:
         return len(self.outputs)
 
-    def net_id(self, name: str) -> int:
-        """Dense id of a net: inputs first, then gate outputs in file order."""
-        return self._net_id[name]
-
     def gate_of_net(self, name: str) -> int | None:
         """Index of the gate driving ``name``, or None for a primary input."""
         nid = self._net_id[name]

@@ -25,7 +25,7 @@ from .circuit import BenchParseError, index_vector, load_circuit, vector_string
 from .jointree import choose_order
 from .model import eps_by_net_name
 from .oracle import FaultEnumerator, McConfig, monte_carlo
-from .valuation import WidthLimitError
+from .valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -277,8 +277,7 @@ def cmd_oracle_check(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="maxerr",
-        description="Worst-case output error analysis for gate-level circuits.",
-        epilog="MAXERR_THREADS caps Monte Carlo worker threads.")
+        description="Worst-case output error analysis for gate-level circuits.")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(p, eps=True):
@@ -291,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, metavar="FILE",
                        help="write here instead of stdout")
-        p.add_argument("--width-limit", type=int, default=None,
+        p.add_argument("--width-limit", type=int, default=DEFAULT_WIDTH_LIMIT,
                        help="abort if a join tree cluster exceeds this many variables")
         p.add_argument("--explain", action="store_true",
                        help="dump elimination order, tree and node counts to stderr")

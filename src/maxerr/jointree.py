@@ -25,22 +25,17 @@ class InvalidOrderError(ValueError):
 
 @dataclass(frozen=True)
 class EliminationOrder:
-    """A permutation of the variable ids with the ``map_tail`` last
-    entries reserved for the maximized (input) variables."""
+    """A permutation of the variable ids ending in the maximized (input)
+    variables."""
 
     order: tuple[int, ...]
-    map_tail: int
 
     def validate(self, net: ErrorModelNet) -> None:
         if sorted(self.order) != list(range(net.n_vars)):
             raise InvalidOrderError("order is not a permutation of the %d variables"
                                     % net.n_vars)
         inputs = set(net.input_vars)
-        if self.map_tail != len(inputs):
-            raise InvalidOrderError("map_tail %d != %d input variables"
-                                    % (self.map_tail, len(inputs)))
-        tail = set(self.order[len(self.order) - self.map_tail:])
-        if tail != inputs:
+        if set(self.order[len(self.order) - len(inputs):]) != inputs:
             raise InvalidOrderError("input variables must occupy the trailing "
                                     "positions of the order")
 
@@ -99,9 +94,8 @@ def choose_order(net: ErrorModelNet) -> EliminationOrder:
     adj = moral_graph(net)
     inputs = {v.id for v in net.vars if v.klass is VarClass.INPUT}
     rest = {v.id for v in net.vars if v.klass is not VarClass.INPUT}
-    map_tail = len(inputs)  # _min_fill_pass drains its pool
     order = _min_fill_pass(adj, rest) + _min_fill_pass(adj, inputs)
-    return EliminationOrder(tuple(order), map_tail)
+    return EliminationOrder(tuple(order))
 
 
 def order_width(net: ErrorModelNet, order: EliminationOrder | tuple[int, ...]) -> int:
@@ -231,14 +225,13 @@ def build_tree(net: ErrorModelNet, order: EliminationOrder | None = None,
         active = {n for n in active if y not in scopes[n]}
         remaining.discard(y)
 
-    tree = _assemble(scopes, edges, attach)
-    tree._scope_key = _net_scope_key(net)
+    tree = _assemble(scopes, edges, attach, _net_scope_key(net))
     if tree.width > width_limit:
         raise WidthLimitError(tree.width, width_limit, "largest cluster in the tree")
     return tree
 
 
-def _assemble(scopes, edges, attach) -> BinaryJoinTree:
+def _assemble(scopes, edges, attach, scope_key) -> BinaryJoinTree:
     n = len(scopes)
     adj: list[set[int]] = [set() for _ in range(n)]
     for a, b in edges:
@@ -317,7 +310,7 @@ def _assemble(scopes, edges, attach) -> BinaryJoinTree:
         if len(c.scope) == 1:
             (v,) = c.scope
             singleton.setdefault(v, c.id)
-    return BinaryJoinTree(clusters, new_edges, new_attach, singleton, None)
+    return BinaryJoinTree(clusters, new_edges, new_attach, singleton, scope_key)
 
 
 def validate_tree(tree: BinaryJoinTree, net: ErrorModelNet) -> list[str]:

@@ -112,17 +112,13 @@ def _xor_cpt(child: Var, parents: tuple[Var, ...]) -> Cpt:
 
 
 class ErrorModelNet:
-    """The assembled network plus bookkeeping back to circuit nets."""
+    """The assembled network, its circuit and its comparator variables."""
 
     def __init__(self, circuit: Circuit, vars: list[Var], cpts: list[Cpt],
-                 epsilon: dict[int, float], ideal_of: dict[str, int],
-                 faulty_of: dict[str, int], comparators: tuple[int, ...]):
+                 comparators: tuple[int, ...]):
         self.circuit = circuit
         self.vars = tuple(vars)
         self.cpts = tuple(cpts)
-        self.epsilon = epsilon
-        self.ideal_of = ideal_of      # net name -> error-free twin var id
-        self.faulty_of = faulty_of    # net name -> error-prone twin var id
         self.comparators = comparators
         self.input_vars = tuple(v.id for v in vars if v.klass is VarClass.INPUT)
         self.potentials: dict = {}    # join tree -> cluster potentials (propagate)
@@ -187,6 +183,7 @@ def build_error_model(c: Circuit, eps) -> ErrorModelNet:
     for name in c.outputs:
         vars.append(Var(len(vars), "err:" + name, VarClass.COMPARATOR))
 
+    # net name -> error-free / error-prone twin var id
     ideal_of = {name: j for j, name in enumerate(c.inputs)}
     faulty_of = dict(ideal_of)  # both copies read the same shared inputs
     for gi, g in enumerate(c.gates):
@@ -213,8 +210,7 @@ def build_error_model(c: Circuit, eps) -> ErrorModelNet:
         cpts.append(_xor_cpt(child, parents))
         comparators.append(child.id)
 
-    return ErrorModelNet(c, vars, cpts, eps_map, ideal_of, faulty_of,
-                         tuple(comparators))
+    return ErrorModelNet(c, vars, cpts, tuple(comparators))
 
 
 def joint_prob(net: ErrorModelNet, assignment: Sequence[int]) -> float:

@@ -11,8 +11,6 @@ the error-model convention.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -106,7 +104,6 @@ class McConfig:
     runs: int = 1_000_000
     seed: int = 0
     shard: int = 1 << 16
-    workers: int | None = None
 
 
 @dataclass
@@ -120,30 +117,21 @@ def monte_carlo(c: Circuit, input_bits: Sequence[int], eps,
                 cfg: McConfig = McConfig()) -> McEstimate:
     """Sampled per-output error probabilities for one input vector.
 
-    Each run draws an independent misfire flag per gate.  Shards use
-    seeds spawned from ``cfg.seed`` and merge by summing counts, so the
-    estimate does not depend on scheduling.
+    Each run draws an independent misfire flag per gate.  Runs come in
+    shards of ``cfg.shard``, each with its own seed spawned from
+    ``cfg.seed``, and counts sum across shards.
     """
     flip = 2.0 * _check_eps(c, eps)
     good = np.array(c.eval(input_bits), dtype=bool)
     row = np.array(input_bits, dtype=bool)
     n_shards = (cfg.runs + cfg.shard - 1) // cfg.shard
     seeds = np.random.SeedSequence(cfg.seed).spawn(n_shards)
-    sizes = [min(cfg.shard, cfg.runs - i * cfg.shard) for i in range(n_shards)]
-
-    def one(shard_idx: int) -> np.ndarray:
-        rng = np.random.default_rng(seeds[shard_idx])
-        m = sizes[shard_idx]
-        faults = rng.random((m, c.n_gates)) < flip
+    counts = 0
+    for i, seed in enumerate(seeds):
+        m = min(cfg.shard, cfg.runs - i * cfg.shard)
+        faults = np.random.default_rng(seed).random((m, c.n_gates)) < flip
         out = c.eval_batch(np.broadcast_to(row, (m, c.n_inputs)), faults)
-        return np.sum(out != good, axis=0)
-
-    workers = cfg.workers or int(os.environ.get("MAXERR_THREADS", "0") or 0)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(one, range(n_shards)))
-    else:
-        counts = sum(one(i) for i in range(n_shards))
+        counts = counts + np.sum(out != good, axis=0)
     p = counts / cfg.runs
     return McEstimate(p, np.sqrt(p * (1.0 - p) / cfg.runs), cfg.runs)
 
@@ -152,9 +140,7 @@ _TWO_IN = (GateFunc.AND, GateFunc.NAND, GateFunc.OR, GateFunc.NOR,
            GateFunc.XOR, GateFunc.XNOR)
 
 
-def random_circuit(rng: np.random.Generator, n_inputs: int, n_gates: int,
-                   funcs: Sequence[GateFunc] = _TWO_IN,
-                   p_unary: float = 0.15, p_wide: float = 0.1) -> Circuit:
+def random_circuit(rng: np.random.Generator, n_inputs: int, n_gates: int) -> Circuit:
     """Seeded random layered DAG for test corpora.
 
     Gates draw their fan-ins from all earlier nets with a bias toward
@@ -165,12 +151,12 @@ def random_circuit(rng: np.random.Generator, n_inputs: int, n_gates: int,
     gates = []
     used: set[str] = set()
     for gi in range(n_gates):
-        if rng.random() < p_unary:
+        if rng.random() < 0.15:
             func = GateFunc.NOT if rng.random() < 0.5 else GateFunc.BUF
             arity = 1
         else:
-            func = funcs[rng.integers(len(funcs))]
-            arity = 3 if (rng.random() < p_wide and len(nets) >= 3) else 2
+            func = _TWO_IN[rng.integers(len(_TWO_IN))]
+            arity = 3 if (rng.random() < 0.1 and len(nets) >= 3) else 2
         arity = min(arity, len(nets))
         weights = np.arange(1, len(nets) + 1, dtype=float)
         weights /= weights.sum()

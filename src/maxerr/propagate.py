@@ -46,23 +46,21 @@ from .jointree import BinaryJoinTree
 from .model import ErrorModelNet
 # combine, reduce_mixed and reduce_all stay bound here: perfbench/tracing.py
 # wraps them by name in this module.
-from .valuation import (Valuation, WidthLimitError, combine, indicator, reduce_all,
-                        reduce_mixed, trusted, unit)
+from .valuation import (Valuation, combine, indicator, reduce_all, reduce_mixed,
+                        trusted, unit)
 
 
 def _potentials(tree: BinaryJoinTree, net: ErrorModelNet) -> list[Valuation | None]:
-    """Per cluster, the product of the CPTs attached to it; built once
-    per (net, tree) pair and kept on the net."""
+    """Per cluster, the CPT attached to it; built once per (net, tree)
+    pair and kept on the net.  A cluster holds at most one CPT: two CPTs
+    with one scope would each be the other's parent, a cycle."""
     pots = net.potentials.get(tree)
     if pots is None:
-        if tree._scope_key is not None and not tree.compatible(net):
+        if not tree.compatible(net):
             raise ValueError("tree was built for a different network structure")
-        limit = max(tree.width, 1)
         pots = [None] * tree.n_clusters
         for cpt in net.cpts:
-            cid = tree.attach[cpt.child.id]
-            val = cpt.to_valuation()
-            pots[cid] = val if pots[cid] is None else combine(pots[cid], val, limit)
+            pots[tree.attach[cpt.child.id]] = cpt.to_valuation()
         net.potentials[tree] = pots
     return pots
 
@@ -106,7 +104,6 @@ class Propagator:
         self._src, self._into, self._out, drop = _schedule(tree)
         self._msg: list[Valuation | None] = [None] * (2 * len(tree.edges))
         self._ev_at: dict[int, Valuation] = {}   # singleton cluster -> indicator
-        self._limit = max(tree.width, 1)
         self._potential = _potentials(tree, net)
         mv = self.map_vars
         if mv not in tree.plans:   # most drops are empty and share one ((), ())
@@ -159,10 +156,9 @@ class Propagator:
 
     def _compile(self, e: int, scopes: tuple[tuple[int, ...], ...]):
         """Plan of the product of operands with ``scopes`` at the sender
-        of ``e``, marginalized as ``e`` drops."""
+        of ``e``, marginalized as ``e`` drops.  Every operand lies inside
+        the sender's cluster, so the union is within the tree's width."""
         union = tuple(sorted(set().union(*scopes)))
-        if len(union) > self._limit:
-            raise WidthLimitError(len(union), self._limit, "combine")
         shapes = tuple(tuple(2 if v in s else 1 for v in union) for s in scopes)
         summed, maxed = self._split[e]
         mid = tuple(v for v in union if v not in summed)

@@ -73,6 +73,24 @@ def test_max_error_builds_two_propagators(c17, corpus, monkeypatch):
             assert calls[0] == 2
 
 
+def test_evidence_is_set_once_per_vector(c17, monkeypatch):
+    # spectrum reads every comparator under one evidence setting per
+    # vector; avg_error reads them with no evidence at all
+    calls = [0]
+    set_evidence = Propagator.set_evidence
+
+    def counted(self, evidence):
+        calls[0] += 1
+        set_evidence(self, evidence)
+
+    monkeypatch.setattr(Propagator, "set_evidence", counted)
+    spectrum(c17, 0.05)
+    assert calls[0] == 32
+    calls[0] = 0
+    avg_error(*prepare(c17, 0.05))
+    assert calls[0] == 0
+
+
 def test_joint_mode_matches_direct_enumeration(c17):
     eps = 0.05
     net, tree = prepare(c17, eps)

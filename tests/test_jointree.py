@@ -15,7 +15,6 @@ def test_choose_order_places_inputs_last(c17):
     net = build_error_model(c17, 0.05)
     order = choose_order(net)
     order.validate(net)
-    assert order.map_tail == 5
     tail = set(order.order[-5:])
     assert tail == set(net.input_vars)
 
@@ -24,13 +23,11 @@ def test_order_validation_rejects_bad_orders(c17):
     net = build_error_model(c17, 0.05)
     good = choose_order(net)
     with pytest.raises(InvalidOrderError):
-        EliminationOrder(good.order[:-1], good.map_tail).validate(net)
-    with pytest.raises(InvalidOrderError):
-        EliminationOrder(good.order, 3).validate(net)
+        EliminationOrder(good.order[:-1]).validate(net)
     # inputs not trailing
     swapped = (good.order[-1],) + good.order[1:-1] + (good.order[0],)
     with pytest.raises(InvalidOrderError):
-        EliminationOrder(swapped, good.map_tail).validate(net)
+        EliminationOrder(swapped).validate(net)
 
 
 def test_moral_graph_covers_cpt_families(c17):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -82,7 +84,11 @@ def test_output_fed_by_input_gets_constant_comparator():
 def test_per_gate_eps_map(c17):
     eps = {gi: 0.01 * (gi + 1) for gi in range(6)}
     net = build_error_model(c17, eps)
-    assert net.epsilon[3] == pytest.approx(0.04)
+    # gate 3's error-prone copy flips with probability 2 * eps in every row
+    g = c17.gates[3]
+    cpt = net.cpts[c17.n_inputs + c17.n_gates + 3]
+    for pa in product((0, 1), repeat=len(g.fanin)):
+        assert cpt.prob(g.func.eval(pa) ^ 1, pa) == pytest.approx(2 * 0.04)
     with pytest.raises(ValueError):
         build_error_model(c17, {0: 0.05})  # missing gates
 

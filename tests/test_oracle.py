@@ -101,13 +101,6 @@ def test_monte_carlo_is_deterministic(c17):
     assert a.runs == 50_000
 
 
-def test_monte_carlo_thread_count_does_not_change_estimate(c17):
-    base = monte_carlo(c17, [1, 0, 1, 0, 1], 0.05, McConfig(runs=70_000, seed=7))
-    pooled = monte_carlo(c17, [1, 0, 1, 0, 1], 0.05,
-                         McConfig(runs=70_000, seed=7, workers=4))
-    assert (base.p_error == pooled.p_error).all()
-
-
 def test_monte_carlo_converges_to_enumeration(c17):
     exact = exact_cond_error(c17, [0, 1, 1, 1, 1], 0.05)
     est = monte_carlo(c17, [0, 1, 1, 1, 1], 0.05, McConfig(runs=200_000, seed=3))
