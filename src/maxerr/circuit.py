@@ -110,8 +110,8 @@ class Circuit:
 
     ``inputs`` and ``outputs`` keep declaration order; ``gates`` keeps the
     order the defining lines appeared in.  Construction validates fan-in
-    arities, net-name uniqueness and acyclicity, and precomputes the
-    topological gate order used by :meth:`eval`.
+    arities, distinct fan-ins, net-name uniqueness and acyclicity, and
+    precomputes the topological gate order used by :meth:`eval`.
     """
 
     def __init__(self, inputs: Sequence[str], gates: Sequence[Gate],
@@ -139,12 +139,14 @@ class Circuit:
                     g.line)
             defined[g.output] = len(self.inputs) + gi
 
-        self._net_id = defined
-        k = len(self.inputs)
         for g in self.gates:
             for name in g.fanin:
                 if name not in defined:
                     raise BenchParseError("undefined net %r" % name, g.line)
+            dup = next((n for i, n in enumerate(g.fanin) if n in g.fanin[:i]), None)
+            if dup is not None:
+                raise BenchParseError("gate %r lists fan-in %r twice" % (g.output, dup),
+                                      g.line)
         out_lines = output_lines or {}
         for name in self.outputs:
             if name not in defined:
@@ -196,11 +198,6 @@ class Circuit:
     @property
     def n_outputs(self) -> int:
         return len(self.outputs)
-
-    def gate_of_net(self, name: str) -> int | None:
-        """Index of the gate driving ``name``, or None for a primary input."""
-        nid = self._net_id[name]
-        return None if nid < len(self.inputs) else nid - len(self.inputs)
 
     # -- simulation ------------------------------------------------------
 

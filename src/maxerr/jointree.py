@@ -130,7 +130,7 @@ class BinaryJoinTree:
         self.width = max((len(c.scope) for c in clusters), default=0)
         self._scope_key = scope_key  # for compatibility checks against a net
         # compiled lazily by propagators: the numbered directed edges, and per
-        # map_vars ([(summed, maxed) per id], {(id, operand scopes): plan})
+        # map_vars {(edge id, operand scopes): plan}
         self.schedule = None
         self.plans: dict = {}
 
@@ -143,9 +143,10 @@ class BinaryJoinTree:
         from (same circuit, any eps), so valuations can be re-bound."""
         return _net_scope_key(net) == self._scope_key
 
-    def describe(self, net: ErrorModelNet | None = None) -> str:
-        names = (lambda s: ",".join(sorted(net.vars[v].name for v in s))) if net \
-            else (lambda s: ",".join(str(v) for v in sorted(s)))
+    def describe(self, net: ErrorModelNet) -> str:
+        def names(s):
+            return ",".join(sorted(net.vars[v].name for v in s))
+
         lines = ["clusters: %d  width: %d" % (self.n_clusters, self.width)]
         for c in self.clusters:
             att = [v for v, cid in self.attach.items() if cid == c.id]

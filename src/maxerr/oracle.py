@@ -21,6 +21,7 @@ from .circuit import (Circuit, Gate, GateFunc, all_input_vectors, index_vector,
 
 MAX_ENUM_GATES = 22
 MAX_ENUM_INPUTS = 16
+MC_SHARD = 1 << 16   # Monte Carlo runs per spawned seed; fixes the random stream
 
 
 def _check_eps(c: Circuit, eps) -> np.ndarray:
@@ -103,7 +104,6 @@ def exact_map(c: Circuit, eps, output_index: int,
 class McConfig:
     runs: int = 1_000_000
     seed: int = 0
-    shard: int = 1 << 16
 
 
 @dataclass
@@ -118,17 +118,17 @@ def monte_carlo(c: Circuit, input_bits: Sequence[int], eps,
     """Sampled per-output error probabilities for one input vector.
 
     Each run draws an independent misfire flag per gate.  Runs come in
-    shards of ``cfg.shard``, each with its own seed spawned from
+    shards of ``MC_SHARD``, each with its own seed spawned from
     ``cfg.seed``, and counts sum across shards.
     """
     flip = 2.0 * _check_eps(c, eps)
     good = np.array(c.eval(input_bits), dtype=bool)
     row = np.array(input_bits, dtype=bool)
-    n_shards = (cfg.runs + cfg.shard - 1) // cfg.shard
+    n_shards = (cfg.runs + MC_SHARD - 1) // MC_SHARD
     seeds = np.random.SeedSequence(cfg.seed).spawn(n_shards)
     counts = 0
     for i, seed in enumerate(seeds):
-        m = min(cfg.shard, cfg.runs - i * cfg.shard)
+        m = min(MC_SHARD, cfg.runs - i * MC_SHARD)
         faults = np.random.default_rng(seed).random((m, c.n_gates)) < flip
         out = c.eval_batch(np.broadcast_to(row, (m, c.n_inputs)), faults)
         counts = counts + np.sum(out != good, axis=0)

@@ -1,7 +1,7 @@
 """Message passing on a binary join tree.
 
 Messages follow the two-way scheme: the message from cluster b to a
-neighbor c combines b's own valuations with the messages from its other
+neighbor c combines b's local factor with the messages from its other
 neighbors and marginalizes down to the shared scope.  Every message is
 cached per direction, so repeated queries (different roots,
 incrementally grown evidence) reuse most of the work.
@@ -18,16 +18,20 @@ of a cached one are cached.  An evidence change on a variable drops the
 cached messages whose sending side holds its singleton cluster, by a
 walk over edge ids out of the singleton that stops at uncached edges.
 
+A cluster's local factor is its CPT, times the evidence indicator on a
+singleton with evidence; setting evidence runs the invalidation walk
+and replaces that factor, never the potentials kept on the network.
+
 Each message runs from a plan compiled on first use and kept on the
 tree, so every propagator, evidence change and eps value on that tree
 shares it: each operand's broadcast shape over their union scope, the
 axes summed, then the axes maxed, and the scope kept.  A plan is keyed
 on the max variables, the edge id and the operand scopes (evidence on a
-leaf singleton turns its message from a scalar into a table); what each
-edge sums and maxes is split once per (tree, max variables).  Plans
-multiply and reduce exactly as ``combine`` and ``reduce_mixed`` would,
-so answers are bit-identical.  Cluster potentials are built once per
-(network, tree) pair and kept on the network.
+leaf singleton turns its message from a scalar into a table), and splits
+what the edge drops into summed and maxed variables when compiled.
+Plans multiply and reduce exactly as ``combine`` and ``reduce_mixed``
+would, so answers are bit-identical.  Cluster potentials are built once
+per (network, tree) pair and kept on the network.
 
 Marginalization is per variable: sum for chance variables, max for the
 variables being maximized (the primary inputs during a worst-vector
@@ -71,9 +75,8 @@ def _schedule(tree: BinaryJoinTree):
     Edge 2i runs along ``tree.edges[i]`` and 2i+1 back, so ``e ^ 1``
     reverses ``e``; id E + c, past the E edges, is the belief at cluster
     c.  Per id: sender, the ids of the messages into the sender in
-    neighbor order, and the variables dropped (a tuple: most are empty,
-    and every ``()`` is one shared object where sets are not); per
-    cluster, its outbound edge ids.
+    neighbor order, and the variables dropped; per cluster, its
+    outbound edge ids.
     """
     if tree.schedule is None:
         ends = [e for a, b in tree.edges for e in ((a, b), (b, a))]
@@ -84,7 +87,7 @@ def _schedule(tree: BinaryJoinTree):
             [b for b, _ in ends],
             [tuple([ids[a, b] for a in nb[b] if a != c]) for b, c in ends],
             [tuple([ids[b, a] for a in nb[b]]) for b in range(tree.n_clusters)],
-            [tuple(scope[b] - scope[c]) if c >= 0 else () for b, c in ends])
+            [scope[b] - scope[c] if c >= 0 else frozenset() for b, c in ends])
     return tree.schedule
 
 
@@ -101,16 +104,11 @@ class Propagator:
         self.evidence: dict[int, int] = {}
         self.messages = 0
         self.dropped = 0
-        self._src, self._into, self._out, drop = _schedule(tree)
+        self._src, self._into, self._out, self._drop = _schedule(tree)
         self._msg: list[Valuation | None] = [None] * (2 * len(tree.edges))
-        self._ev_at: dict[int, Valuation] = {}   # singleton cluster -> indicator
         self._potential = _potentials(tree, net)
-        mv = self.map_vars
-        if mv not in tree.plans:   # most drops are empty and share one ((), ())
-            split = [(tuple([v for v in d if v not in mv]), tuple([v for v in d if v in mv]))
-                     if d else ((), ()) for d in drop]
-            tree.plans[mv] = (split, {})
-        self._split, self._plans = tree.plans[mv]
+        self._factor = list(self._potential)   # per cluster, potential x evidence
+        self._plans = tree.plans.setdefault(self.map_vars, {})
 
     # -- evidence --------------------------------------------------------
 
@@ -127,10 +125,13 @@ class Propagator:
         for v in changed:
             cid = self.tree.singleton[v]
             self._invalidate(cid)
+            pot = self._potential[cid]   # scope (v,) when present
             if v in new:
-                self._ev_at[cid] = indicator(v, new[v])
+                ind = indicator(v, new[v])
+                self._factor[cid] = ind if pot is None else \
+                    trusted(pot.scope, pot.table * ind.table)
             else:
-                del self._ev_at[cid]
+                self._factor[cid] = pot
         self.evidence = new
 
     def _invalidate(self, cid: int) -> None:
@@ -147,25 +148,19 @@ class Propagator:
 
     # -- messages --------------------------------------------------------
 
-    def _local(self, cid: int) -> list[Valuation]:
-        vals = [] if self._potential[cid] is None else [self._potential[cid]]
-        ev = self._ev_at.get(cid)
-        if ev is not None:
-            vals.append(ev)
-        return vals
-
     def _compile(self, e: int, scopes: tuple[tuple[int, ...], ...]):
         """Plan of the product of operands with ``scopes`` at the sender
         of ``e``, marginalized as ``e`` drops.  Every operand lies inside
         the sender's cluster, so the union is within the tree's width."""
         union = tuple(sorted(set().union(*scopes)))
         shapes = tuple(tuple(2 if v in s else 1 for v in union) for s in scopes)
-        summed, maxed = self._split[e]
+        drop = self._drop[e]
+        summed = drop - self.map_vars
         mid = tuple(v for v in union if v not in summed)
         return (shapes,
                 tuple(i for i, v in enumerate(union) if v in summed),
-                tuple(i for i, v in enumerate(mid) if v in maxed),
-                tuple(v for v in mid if v not in maxed))
+                tuple(i for i, v in enumerate(mid) if v in drop),
+                tuple(v for v in mid if v not in drop))
 
     def _apply(self, e: int, parts: list[Valuation]) -> Valuation:
         """``reduce_mixed(combine(...))`` of ``parts`` by the compiled
@@ -192,11 +187,12 @@ class Propagator:
         return trusted(kept, np.asarray(t))   # reducing every axis gives a numpy scalar
 
     def _message(self, e: int) -> Valuation:
-        msg = self._msg
-        return self._apply(e, self._local(self._src[e]) + [msg[f] for f in self._into[e]])
+        msg, local = self._msg, self._factor[self._src[e]]
+        parts = [msg[f] for f in self._into[e]]
+        return self._apply(e, parts if local is None else [local] + parts)
 
     def belief(self, cid: int) -> Valuation:
-        """Combined local valuations, evidence and incoming messages:
+        """Combined local factor and incoming messages:
         the (possibly max-reduced) joint over the cluster scope."""
         msg, into = self._msg, self._into
         b = len(msg) + cid

@@ -92,6 +92,15 @@ def test_parse_errors_carry_line_numbers():
         parse_bench("INPUT(a)\nOUTPUT(z)\nz = NOT(a)\nz = BUF(a)\n")
 
 
+def test_duplicate_fanin_rejected():
+    with pytest.raises(BenchParseError, match="line 4: gate 'g' lists fan-in 'a' twice"):
+        parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(g)\ng = AND(a, b, a)\n")
+    doc = {"format": "circuit/1", "inputs": ["a"], "outputs": ["g"],
+           "gates": [{"output": "g", "func": "AND", "inputs": ["a", "a"]}]}
+    with pytest.raises(BenchParseError, match="gate 'g' lists fan-in 'a' twice"):
+        from_json(doc)
+
+
 def test_cycle_detected():
     with pytest.raises(BenchParseError, match="cycle"):
         parse_bench("INPUT(a)\nOUTPUT(x)\nx = AND(a, y)\ny = BUF(x)\n")

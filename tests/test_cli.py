@@ -103,6 +103,22 @@ def test_parse_error_exits_1(tmp_path, capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("cmd", ["analyze", "sweep", "spectrum", "validate", "oracle-check"])
+@pytest.mark.parametrize("name, text, where", [
+    ("dup.bench", "INPUT(a)\nOUTPUT(g)\ng = AND(a, a)\n", "line 3: "),
+    ("dup.json", json.dumps({"format": "circuit/1", "inputs": ["a"], "outputs": ["g"],
+                             "gates": [{"output": "g", "func": "AND",
+                                        "inputs": ["a", "a"]}]}), ""),
+])
+def test_duplicate_fanin_exits_1(tmp_path, capsys, cmd, name, text, where):
+    path = tmp_path / name
+    path.write_text(text)
+    args = ["--grid", "0.05"] if cmd == "sweep" else ["--epsilon", "0.05"]
+    code, out, err = run(capsys, cmd, str(path), *args)
+    assert code == 1 and out == ""
+    assert err == "parse error: %sgate 'g' lists fan-in 'a' twice\n" % where
+
+
 def test_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "analyze", "no/such/file.bench",
                        "--epsilon", "0.05")

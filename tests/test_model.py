@@ -95,8 +95,9 @@ def test_per_gate_eps_map(c17):
 
 def test_eps_by_net_name(c17):
     m = eps_by_net_name(c17, {"22": 0.02}, default=0.01)
-    assert m[c17.gate_of_net("22")] == pytest.approx(0.02)
-    assert m[c17.gate_of_net("10")] == pytest.approx(0.01)
+    gate = {g.output: gi for gi, g in enumerate(c17.gates)}
+    assert m[gate["22"]] == pytest.approx(0.02)
+    assert m[gate["10"]] == pytest.approx(0.01)
     with pytest.raises(ValueError):
         eps_by_net_name(c17, {"nope": 0.1}, default=0.01)
     with pytest.raises(ValueError):

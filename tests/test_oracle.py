@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maxerr.circuit import all_input_vectors, parse_bench, to_bench, vector_index
-from maxerr.oracle import (MAX_ENUM_GATES, MAX_ENUM_INPUTS, FaultEnumerator,
+from maxerr.oracle import (MAX_ENUM_GATES, MAX_ENUM_INPUTS, MC_SHARD, FaultEnumerator,
                            McConfig, exact_cond_error, exact_map, monte_carlo,
                            random_circuit)
 
@@ -108,9 +108,9 @@ def test_monte_carlo_converges_to_enumeration(c17):
 
 
 def test_monte_carlo_partial_last_shard():
-    cfg = McConfig(runs=1_000, seed=1, shard=300)  # 300+300+300+100
-    est = monte_carlo(CHAIN, [1], 0.05, cfg)
-    assert est.runs == 1_000
+    runs = 2 * MC_SHARD + 100   # two full shards, then one of 100 runs
+    est = monte_carlo(CHAIN, [1], 0.05, McConfig(runs=runs, seed=1))
+    assert est.runs == runs
     assert 0.0 <= est.p_error[0] <= 1.0
 
 

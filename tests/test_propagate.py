@@ -12,7 +12,7 @@ from maxerr.mapsearch import MapQuery, _Search
 from maxerr.model import build_error_model, joint_prob
 from maxerr.oracle import FaultEnumerator
 from maxerr.propagate import Propagator, count_order_inversions, prob_evidence
-from maxerr.valuation import combine, reduce_mixed, unit
+from maxerr.valuation import combine, indicator, reduce_mixed, unit
 
 SMALL = parse_bench("""
 INPUT(a)
@@ -348,10 +348,22 @@ def test_collect_computes_exactly_the_missing_edges(c17, corpus, max_mode):
                 assert np.array_equal(got.table, want.table)
 
 
+def _unfolded(p, cid):
+    """The shared potential at ``cid`` and, on a singleton with evidence,
+    the evidence indicator: the operands its local factor folds into one."""
+    pot = p.net.potentials[p.tree][cid]
+    parts = [] if pot is None else [pot]
+    v = next((v for v, c in p.tree.singleton.items() if c == cid), None)
+    if v in p.evidence:
+        parts.append(indicator(v, p.evidence[v]))
+    return parts
+
+
 def _reference_message(p, b, c):
-    """The message (b, c) from the cached operands by ``combine`` and
-    ``reduce_mixed``, the path the compiled plans replace."""
-    parts = p._local(b) + [_cached(p)[(a, b)] for a in p.tree.neighbors[b] if a != c]
+    """The message (b, c) from the unfolded local operands and the
+    cached messages by ``combine`` and ``reduce_mixed``, the path the
+    folded factors and compiled plans replace."""
+    parts = _unfolded(p, b) + [_cached(p)[(a, b)] for a in p.tree.neighbors[b] if a != c]
     val = parts[0] if parts else unit()
     for q in parts[1:]:
         val = combine(val, q)
@@ -375,9 +387,25 @@ def test_compiled_messages_equal_combine_then_reduce(c17, corpus, max_mode):
                 assert msg.scope == want.scope
                 assert np.array_equal(msg.table, want.table)
             for cid, bel in enumerate(beliefs):
-                parts = p._local(cid) + [_cached(p)[(a, cid)] for a in tree.neighbors[cid]]
+                parts = _unfolded(p, cid) + [_cached(p)[(a, cid)]
+                                             for a in tree.neighbors[cid]]
                 want = parts[0]
                 for q in parts[1:]:
                     want = combine(want, q)
                 assert bel.scope == want.scope
                 assert np.array_equal(bel.table, want.table)
+
+
+def test_evidence_on_one_propagator_leaves_another_alone(c17, corpus):
+    # both read the potentials kept on the net; evidence must not write them
+    for circuit in [c17] + corpus[:8]:
+        net, tree = _net_tree(circuit)
+        other = Propagator(tree, net)
+        before = [other.belief(cid).table.copy() for cid in range(tree.n_clusters)]
+        p = Propagator(tree, net)
+        for ev in ({v: 1 for v in net.input_vars}, {net.comparators[0]: 1}, {}):
+            p.set_evidence(ev)
+            p.belief(0)
+            for q in (other, Propagator(tree, net)):
+                for cid, want in enumerate(before):
+                    assert np.array_equal(q.belief(cid).table, want)
