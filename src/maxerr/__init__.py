@@ -8,7 +8,7 @@ from .valuation import (DEFAULT_WIDTH_LIMIT, Valuation, WidthLimitError,
                         combine, indicator, marg_max, marg_sum)
 from .jointree import (BinaryJoinTree, EliminationOrder, build_tree,
                        choose_order, moral_graph, order_width, validate_tree)
-from .propagate import Propagator, count_order_inversions, prob_evidence
+from .propagate import Propagator, prob_evidence
 from .mapsearch import MapQuery, MapResult, seed, solve, var_order_heuristic
 from .analysis import (ErrorReport, Spectrum, SweepCurve, avg_error,
                        max_error, prepare, spectrum, sweep)

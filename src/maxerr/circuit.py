@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -109,13 +109,14 @@ class Circuit:
     """Immutable combinational circuit.
 
     ``inputs`` and ``outputs`` keep declaration order; ``gates`` keeps the
-    order the defining lines appeared in.  Construction validates fan-in
-    arities, distinct fan-ins, net-name uniqueness and acyclicity, and
+    order the defining lines appeared in; ``output_lines`` gives each
+    output's declaration line.  Construction validates fan-in arities,
+    distinct fan-ins and outputs, net-name uniqueness and acyclicity, and
     precomputes the topological gate order used by :meth:`eval`.
     """
 
     def __init__(self, inputs: Sequence[str], gates: Sequence[Gate],
-                 outputs: Sequence[str], output_lines: Mapping[str, int] | None = None):
+                 outputs: Sequence[str], output_lines: Sequence[int] | None = None):
         self.inputs = tuple(inputs)
         self.gates = tuple(gates)
         self.outputs = tuple(outputs)
@@ -147,10 +148,14 @@ class Circuit:
             if dup is not None:
                 raise BenchParseError("gate %r lists fan-in %r twice" % (g.output, dup),
                                       g.line)
-        out_lines = output_lines or {}
-        for name in self.outputs:
+        declared: set[str] = set()
+        for j, name in enumerate(self.outputs):
+            line = output_lines[j] if output_lines else None
+            if name in declared:
+                raise BenchParseError("output %r declared twice" % name, line)
             if name not in defined:
-                raise BenchParseError("undefined net %r" % name, out_lines.get(name))
+                raise BenchParseError("undefined net %r" % name, line)
+            declared.add(name)
 
         self._fanin_ids = [tuple(defined[n] for n in g.fanin) for g in self.gates]
         self._out_ids = tuple(defined[n] for n in self.outputs)
@@ -282,7 +287,7 @@ def parse_bench(text: str) -> Circuit:
     """
     inputs: list[str] = []
     outputs: list[str] = []
-    output_lines: dict[str, int] = {}
+    output_lines: list[int] = []
     gates: list[Gate] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -295,7 +300,7 @@ def parse_bench(text: str) -> Circuit:
                 inputs.append(name)
             else:
                 outputs.append(name)
-                output_lines.setdefault(name, lineno)
+                output_lines.append(lineno)
             continue
         m = _GATE_RE.match(line)
         if m:

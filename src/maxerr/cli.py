@@ -138,8 +138,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     c = load_circuit(args.circuit)
-    if args.epsilon_map:
-        raise ValueError("sweep varies a uniform eps; --epsilon-map not supported")
     grid = _parse_grid(args.grid)
     t0 = time.perf_counter()
     curve = sweep(c, grid, refine=args.refine, width_limit=args.width_limit)
@@ -280,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Worst-case output error analysis for gate-level circuits.")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, eps=True):
+    def common(p, eps=True, tree=True, explain=False):
+        # each subcommand takes only the options it reads
         p.add_argument("circuit", help=".bench or .json circuit file")
         if eps:
             p.add_argument("--epsilon", type=float, default=None,
@@ -290,13 +289,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, metavar="FILE",
                        help="write here instead of stdout")
-        p.add_argument("--width-limit", type=int, default=DEFAULT_WIDTH_LIMIT,
-                       help="abort if a join tree cluster exceeds this many variables")
-        p.add_argument("--explain", action="store_true",
-                       help="dump elimination order, tree and node counts to stderr")
+        if tree:
+            p.add_argument("--width-limit", type=int, default=DEFAULT_WIDTH_LIMIT,
+                           help="abort if a join tree cluster exceeds this many variables")
+        if explain:
+            p.add_argument("--explain", action="store_true",
+                           help="dump elimination order, tree and node counts to stderr")
 
     p = sub.add_parser("analyze", help="worst-case error per output via MAP")
-    common(p)
+    common(p, explain=True)
     p.add_argument("--joint-evidence", action="store_true",
                    help="single query with every output wrong at once")
     p.add_argument("--no-prune", action="store_true",
@@ -304,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("sweep", help="max/avg error across an eps grid")
-    common(p)
+    common(p, eps=False)
     p.add_argument("--grid", required=True,
                    help="start:stop:step or comma-separated eps values")
     p.add_argument("--refine", action="store_true",
@@ -316,13 +317,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("validate", help="exact enumeration vs Monte Carlo")
-    common(p)
+    common(p, tree=False)
     p.add_argument("--runs", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("oracle-check", help="engine inference vs enumeration")
-    common(p)
+    common(p, explain=True)
     p.set_defaults(fn=cmd_oracle_check)
     return ap
 

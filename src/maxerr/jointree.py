@@ -129,8 +129,8 @@ class BinaryJoinTree:
             nb.sort()
         self.width = max((len(c.scope) for c in clusters), default=0)
         self._scope_key = scope_key  # for compatibility checks against a net
-        # compiled lazily by propagators: the numbered directed edges, and per
-        # map_vars {(edge id, operand scopes): plan}
+        # compiled lazily by propagators: the numbered directed edges that
+        # carry more than the unit, and per map_vars {edge id: plan}
         self.schedule = None
         self.plans: dict = {}
 
@@ -165,9 +165,10 @@ def build_tree(net: ErrorModelNet, order: EliminationOrder | None = None,
                width_limit: int = DEFAULT_WIDTH_LIMIT) -> BinaryJoinTree:
     """Construct a binary join tree for the network.
 
-    Every variable gets a singleton cluster, the entry point for its
-    evidence and the root of its queries.  Raises WidthLimitError when
-    the largest cluster would exceed ``width_limit`` variables.
+    Every variable gets a singleton cluster, the root of its queries;
+    its evidence enters at the cluster its CPT is attached to.  Raises
+    WidthLimitError when the largest cluster would exceed
+    ``width_limit`` variables.
     """
     if order is None:
         order = choose_order(net)

@@ -121,6 +121,8 @@ def monte_carlo(c: Circuit, input_bits: Sequence[int], eps,
     shards of ``MC_SHARD``, each with its own seed spawned from
     ``cfg.seed``, and counts sum across shards.
     """
+    if cfg.runs < 1:
+        raise ValueError("Monte Carlo needs at least 1 run, got %d" % cfg.runs)
     flip = 2.0 * _check_eps(c, eps)
     good = np.array(c.eval(input_bits), dtype=bool)
     row = np.array(input_bits, dtype=bool)

@@ -9,29 +9,33 @@ incrementally grown evidence) reuse most of the work.
 The schedule is compiled once per tree, on its first propagator.
 Directed edges get ids; each lists the messages into its sender but the
 one from its receiver, each cluster lists its outbound ids, and a belief
-is one more id, fed by every message into its cluster.  A collect is a
-depth-first pass over the missing messages, then one loop computing
-them in reverse pass order.  The pass stops at cached messages: a
-message is computed only after every message into its sender and
-dropped only with everything downstream of it, so all messages upstream
-of a cached one are cached.  An evidence change on a variable drops the
-cached messages whose sending side holds its singleton cluster, by a
-walk over edge ids out of the singleton that stops at uncached edges.
+is one more id, fed by every message into its cluster.  An edge whose
+sending side holds no CPT would only ever carry the unit, so the
+schedule leaves it out of every list and no product ever takes it.  A
+collect is a depth-first pass over the missing messages, then one loop
+computing them in reverse pass order.  The pass stops at cached
+messages: a message is computed only after every message into its
+sender and dropped only with everything downstream of it, so all
+messages upstream of a cached one are cached.
 
-A cluster's local factor is its CPT, times the evidence indicator on a
-singleton with evidence; setting evidence runs the invalidation walk
-and replaces that factor, never the potentials kept on the network.
+A cluster's local factor is its CPT, times the indicator of the
+evidence on that CPT's variable.  Setting evidence on a variable walks
+from the cluster holding its CPT, dropping the cached messages whose
+sending side holds that cluster (the walk follows edge ids and stops at
+uncached edges), then replaces that cluster's factor; the potentials
+kept on the network are never written.
 
 Each message runs from a plan compiled on first use and kept on the
 tree, so every propagator, evidence change and eps value on that tree
 shares it: each operand's broadcast shape over their union scope, the
-axes summed, then the axes maxed, and the scope kept.  A plan is keyed
-on the max variables, the edge id and the operand scopes (evidence on a
-leaf singleton turns its message from a scalar into a table), and splits
-what the edge drops into summed and maxed variables when compiled.
-Plans multiply and reduce exactly as ``combine`` and ``reduce_mixed``
-would, so answers are bit-identical.  Cluster potentials are built once
-per (network, tree) pair and kept on the network.
+axes summed, then the axes maxed, and the scope kept.  Evidence never
+changes a factor's scope, so an edge's operand scopes are fixed per
+tree and a plan is keyed on the max variables and the edge id alone; it
+splits what the edge drops into summed and maxed variables when
+compiled.  Plans multiply and reduce exactly as ``combine`` and
+``reduce_mixed`` would, so answers are bit-identical.  Cluster
+potentials are built once per (network, tree) pair and kept on the
+network.
 
 Marginalization is per variable: sum for chance variables, max for the
 variables being maximized (the primary inputs during a worst-vector
@@ -51,7 +55,7 @@ from .model import ErrorModelNet
 # combine, reduce_mixed and reduce_all stay bound here: perfbench/tracing.py
 # wraps them by name in this module.
 from .valuation import (Valuation, combine, indicator, reduce_all, reduce_mixed,
-                        trusted, unit)
+                        trusted)
 
 
 def _potentials(tree: BinaryJoinTree, net: ErrorModelNet) -> list[Valuation | None]:
@@ -74,19 +78,39 @@ def _schedule(tree: BinaryJoinTree):
 
     Edge 2i runs along ``tree.edges[i]`` and 2i+1 back, so ``e ^ 1``
     reverses ``e``; id E + c, past the E edges, is the belief at cluster
-    c.  Per id: sender, the ids of the messages into the sender in
-    neighbor order, and the variables dropped; per cluster, its
-    outbound edge ids.
+    c.  Per id: sender, the ids of the scheduled messages into the
+    sender in neighbor order, and the variables dropped; per cluster,
+    its scheduled outbound edge ids.  An edge is scheduled when its
+    sending side holds a CPT; the others carry only the unit.
     """
     if tree.schedule is None:
+        n = tree.n_clusters
         ends = [e for a, b in tree.edges for e in ((a, b), (b, a))]
-        ends += [(c, -1) for c in range(tree.n_clusters)]
+        ends += [(c, -1) for c in range(n)]
         ids = {ab: e for e, ab in enumerate(ends)}
         nb, scope = tree.neighbors, [c.scope for c in tree.clusters]
+        # Hang the tree from cluster 0; below[u] counts the CPTs under u.
+        below = [0] * n
+        for c in tree.attach.values():
+            below[c] = 1
+        parent, order = [-1] * n, [0]
+        for u in order:
+            for w in nb[u]:
+                if w != parent[u]:
+                    parent[w] = u
+                    order.append(w)
+        for u in reversed(order[1:]):
+            below[parent[u]] += below[u]
+        # The edge u -> parent sends from u's subtree, its reverse from the rest.
+        sends = [True] * len(ends)
+        for u in order[1:]:
+            e = ids[u, parent[u]]
+            sends[e], sends[e ^ 1] = below[u] > 0, below[0] > below[u]
         tree.schedule = (
             [b for b, _ in ends],
-            [tuple([ids[a, b] for a in nb[b] if a != c]) for b, c in ends],
-            [tuple([ids[b, a] for a in nb[b]]) for b in range(tree.n_clusters)],
+            [tuple([ids[a, b] for a in nb[b] if a != c and sends[ids[a, b]]])
+             for b, c in ends],
+            [tuple([ids[b, a] for a in nb[b] if sends[ids[b, a]]]) for b in range(n)],
             [scope[b] - scope[c] if c >= 0 else frozenset() for b, c in ends])
     return tree.schedule
 
@@ -118,18 +142,15 @@ class Propagator:
         new = dict(evidence)
         changed = [v for v in set(new) | set(self.evidence)
                    if self.evidence.get(v) != new.get(v)]
-        for v in changed:
-            cid = self.tree.singleton.get(v)
-            if cid is None:
-                raise KeyError("variable %d has no singleton cluster for evidence" % v)
-        for v in changed:
-            cid = self.tree.singleton[v]
+        # every lookup first, so an unknown variable changes nothing
+        spots = [self.tree.attach[v] for v in changed]
+        for v, cid in zip(changed, spots):
             self._invalidate(cid)
-            pot = self._potential[cid]   # scope (v,) when present
+            pot = self._potential[cid]
             if v in new:
-                ind = indicator(v, new[v])
-                self._factor[cid] = ind if pot is None else \
-                    trusted(pot.scope, pot.table * ind.table)
+                ind = indicator(v, new[v]).table.reshape(
+                    [2 if u == v else 1 for u in pot.scope])
+                self._factor[cid] = trusted(pot.scope, pot.table * ind)
             else:
                 self._factor[cid] = pot
         self.evidence = new
@@ -148,7 +169,7 @@ class Propagator:
 
     # -- messages --------------------------------------------------------
 
-    def _compile(self, e: int, scopes: tuple[tuple[int, ...], ...]):
+    def _compile(self, e: int, scopes: list[tuple[int, ...]]):
         """Plan of the product of operands with ``scopes`` at the sender
         of ``e``, marginalized as ``e`` drops.  Every operand lies inside
         the sender's cluster, so the union is within the tree's width."""
@@ -165,12 +186,9 @@ class Propagator:
     def _apply(self, e: int, parts: list[Valuation]) -> Valuation:
         """``reduce_mixed(combine(...))`` of ``parts`` by the compiled
         plan: the same products and reductions in the same order."""
-        if not parts:
-            return unit()   # a leaf singleton without evidence has none
-        key = (e, tuple([p.scope for p in parts]))
-        plan = self._plans.get(key)
+        plan = self._plans.get(e)
         if plan is None:
-            plan = self._plans[key] = self._compile(e, key[1])
+            plan = self._plans[e] = self._compile(e, [p.scope for p in parts])
         shapes, sum_axes, max_axes, kept = plan
         if len(parts) == 1:
             if not sum_axes and not max_axes:
@@ -214,48 +232,9 @@ class Propagator:
         return self.belief(self.tree.singleton[var])
 
 
-def _orient(tree: BinaryJoinTree, root: int) -> list[int]:
-    """Parent of every cluster when the tree hangs from ``root``."""
-    parent = [-1] * tree.n_clusters
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in tree.neighbors[u]:
-            if w != parent[u]:
-                parent[w] = u
-                stack.append(w)
-    return parent
-
-
 def prob_evidence(tree: BinaryJoinTree, net: ErrorModelNet,
                   evidence: Mapping[int, int]) -> float:
     """P(evidence); identical (up to 1e-9) for every choice of root."""
     p = Propagator(tree, net)
     p.set_evidence(evidence)
     return p.query(tree.singleton[min(tree.singleton)])
-
-
-def count_order_inversions(tree: BinaryJoinTree, root: int, map_vars) -> int:
-    """Number of (max variable, sum variable) pairs eliminated in the
-    wrong relative order when collecting toward ``root``.  Zero means
-    the schedule sums everything before it maxes anything, so the mixed
-    collect is exact rather than an upper bound."""
-    map_vars = frozenset(map_vars)
-    parent = _orient(tree, root)
-    scope = [c.scope for c in tree.clusters]
-    # sums_downstream(u): sum-drops on the rootward path after u's edge,
-    # including the final aggregation at the root itself.
-    root_sums = len(scope[root] - map_vars)
-    inv = 0
-    stack = [w for w in tree.neighbors[root]]
-    down: dict[int, int] = {w: root_sums for w in tree.neighbors[root]}
-    while stack:
-        u = stack.pop()
-        drop = scope[u] - scope[parent[u]]
-        inv += len(drop & map_vars) * down[u]
-        below = down[u] + len(drop - map_vars)
-        for w in tree.neighbors[u]:
-            if w != parent[u]:
-                down[w] = below
-                stack.append(w)
-    return inv

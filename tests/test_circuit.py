@@ -101,6 +101,15 @@ def test_duplicate_fanin_rejected():
         from_json(doc)
 
 
+def test_repeated_output_rejected():
+    with pytest.raises(BenchParseError, match="line 5: output 'z' declared twice"):
+        parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b)\nOUTPUT(z)\n")
+    doc = {"format": "circuit/1", "inputs": ["a", "b"], "outputs": ["z", "z"],
+           "gates": [{"output": "z", "func": "AND", "inputs": ["a", "b"]}]}
+    with pytest.raises(BenchParseError, match="^output 'z' declared twice$"):
+        from_json(doc)
+
+
 def test_cycle_detected():
     with pytest.raises(BenchParseError, match="cycle"):
         parse_bench("INPUT(a)\nOUTPUT(x)\nx = AND(a, y)\ny = BUF(x)\n")

@@ -104,19 +104,23 @@ def test_parse_error_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cmd", ["analyze", "sweep", "spectrum", "validate", "oracle-check"])
-@pytest.mark.parametrize("name, text, where", [
-    ("dup.bench", "INPUT(a)\nOUTPUT(g)\ng = AND(a, a)\n", "line 3: "),
+@pytest.mark.parametrize("name, text, message", [
+    ("dup.bench", "INPUT(a)\nOUTPUT(g)\ng = AND(a, a)\n",
+     "line 3: gate 'g' lists fan-in 'a' twice"),
     ("dup.json", json.dumps({"format": "circuit/1", "inputs": ["a"], "outputs": ["g"],
                              "gates": [{"output": "g", "func": "AND",
-                                        "inputs": ["a", "a"]}]}), ""),
+                                        "inputs": ["a", "a"]}]}),
+     "gate 'g' lists fan-in 'a' twice"),
+    ("dup-out.bench", "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nOUTPUT(z)\nz = AND(a, b)\n",
+     "line 4: output 'z' declared twice"),
 ])
-def test_duplicate_fanin_exits_1(tmp_path, capsys, cmd, name, text, where):
+def test_repeated_name_exits_1(tmp_path, capsys, cmd, name, text, message):
     path = tmp_path / name
     path.write_text(text)
     args = ["--grid", "0.05"] if cmd == "sweep" else ["--epsilon", "0.05"]
     code, out, err = run(capsys, cmd, str(path), *args)
     assert code == 1 and out == ""
-    assert err == "parse error: %sgate 'g' lists fan-in 'a' twice\n" % where
+    assert err == "parse error: %s\n" % message
 
 
 def test_missing_file_exits_1(capsys):
@@ -186,10 +190,23 @@ def test_sweep_bad_grid_exits_2(capsys, grid):
 def test_sweep_rejects_epsilon_map(tmp_path, capsys):
     table = tmp_path / "eps.json"
     table.write_text(json.dumps({"10": 0.1}))
-    code, _, err = run(capsys, "sweep", C17_PATH, "--grid", "0.05,0.1",
-                       "--epsilon-map", str(table))
-    assert code == 2
-    assert "epsilon-map" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", C17_PATH, "--grid", "0.05,0.1", "--epsilon-map", str(table)])
+    assert exc.value.code == 2
+    assert "epsilon-map" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, option", [
+    ("sweep", ["--epsilon", "0.05"]), ("sweep", ["--explain"]),
+    ("spectrum", ["--explain"]), ("validate", ["--explain"]),
+    ("validate", ["--width-limit", "20"]),
+])
+def test_options_a_subcommand_does_not_read_are_rejected(capsys, cmd, option):
+    args = ["--grid", "0.05"] if cmd == "sweep" else ["--epsilon", "0.05"]
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, C17_PATH, *args, *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % " ".join(option) in capsys.readouterr().err
 
 
 def test_spectrum_csv(capsys):
@@ -226,6 +243,13 @@ def test_validate_csv_layout(capsys):
     assert first[0] == "00000" and first[1] == "22"
     assert abs(float(first[2]) - float(first[3])) == pytest.approx(
         float(first[5]), abs=5e-7)
+
+
+@pytest.mark.parametrize("runs", ["0", "-5"])
+def test_validate_non_positive_runs_exits_2(capsys, runs):
+    code, out, err = run(capsys, "validate", C17_PATH, "--epsilon", "0.05", "--runs", runs)
+    assert code == 2 and out == ""
+    assert err == "error: Monte Carlo needs at least 1 run, got %s\n" % runs
 
 
 def test_oracle_check_agrees(capsys):

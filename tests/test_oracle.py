@@ -114,6 +114,12 @@ def test_monte_carlo_partial_last_shard():
     assert 0.0 <= est.p_error[0] <= 1.0
 
 
+@pytest.mark.parametrize("runs", [0, -5])
+def test_monte_carlo_rejects_non_positive_runs(runs):
+    with pytest.raises(ValueError, match="at least 1 run"):
+        monte_carlo(CHAIN, [1], 0.05, McConfig(runs=runs))
+
+
 def test_enumeration_caps():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):

@@ -9,9 +9,9 @@ import pytest
 from maxerr.circuit import parse_bench, vector_index
 from maxerr.jointree import build_tree
 from maxerr.mapsearch import MapQuery, _Search
-from maxerr.model import build_error_model, joint_prob
+from maxerr.model import VarClass, build_error_model, joint_prob
 from maxerr.oracle import FaultEnumerator
-from maxerr.propagate import Propagator, count_order_inversions, prob_evidence
+from maxerr.propagate import Propagator, prob_evidence
 from maxerr.valuation import combine, indicator, reduce_mixed, unit
 
 SMALL = parse_bench("""
@@ -38,6 +38,11 @@ def _cached(p):
     return {(p._src[e], p._src[e ^ 1]): m for e, m in enumerate(p._msg) if m is not None}
 
 
+def _scheduled(p):
+    """The directed edges (sender, receiver) the tree's schedule keeps."""
+    return {(p._src[e], p._src[e ^ 1]) for out in p._out for e in out}
+
+
 def _enum_prob(net, evidence):
     """Brute-force P(evidence) over all 2**N joint assignments."""
     total = 0.0
@@ -62,9 +67,13 @@ def test_empty_evidence_sums_to_one_on_corpus(corpus):
 def test_matches_brute_force_enumeration():
     net, tree = _net_tree(SMALL)
     cmp_var = net.comparator_of("z")
+    var = {v.name: v.id for v in net.vars}
     for evidence in ({cmp_var: 1},
                      {cmp_var: 1, net.input_vars[0]: 0},
-                     {cmp_var: 0, net.input_vars[1]: 1, net.input_vars[2]: 0}):
+                     {cmp_var: 0, net.input_vars[1]: 1, net.input_vars[2]: 0},
+                     {cmp_var: 1, var["d"]: 1},             # error-free gate
+                     {cmp_var: 1, var["e'"]: 0},            # error-prone gate
+                     {var["d"]: 0, var["d'"]: 1, net.input_vars[2]: 1}):
         want = _enum_prob(net, evidence)
         got = prob_evidence(tree, net, evidence)
         assert got == pytest.approx(want, abs=1e-12)
@@ -152,7 +161,7 @@ def test_flip_drops_exactly_the_messages_that_saw_it(c17, corpus, max_mode):
             p.query(r)
         for var in list(ev):
             before = set(_cached(p))
-            spot = tree.singleton[var]
+            spot = tree.attach[var]
             ev = {**ev, var: 1 - ev[var]}
             p.set_evidence(ev)
             assert set(_cached(p)) == {(b, c) for b, c in before
@@ -171,12 +180,6 @@ def test_propagate_belief_cells_are_joint_probs():
     assert bel.table[1] == pytest.approx(_enum_prob(net, {cmp_var: 1}), abs=1e-12)
 
 
-def test_sum_only_schedule_has_no_inversions():
-    net, tree = _net_tree(SMALL)
-    for cid in range(tree.n_clusters):
-        assert count_order_inversions(tree, cid, ()) == 0
-
-
 def test_mixed_query_bounds_exact_max():
     net, tree = _net_tree(SMALL)
     cmp_var = net.comparator_of("z")
@@ -188,10 +191,10 @@ def test_mixed_query_bounds_exact_max():
     p = Propagator(tree, net, map_vars=net.input_vars)
     p.set_evidence({cmp_var: 1})
     for cid in sorted(set(tree.singleton.values())):
-        u = p.query(cid)
-        assert u >= exact - 1e-12
-        if count_order_inversions(tree, cid, net.input_vars) == 0:
-            assert u == pytest.approx(exact, abs=1e-12)
+        assert p.query(cid) >= exact - 1e-12
+    # the search roots its bounds at input singletons
+    for v in net.input_vars:
+        assert p.query(tree.singleton[v]) == pytest.approx(exact, abs=1e-12)
 
 
 def test_complete_assignment_bound_is_exact():
@@ -241,12 +244,16 @@ def test_rejects_tree_from_other_network(c17):
         Propagator(tree_small, net_c17)
 
 
-def test_evidence_requires_singleton_cluster():
+def test_evidence_on_unknown_variable_raises_key_error():
     net, tree = _net_tree(SMALL)
     p = Propagator(tree, net)
-    assert net.n_vars not in tree.singleton
+    ev = {net.input_vars[0]: 1}
+    p.set_evidence(ev)
+    want = p.query(0)
+    assert net.n_vars not in tree.attach
     with pytest.raises(KeyError):
         p.set_evidence({net.n_vars: 1})
+    assert p.evidence == ev and p.query(0) == want
 
 
 def test_message_counter(c17, corpus):
@@ -256,9 +263,10 @@ def test_message_counter(c17, corpus):
         for root in range(tree.n_clusters):
             p = Propagator(tree, net)
             p.query(root)
-            assert p.messages == tree.n_clusters - 1
+            full = len(_toward(tree, root) & _scheduled(p))
+            assert p.messages == full
             p.query(root)
-            assert p.messages == tree.n_clusters - 1
+            assert p.messages == full
         root = tree.singleton[net.comparators[0]]
         p = Propagator(tree, net, map_vars=net.input_vars)
         p.set_evidence(ev)
@@ -338,7 +346,7 @@ def test_collect_computes_exactly_the_missing_edges(c17, corpus, max_mode):
                 r = int(r)
                 before, done = set(_cached(p)), p.messages
                 got = p.belief(r)
-                missing = _toward(tree, r) - before
+                missing = (_toward(tree, r) & _scheduled(p)) - before
                 assert set(_cached(p)) == before | missing
                 assert p.messages - done == len(missing)
                 fresh = Propagator(tree, net, map_vars=map_vars)
@@ -349,21 +357,23 @@ def test_collect_computes_exactly_the_missing_edges(c17, corpus, max_mode):
 
 
 def _unfolded(p, cid):
-    """The shared potential at ``cid`` and, on a singleton with evidence,
-    the evidence indicator: the operands its local factor folds into one."""
+    """The shared potential at ``cid`` and the indicator of the evidence
+    on that CPT's variable: the operands its local factor folds into one."""
     pot = p.net.potentials[p.tree][cid]
-    parts = [] if pot is None else [pot]
-    v = next((v for v, c in p.tree.singleton.items() if c == cid), None)
-    if v in p.evidence:
-        parts.append(indicator(v, p.evidence[v]))
-    return parts
+    if pot is None:
+        return []
+    v = next(v for v, c in p.tree.attach.items() if c == cid)
+    return [pot, indicator(v, p.evidence[v])] if v in p.evidence else [pot]
 
 
 def _reference_message(p, b, c):
     """The message (b, c) from the unfolded local operands and the
-    cached messages by ``combine`` and ``reduce_mixed``, the path the
-    folded factors and compiled plans replace."""
-    parts = _unfolded(p, b) + [_cached(p)[(a, b)] for a in p.tree.neighbors[b] if a != c]
+    messages from every other neighbor by ``combine`` and
+    ``reduce_mixed``, the path the folded factors and compiled plans
+    replace; an edge the schedule leaves out gives the unit."""
+    cached = _cached(p)
+    parts = _unfolded(p, b) + [cached.get((a, b), unit())
+                               for a in p.tree.neighbors[b] if a != c]
     val = parts[0] if parts else unit()
     for q in parts[1:]:
         val = combine(val, q)
@@ -376,24 +386,44 @@ def test_compiled_messages_equal_combine_then_reduce(c17, corpus, max_mode):
     for circuit in [c17] + corpus[:20]:
         net, tree = _net_tree(circuit)
         inputs = net.input_vars
+        gates = [v.id for v in net.vars if v.klass is VarClass.INTERNAL]
         for ev in ({}, {v: j % 2 for j, v in enumerate(inputs[::2])},
-                   {v: j % 2 for j, v in enumerate(inputs)}):
+                   {v: j % 2 for j, v in enumerate(inputs)},
+                   {v: j % 2 for j, v in enumerate(gates[::3] + list(net.comparators))}):
             p = Propagator(tree, net, map_vars=inputs if max_mode else ())
             p.set_evidence(ev)
             beliefs = [p.belief(cid) for cid in range(tree.n_clusters)]
-            assert len(_cached(p)) == 2 * (tree.n_clusters - 1)
-            for (b, c), msg in _cached(p).items():
-                want = _reference_message(p, b, c)
-                assert msg.scope == want.scope
-                assert np.array_equal(msg.table, want.table)
+            cached = _cached(p)
+            assert set(cached) == _scheduled(p)
+            for a, b in tree.edges:
+                for edge in ((a, b), (b, a)):
+                    want = _reference_message(p, *edge)
+                    got = cached.get(edge, unit())   # a left-out edge carries the unit
+                    assert got.scope == want.scope
+                    assert np.array_equal(got.table, want.table)
             for cid, bel in enumerate(beliefs):
-                parts = _unfolded(p, cid) + [_cached(p)[(a, cid)]
+                parts = _unfolded(p, cid) + [cached.get((a, cid), unit())
                                              for a in tree.neighbors[cid]]
                 want = parts[0]
                 for q in parts[1:]:
                     want = combine(want, q)
                 assert bel.scope == want.scope
                 assert np.array_equal(bel.table, want.table)
+
+
+def test_schedule_keeps_exactly_the_edges_whose_sending_side_holds_a_cpt(c17, corpus):
+    for circuit in [c17] + corpus[:20]:
+        net, tree = _net_tree(circuit)
+        p = Propagator(tree, net)
+        holders = set(tree.attach.values())
+        keep = {(b, c) for a, d in tree.edges for b, c in ((a, d), (d, a))
+                if holders & _sending_side(tree, b, c)}
+        assert _scheduled(p) == keep
+        n_edges = len(p._msg)
+        for e, into in enumerate(p._into):
+            b, c = p._src[e], (p._src[e ^ 1] if e < n_edges else None)
+            assert [(p._src[f], p._src[f ^ 1]) for f in into] == \
+                [(a, b) for a in tree.neighbors[b] if a != c and (a, b) in keep]
 
 
 def test_evidence_on_one_propagator_leaves_another_alone(c17, corpus):
