@@ -140,7 +140,7 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
         bits = [assign[v] for v in net.input_vars]
         cond_prop.set_evidence(assign)
         if joint:
-            p_inputs = cond_prop.query(tree.singleton[net.input_vars[0]])
+            p_inputs = cond_prop.query(tree.attach[net.input_vars[0]])
             p = res.p_map / p_inputs
         else:
             p = cond_error(cond_prop, next(iter(evid)))
@@ -170,11 +170,15 @@ def sweep(c: Circuit, grid, refine: bool = False,
 
     The join tree depends only on the structure, so it is built once
     and rebound per grid point.  ``refine`` bisects the first 0.5
-    crossing of max_error down to +-1e-4 in eps.
+    crossing of max_error down to +-1e-4 in eps.  The grid must be
+    strictly increasing (``ValueError`` otherwise), so the first
+    crossing is the lowest eps on it and brackets the bisection.
     """
     grid = [float(e) for e in grid]
     if not grid:
         raise ValueError("empty eps grid")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("eps grid must be strictly increasing")
     net, tree = prepare(c, grid[0], width_limit)
 
     points: list[SweepPoint] = []

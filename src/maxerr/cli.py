@@ -8,9 +8,10 @@ stdout or ``--output`` as CSV or JSON with probabilities at 6 decimals;
 timing and diagnostics go to stderr so repeated runs with the same
 arguments produce byte-identical files.
 
-Exit codes: 0 success, 1 circuit parse error, 2 usage or resource
-limit (join tree width, enumeration caps), 3 evidence unreachable on
-every output.
+Exit codes: 0 success, 1 circuit parse error or an input file that
+cannot be read, 2 usage, resource limit (join tree width, enumeration
+caps) or an ``--output`` file that cannot be written, 3 evidence
+unreachable on every output.
 """
 
 from __future__ import annotations
@@ -71,10 +72,17 @@ def _load_eps(args, c):
     return args.epsilon
 
 
+class OutputError(Exception):
+    """The ``--output`` file could not be written."""
+
+
 def _emit(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError("cannot write %s: %s" % (args.output, exc.strerror)) from exc
     else:
         sys.stdout.write(text)
 
@@ -336,8 +344,13 @@ def main(argv=None) -> int:
     except BenchParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print("cannot read %s" % exc.filename, file=sys.stderr)
+    except OutputError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_LIMIT
+    except OSError as exc:   # _emit turns its own into OutputError
+        if exc.filename is None:   # no file was opened: a closed stdout, say
+            raise
+        print("cannot read %s: %s" % (exc.filename, exc.strerror), file=sys.stderr)
         return EXIT_PARSE
     except WidthLimitError as exc:
         print("join tree too wide: %s" % exc, file=sys.stderr)

@@ -2,12 +2,12 @@
 
 The search instantiates the primary inputs one at a time.  Each child
 node gets an upper bound on P(inputs, comparator evidence) over all
-completions from a collect rooted at the singleton of the variable just
-assigned; a child whose bound falls below the incumbent by more than a
-relative hair is cut.  Values within that hair of each other tie, and a
-tie goes to the smaller assignment along the branching order, so a child
-whose bound at most ties the incumbent is cut too when its prefix sorts
-after the incumbent's.  Many vectors tie exactly in real circuits (an
+completions from a collect rooted at the cluster holding the prior of
+the variable just assigned; a child whose bound falls below the
+incumbent by more than a relative hair is cut.  Values within that hair
+of each other tie, and a tie goes to the smaller assignment along the
+branching order, so a child whose bound at most ties the incumbent is
+cut too when its prefix sorts after the incumbent's.  Many vectors tie exactly in real circuits (an
 XOR chain fails on an odd number of gate faults whatever its inputs), so
 the search then follows one path instead of every tied one, and float
 noise among tied values does not change how much it searches.  The
@@ -105,7 +105,7 @@ class _Search:
         ev = dict(self.q.evid_o)
         ev.update(partial)
         self.prop.set_evidence(ev)
-        u = self.prop.query(self.q.tree.singleton[new_var])
+        u = self.prop.query(self.q.tree.attach[new_var])
         if self.on_bound is not None:
             self.on_bound(dict(partial), u)
         return u

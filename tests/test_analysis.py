@@ -167,6 +167,13 @@ def test_sweep_rejects_empty_grid(c17):
         sweep(c17, [])
 
 
+@pytest.mark.parametrize("grid", [[0.3, 0.05, 0.2], [0.05, 0.05], [0.5, 0.2]])
+def test_sweep_rejects_grid_not_strictly_increasing(c17, grid):
+    # an unsorted grid would report a later point as the first crossing
+    with pytest.raises(ValueError, match="strictly increasing"):
+        sweep(c17, grid, refine=True)
+
+
 def test_spectrum_frozen(c17):
     sp = spectrum(c17, 0.05)
     assert sp.per_output.shape == (32, 2)

@@ -123,11 +123,38 @@ def test_repeated_name_exits_1(tmp_path, capsys, cmd, name, text, message):
     assert err == "parse error: %s\n" % message
 
 
-def test_missing_file_exits_1(capsys):
-    code, _, err = run(capsys, "analyze", "no/such/file.bench",
-                       "--epsilon", "0.05")
-    assert code == 1
-    assert "cannot read" in err
+@pytest.mark.parametrize("case, reason", [
+    ("missing circuit", "No such file or directory"),
+    ("circuit is a directory", "Is a directory"),
+    ("epsilon map is a directory", "Is a directory"),
+])
+def test_missing_file_exits_1(tmp_path, capsys, case, reason):
+    args = {"missing circuit": ["no/such/file.bench"],
+            "circuit is a directory": [str(tmp_path)],
+            "epsilon map is a directory": [C17_PATH, "--epsilon-map", str(tmp_path)]}[case]
+    unread = args[-1]
+    code, out, err = run(capsys, "analyze", *args, "--epsilon", "0.05")
+    assert code == 1 and out == ""
+    assert err == "cannot read %s: %s\n" % (unread, reason)
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "spectrum"])
+def test_unwritable_output_exits_2(tmp_path, capsys, cmd):
+    for target, reason in ((tmp_path, "Is a directory"),
+                           (tmp_path / "no" / "x.csv", "No such file or directory")):
+        code, out, err = run(capsys, cmd, C17_PATH, "--epsilon", "0.05",
+                             "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == "cannot write %s: %s" % (target, reason)
+
+
+def test_closed_stdout_is_not_reported_as_a_read_error(monkeypatch):
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr("sys.stdout", Closed())
+    with pytest.raises(BrokenPipeError):
+        main(["analyze", C17_PATH, "--epsilon", "0.05"])
 
 
 def test_width_limit_exits_2(capsys):
@@ -182,7 +209,8 @@ def test_sweep_json_comma_grid(capsys):
 
 
 @pytest.mark.parametrize("grid", ["0.6,0.1", "0:0.1:0.02", "0.1:0.05:0.01",
-                                  "0.1:0.2:0", ",", "0.1:0.2"])
+                                  "0.1:0.2:0", ",", "0.1:0.2", "0.3,0.05,0.2",
+                                  "0.05,0.05"])
 def test_sweep_bad_grid_exits_2(capsys, grid):
     assert run(capsys, "sweep", C17_PATH, "--grid", grid)[0] == 2
 

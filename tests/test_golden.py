@@ -15,7 +15,6 @@ recorded next to them, since a different numpy may round differently.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import os
 import sys
@@ -23,7 +22,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import C17_PATH, ROOT, build_corpus
+from conftest import C17_PATH, build_corpus, perfbench_circuits
 from maxerr.analysis import max_error, prepare, spectrum, sweep
 from maxerr.circuit import load_circuit
 
@@ -34,15 +33,6 @@ ADDER_BITS = (4, 5)
 ADDER_SEEDS = (0, 1, 2)
 CORPUS_N = 20
 CORPUS_EPS = (0.01, 0.05, 0.2)
-
-
-def _perfbench_circuits():
-    """``perfbench/circuits.py`` loaded from its file, read-only."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_circuits", os.path.join(ROOT, "perfbench", "circuits.py"))
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
 
 
 def _report(c, eps, prune=True, joint=False) -> dict:
@@ -74,7 +64,7 @@ def _c17_sweep() -> dict:
 
 
 def _adder_reports() -> dict:
-    pb = _perfbench_circuits()
+    pb = perfbench_circuits()
     out = {}
     for n in ADDER_BITS:
         c = pb.ripple_carry_adder(n)
@@ -92,7 +82,7 @@ def _corpus_reports() -> dict:
 
 
 def _spectrum_digests() -> dict:
-    pb = _perfbench_circuits()
+    pb = perfbench_circuits()
     rca4 = pb.ripple_carry_adder(4)
     return {name: hashlib.sha256(spectrum(c, eps).per_output.tobytes()).hexdigest()
             for name, c, eps in (("c17 eps=0.05", load_circuit(C17_PATH), 0.05),

@@ -1,14 +1,12 @@
 import pytest
 
+from conftest import DISCONNECTED, perfbench_circuits
 from maxerr.circuit import parse_bench
-from maxerr.jointree import (EliminationOrder, InvalidOrderError, build_tree,
-                             choose_order, moral_graph, order_width,
-                             validate_tree)
+from maxerr.jointree import (BinaryJoinTree, Cluster, EliminationOrder,
+                             InvalidOrderError, build_tree, choose_order,
+                             moral_graph, order_width, validate_tree)
 from maxerr.model import VarClass, build_error_model
 from maxerr.valuation import WidthLimitError
-
-DISCONNECTED = parse_bench(
-    "INPUT(a)\nINPUT(b)\nOUTPUT(x)\nOUTPUT(y)\nx = NOT(a)\ny = NOT(b)\n")
 
 
 def test_choose_order_places_inputs_last(c17):
@@ -45,8 +43,9 @@ def test_tree_valid_on_c17(c17):
     tree = build_tree(net)
     assert validate_tree(tree, net) == []
     assert tree.width <= 12
-    # every variable has a singleton cluster by default
-    assert set(tree.singleton) == {v.id for v in net.vars}
+    # each input's prior sits in a cluster of its own, the root of its bounds
+    for v in net.input_vars:
+        assert tree.clusters[tree.attach[v]].scope == frozenset((v,))
 
 
 def test_tree_valid_on_disconnected_network():
@@ -71,12 +70,18 @@ def test_width_limit_enforced(c17):
         build_tree(net, width_limit=2)
 
 
-def test_validate_reports_missing_singleton(c17):
+def test_validate_reports_leaf_without_cpt(c17):
     net = build_error_model(c17, 0.05)
     tree = build_tree(net)
+    # hang a {comparator} leaf off the comparator's cluster, as a tree
+    # that kept every singleton would
     v = net.comparators[0]
-    del tree.singleton[v]
-    assert validate_tree(tree, net) == ["variable %d has no singleton cluster" % v]
+    host = tree.attach[v]
+    assert len(tree.neighbors[host]) < 3
+    leaf = Cluster(tree.n_clusters, frozenset((v,)))
+    grown = BinaryJoinTree(tree.clusters + [leaf], tree.edges + [(host, leaf.id)],
+                           dict(tree.attach), tree._scope_key)
+    assert validate_tree(grown, net) == ["leaf cluster %d holds no CPT" % leaf.id]
 
 
 def test_order_width_reasonable(c17):
@@ -91,6 +96,17 @@ def test_corpus_trees_valid(corpus):
         tree = build_tree(net)
         assert validate_tree(tree, net) == [], c.to_summary() \
             if hasattr(c, "to_summary") else "invalid tree"
+
+
+def test_every_leaf_holds_a_cpt(c17, corpus):
+    pb = perfbench_circuits()
+    for c in [c17, DISCONNECTED] + [pb.ripple_carry_adder(n) for n in range(3, 9)] + corpus:
+        net = build_error_model(c, 0.05)
+        tree = build_tree(net)
+        holders = set(tree.attach.values())
+        assert [u for u in range(tree.n_clusters)
+                if len(tree.neighbors[u]) <= 1 and u not in holders] == []
+        assert validate_tree(tree, net) == []
 
 
 def test_input_only_outputs_still_build():

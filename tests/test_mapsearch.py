@@ -245,7 +245,7 @@ def test_seed_shares_the_search_propagator_silently(c17):
     # a propagator left with other evidence gives the seed bit for bit
     prop = Propagator(q.tree, q.net, map_vars=q.net.input_vars)
     prop.set_evidence({v: 1 for v in q.net.input_vars})
-    prop.query(q.tree.singleton[q.net.input_vars[0]])
+    prop.query(q.tree.attach[q.net.input_vars[0]])
     assert seed(q, prop) == seed(q)
 
 

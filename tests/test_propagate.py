@@ -6,13 +6,14 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import DISCONNECTED
 from maxerr.circuit import parse_bench, vector_index
 from maxerr.jointree import build_tree
 from maxerr.mapsearch import MapQuery, _Search
 from maxerr.model import VarClass, build_error_model, joint_prob
 from maxerr.oracle import FaultEnumerator
 from maxerr.propagate import Propagator, prob_evidence
-from maxerr.valuation import combine, indicator, reduce_mixed, unit
+from maxerr.valuation import combine, indicator, reduce_mixed
 
 SMALL = parse_bench("""
 INPUT(a)
@@ -38,9 +39,9 @@ def _cached(p):
     return {(p._src[e], p._src[e ^ 1]): m for e, m in enumerate(p._msg) if m is not None}
 
 
-def _scheduled(p):
-    """The directed edges (sender, receiver) the tree's schedule keeps."""
-    return {(p._src[e], p._src[e ^ 1]) for out in p._out for e in out}
+def _directed(tree):
+    """Every directed edge (sender, receiver) of the tree."""
+    return {(b, c) for a, d in tree.edges for b, c in ((a, d), (d, a))}
 
 
 def _enum_prob(net, evidence):
@@ -84,7 +85,7 @@ def test_every_root_gives_same_probability():
     cmp_var = net.comparator_of("z")
     p = Propagator(tree, net)
     p.set_evidence({cmp_var: 1})
-    answers = [p.query(cid) for cid in sorted(set(tree.singleton.values()))]
+    answers = [p.query(cid) for cid in range(tree.n_clusters)]
     assert max(answers) - min(answers) < 1e-9
 
 
@@ -105,7 +106,7 @@ def test_var_belief_recovers_marginals():
 def test_evidence_delta_matches_fresh_propagator():
     net, tree = _net_tree(SMALL)
     cmp_var = net.comparator_of("z")
-    root = tree.singleton[cmp_var]
+    root = tree.attach[cmp_var]
     i0, i1 = net.input_vars[0], net.input_vars[1]
 
     p = Propagator(tree, net)
@@ -122,15 +123,15 @@ def test_evidence_delta_keeps_unrelated_messages(c17):
     net, tree = _net_tree(c17)
     p = Propagator(tree, net)
     p.set_evidence({net.input_vars[0]: 0})
-    p.query(tree.singleton[net.comparators[0]])
+    p.query(tree.attach[net.comparators[0]])
     before = set(_cached(p))
     p.set_evidence({net.input_vars[0]: 1})
     assert before & set(_cached(p)), "flipping one input should not drop every message"
     # and the reused cache still gives the fresh answer
-    got = p.query(tree.singleton[net.comparators[0]])
+    got = p.query(tree.attach[net.comparators[0]])
     fresh = Propagator(tree, net)
     fresh.set_evidence({net.input_vars[0]: 1})
-    assert got == pytest.approx(fresh.query(tree.singleton[net.comparators[0]]), abs=1e-12)
+    assert got == pytest.approx(fresh.query(tree.attach[net.comparators[0]]), abs=1e-12)
 
 
 def _sending_side(tree, b, c):
@@ -153,7 +154,7 @@ def test_flip_drops_exactly_the_messages_that_saw_it(c17, corpus, max_mode):
         net, tree = _net_tree(circuit)
         ev = {v: 0 for v in net.input_vars}
         ev[net.comparators[0]] = 1
-        roots = sorted({tree.singleton[v] for v in ev})
+        roots = sorted({tree.attach[v] for v in ev})
         map_vars = net.input_vars if max_mode else ()
         p = Propagator(tree, net, map_vars=map_vars)
         p.set_evidence(ev)
@@ -190,11 +191,11 @@ def test_mixed_query_bounds_exact_max():
 
     p = Propagator(tree, net, map_vars=net.input_vars)
     p.set_evidence({cmp_var: 1})
-    for cid in sorted(set(tree.singleton.values())):
+    for cid in range(tree.n_clusters):
         assert p.query(cid) >= exact - 1e-12
-    # the search roots its bounds at input singletons
+    # the search roots its bounds at the clusters of the input priors
     for v in net.input_vars:
-        assert p.query(tree.singleton[v]) == pytest.approx(exact, abs=1e-12)
+        assert p.query(tree.attach[v]) == pytest.approx(exact, abs=1e-12)
 
 
 def test_complete_assignment_bound_is_exact():
@@ -263,11 +264,11 @@ def test_message_counter(c17, corpus):
         for root in range(tree.n_clusters):
             p = Propagator(tree, net)
             p.query(root)
-            full = len(_toward(tree, root) & _scheduled(p))
+            full = len(_toward(tree, root))
             assert p.messages == full
             p.query(root)
             assert p.messages == full
-        root = tree.singleton[net.comparators[0]]
+        root = tree.attach[net.comparators[0]]
         p = Propagator(tree, net, map_vars=net.input_vars)
         p.set_evidence(ev)
         p.query(root)
@@ -285,7 +286,7 @@ def test_dropped_counter(c17, corpus, max_mode):
     for circuit in [c17] + corpus[:8]:
         net, tree = _net_tree(circuit)
         ev = {v: 0 for v in net.input_vars}
-        root = tree.singleton[net.comparators[0]]
+        root = tree.attach[net.comparators[0]]
         p = Propagator(tree, net, map_vars=net.input_vars if max_mode else ())
         p.set_evidence(ev)
         p.query(root)
@@ -346,7 +347,7 @@ def test_collect_computes_exactly_the_missing_edges(c17, corpus, max_mode):
                 r = int(r)
                 before, done = set(_cached(p)), p.messages
                 got = p.belief(r)
-                missing = (_toward(tree, r) & _scheduled(p)) - before
+                missing = _toward(tree, r) - before
                 assert set(_cached(p)) == before | missing
                 assert p.messages - done == len(missing)
                 fresh = Propagator(tree, net, map_vars=map_vars)
@@ -370,11 +371,10 @@ def _reference_message(p, b, c):
     """The message (b, c) from the unfolded local operands and the
     messages from every other neighbor by ``combine`` and
     ``reduce_mixed``, the path the folded factors and compiled plans
-    replace; an edge the schedule leaves out gives the unit."""
+    replace."""
     cached = _cached(p)
-    parts = _unfolded(p, b) + [cached.get((a, b), unit())
-                               for a in p.tree.neighbors[b] if a != c]
-    val = parts[0] if parts else unit()
+    parts = _unfolded(p, b) + [cached[a, b] for a in p.tree.neighbors[b] if a != c]
+    val = parts[0]
     for q in parts[1:]:
         val = combine(val, q)
     drop = (p.tree.clusters[b].scope - p.tree.clusters[c].scope) & set(val.scope)
@@ -394,16 +394,14 @@ def test_compiled_messages_equal_combine_then_reduce(c17, corpus, max_mode):
             p.set_evidence(ev)
             beliefs = [p.belief(cid) for cid in range(tree.n_clusters)]
             cached = _cached(p)
-            assert set(cached) == _scheduled(p)
-            for a, b in tree.edges:
-                for edge in ((a, b), (b, a)):
-                    want = _reference_message(p, *edge)
-                    got = cached.get(edge, unit())   # a left-out edge carries the unit
-                    assert got.scope == want.scope
-                    assert np.array_equal(got.table, want.table)
+            assert set(cached) == _directed(tree)
+            for edge in _directed(tree):
+                want = _reference_message(p, *edge)
+                got = cached[edge]
+                assert got.scope == want.scope
+                assert np.array_equal(got.table, want.table)
             for cid, bel in enumerate(beliefs):
-                parts = _unfolded(p, cid) + [cached.get((a, cid), unit())
-                                             for a in tree.neighbors[cid]]
+                parts = _unfolded(p, cid) + [cached[a, cid] for a in tree.neighbors[cid]]
                 want = parts[0]
                 for q in parts[1:]:
                     want = combine(want, q)
@@ -411,19 +409,23 @@ def test_compiled_messages_equal_combine_then_reduce(c17, corpus, max_mode):
                 assert np.array_equal(bel.table, want.table)
 
 
-def test_schedule_keeps_exactly_the_edges_whose_sending_side_holds_a_cpt(c17, corpus):
-    for circuit in [c17] + corpus[:20]:
+def test_every_sending_side_holds_a_cpt_and_every_edge_is_scheduled(c17, corpus):
+    for circuit in [c17, DISCONNECTED] + corpus[:20]:
         net, tree = _net_tree(circuit)
         p = Propagator(tree, net)
         holders = set(tree.attach.values())
-        keep = {(b, c) for a, d in tree.edges for b, c in ((a, d), (d, a))
-                if holders & _sending_side(tree, b, c)}
-        assert _scheduled(p) == keep
+        assert [u for u in range(tree.n_clusters)
+                if len(tree.neighbors[u]) <= 1 and u not in holders] == []
+        for b, c in _directed(tree):
+            assert holders & _sending_side(tree, b, c)
+        for b, out in enumerate(p._out):
+            assert [(p._src[e], p._src[e ^ 1]) for e in out] == \
+                [(b, a) for a in tree.neighbors[b]]
         n_edges = len(p._msg)
         for e, into in enumerate(p._into):
             b, c = p._src[e], (p._src[e ^ 1] if e < n_edges else None)
             assert [(p._src[f], p._src[f ^ 1]) for f in into] == \
-                [(a, b) for a in tree.neighbors[b] if a != c and (a, b) in keep]
+                [(a, b) for a in tree.neighbors[b] if a != c]
 
 
 def test_evidence_on_one_propagator_leaves_another_alone(c17, corpus):
