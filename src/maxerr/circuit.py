@@ -338,11 +338,27 @@ def from_json(doc) -> Circuit:
     if not isinstance(doc, dict) or doc.get("format") != JSON_FORMAT:
         raise BenchParseError("expected a JSON object with format == %r" % JSON_FORMAT)
     try:
-        gates = [Gate(g["output"], _lookup_func(g["func"], 0), tuple(g["inputs"]))
-                 for g in doc["gates"]]
-        return Circuit(doc["inputs"], gates, doc["outputs"])
+        gates = [Gate(_string(g["output"], "gate %d output" % j),
+                      _lookup_func(_string(g["func"], "gate %d func" % j), 0),
+                      _strings(g["inputs"], "gate %d inputs" % j))
+                 for j, g in enumerate(doc["gates"])]
+        return Circuit(_strings(doc["inputs"], "inputs"), gates,
+                       _strings(doc["outputs"], "outputs"))
     except (KeyError, TypeError) as exc:
         raise BenchParseError("malformed circuit document: %s" % exc) from None
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError("%s must be a string, not %r" % (what, value))
+    return value
+
+
+def _strings(value, what: str) -> tuple[str, ...]:
+    # a string would iterate as its characters, one net each
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError("%s must be a list of strings, not %r" % (what, value))
+    return tuple(value)
 
 
 def to_json(c: Circuit) -> str:

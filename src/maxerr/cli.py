@@ -17,7 +17,9 @@ unreachable on every output.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 
@@ -65,6 +67,10 @@ def _load_eps(args, c):
             named = json.load(fh)
         if not isinstance(named, dict):
             raise ValueError("--epsilon-map must hold a JSON object {net: eps}")
+        for net, e in named.items():
+            if isinstance(e, bool) or not isinstance(e, (int, float)):
+                raise ValueError("--epsilon-map value of net %r is %s, not a number"
+                                 % (net, json.dumps(e)))
         return eps_by_net_name(c, {str(k): float(v) for k, v in named.items()},
                                default=args.epsilon)
     if args.epsilon is None:
@@ -74,6 +80,17 @@ def _load_eps(args, c):
 
 class OutputError(Exception):
     """The ``--output`` file could not be written."""
+
+
+def _check_output(path: str) -> None:
+    """Refuse an ``--output`` that is a directory or lies in a missing
+    directory before any work is done, without creating the file."""
+    parent = os.path.dirname(path) or "."
+    code = (errno.EISDIR if os.path.isdir(path) else
+            errno.ENOENT if not os.path.exists(parent) else
+            errno.ENOTDIR if not os.path.isdir(parent) else None)
+    if code is not None:
+        raise OutputError("cannot write %s: %s" % (path, os.strerror(code)))
 
 
 def _emit(args, text: str) -> None:
@@ -340,6 +357,8 @@ def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.output:
+            _check_output(args.output)
         return args.fn(args)
     except BenchParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)

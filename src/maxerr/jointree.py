@@ -130,7 +130,7 @@ class BinaryJoinTree:
         self.width = max((len(c.scope) for c in clusters), default=0)
         self._scope_key = scope_key  # for compatibility checks against a net
         # compiled lazily by propagators: the numbered directed edges, and
-        # per map_vars {edge id: plan}
+        # per map_vars {edge id or (read cluster, kept variables): plan}
         self.schedule = None
         self.plans: dict = {}
 

@@ -8,14 +8,14 @@ incrementally grown evidence) reuse most of the work.
 
 The schedule is compiled once per tree, on its first propagator.
 Directed edges get ids; each lists the messages into its sender but the
-one from its receiver, each cluster lists its outbound ids, and a belief
-is one more id, fed by every message into its cluster.  Every leaf of
-the tree holds a CPT, so every sending side does and every edge is
-scheduled.  A collect is a depth-first pass over the missing messages,
-then one loop computing them in reverse pass order.  The pass stops at cached
-messages: a message is computed only after every message into its
-sender and dropped only with everything downstream of it, so all
-messages upstream of a cached one are cached.
+one from its receiver, and each cluster lists its outbound ids.  Every
+leaf of the tree holds a CPT, so every sending side does and every edge
+is scheduled.  A read at a cluster (belief, query or a variable's
+marginal) collects the messages into it: a depth-first pass over the
+missing ones, then one loop computing them in reverse pass order.  The
+pass stops at cached messages: a message is computed only after every
+message into its sender and dropped only with everything downstream of
+it, so all messages upstream of a cached one are cached.
 
 A cluster's local factor is its CPT, times the indicator of the
 evidence on that CPT's variable.  Setting evidence on a variable walks
@@ -24,17 +24,17 @@ sending side holds that cluster (the walk follows edge ids and stops at
 uncached edges), then replaces that cluster's factor; the potentials
 kept on the network are never written.
 
-Each message runs from a plan compiled on first use and kept on the
+Messages and reads run from plans compiled on first use and kept on the
 tree, so every propagator, evidence change and eps value on that tree
-shares it: each operand's broadcast shape over their union scope, the
-axes summed, then the axes maxed, and the scope kept.  Evidence never
-changes a factor's scope, so an edge's operand scopes are fixed per
-tree and a plan is keyed on the max variables and the edge id alone; it
-splits what the edge drops into summed and maxed variables when
-compiled.  Plans multiply and reduce exactly as ``combine`` and
-``reduce_mixed`` would, so answers are bit-identical.  Cluster
-potentials are built once per (network, tree) pair and kept on the
-network.
+shares them: each operand's broadcast shape over their union scope, the
+axes summed, then the axes maxed, and the scope kept.  A plan keeps an
+edge's shared variables or what a read asks for, summing the other
+chance variables and maxing the other max variables.  Evidence never
+changes a factor's scope, so plans are keyed, per set of max variables,
+by the edge id or by the read's cluster and kept variables alone.  Plans
+multiply and reduce exactly as ``combine`` and ``reduce_mixed`` would,
+so answers are bit-identical.  Cluster potentials are built once per
+(network, tree) pair and kept on the network.
 
 Marginalization is per variable: sum for chance variables, max for the
 variables being maximized (the primary inputs during a worst-vector
@@ -53,8 +53,10 @@ from .jointree import BinaryJoinTree
 from .model import ErrorModelNet
 # combine, reduce_mixed and reduce_all stay bound here: perfbench/tracing.py
 # wraps them by name in this module.
-from .valuation import (Valuation, combine, indicator, reduce_all, reduce_mixed,
-                        trusted)
+from .valuation import Valuation, combine, reduce_all, reduce_mixed, trusted
+
+# the evidence indicator of each state, reshaped onto a CPT's scope
+_INDICATOR = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
 
 
 def _potentials(tree: BinaryJoinTree, net: ErrorModelNet) -> list[Valuation | None]:
@@ -76,22 +78,20 @@ def _schedule(tree: BinaryJoinTree):
     """The tree's directed edges, numbered once and kept on the tree.
 
     Edge 2i runs along ``tree.edges[i]`` and 2i+1 back, so ``e ^ 1``
-    reverses ``e``; id E + c, past the E edges, is the belief at cluster
-    c.  Per id: sender, the ids of the messages into the sender in
-    neighbor order, and the variables dropped; per cluster, its outbound
-    edge ids.
+    reverses ``e``.  Per edge: sender, the ids of the messages into the
+    sender but the one from its receiver in neighbor order, and the
+    variables kept; per cluster, its outbound edge ids, whose reverses
+    are the messages into it.
     """
     if tree.schedule is None:
-        n = tree.n_clusters
         ends = [e for a, b in tree.edges for e in ((a, b), (b, a))]
-        ends += [(c, -1) for c in range(n)]
         ids = {ab: e for e, ab in enumerate(ends)}
         nb, scope = tree.neighbors, [c.scope for c in tree.clusters]
         tree.schedule = (
             [b for b, _ in ends],
             [tuple([ids[a, b] for a in nb[b] if a != c]) for b, c in ends],
-            [tuple([ids[b, a] for a in nb[b]]) for b in range(n)],
-            [scope[b] - scope[c] if c >= 0 else frozenset() for b, c in ends])
+            [tuple([ids[b, a] for a in nb[b]]) for b in range(tree.n_clusters)],
+            [scope[b] & scope[c] for b, c in ends])
     return tree.schedule
 
 
@@ -108,7 +108,7 @@ class Propagator:
         self.evidence: dict[int, int] = {}
         self.messages = 0
         self.dropped = 0
-        self._src, self._into, self._out, self._drop = _schedule(tree)
+        self._src, self._into, self._out, self._keep = _schedule(tree)
         self._msg: list[Valuation | None] = [None] * (2 * len(tree.edges))
         self._potential = _potentials(tree, net)
         self._factor = list(self._potential)   # per cluster, potential x evidence
@@ -122,14 +122,17 @@ class Propagator:
         new = dict(evidence)
         changed = [v for v in set(new) | set(self.evidence)
                    if self.evidence.get(v) != new.get(v)]
-        # every lookup first, so an unknown variable changes nothing
+        # every check first, so an unknown variable or state changes nothing
         spots = [self.tree.attach[v] for v in changed]
+        bad = [v for v in changed if v in new and new[v] not in _INDICATOR]
+        if bad:
+            raise ValueError("evidence state of variable %d is %r, not 0 or 1"
+                             % (bad[0], new[bad[0]]))
         for v, cid in zip(changed, spots):
             self._invalidate(cid)
             pot = self._potential[cid]
             if v in new:
-                ind = indicator(v, new[v]).table.reshape(
-                    [2 if u == v else 1 for u in pot.scope])
+                ind = _INDICATOR[new[v]].reshape([2 if u == v else 1 for u in pot.scope])
                 self._factor[cid] = trusted(pot.scope, pot.table * ind)
             else:
                 self._factor[cid] = pot
@@ -147,28 +150,29 @@ class Propagator:
                 self.dropped += 1
                 stack += [f for f in out[src[e ^ 1]] if f != e ^ 1]
 
-    # -- messages --------------------------------------------------------
+    # -- messages and reads ------------------------------------------------
 
-    def _compile(self, e: int, scopes: list[tuple[int, ...]]):
-        """Plan of the product of operands with ``scopes`` at the sender
-        of ``e``, marginalized as ``e`` drops.  Every operand lies inside
-        the sender's cluster, so the union is within the tree's width."""
+    def _compile(self, scopes: list[tuple[int, ...]], keep: frozenset[int]):
+        """Plan of the product of operands with ``scopes`` reduced onto
+        ``keep``: the other chance variables summed, then the other max
+        variables maxed.  Every operand lies inside one cluster, so the
+        union is within the tree's width."""
         union = tuple(sorted(set().union(*scopes)))
-        shapes = tuple(tuple(2 if v in s else 1 for v in union) for s in scopes)
-        drop = self._drop[e]
-        summed = drop - self.map_vars
-        mid = tuple(v for v in union if v not in summed)
-        return (shapes,
-                tuple(i for i, v in enumerate(union) if v in summed),
-                tuple(i for i, v in enumerate(mid) if v in drop),
-                tuple(v for v in mid if v not in drop))
+        mid = tuple(v for v in union if v in keep or v in self.map_vars)
+        return (tuple(tuple(2 if v in s else 1 for v in union) for s in scopes),
+                tuple(i for i, v in enumerate(union) if v not in mid),
+                tuple(i for i, v in enumerate(mid) if v not in keep),
+                tuple(v for v in mid if v in keep))
 
-    def _apply(self, e: int, parts: list[Valuation]) -> Valuation:
-        """``reduce_mixed(combine(...))`` of ``parts`` by the compiled
-        plan: the same products and reductions in the same order."""
-        plan = self._plans.get(e)
+    def _apply(self, key, keep: frozenset[int], cid: int, ids) -> Valuation:
+        """``reduce_mixed(combine(...))`` of the local factor at ``cid``
+        and the messages ``ids`` onto ``keep``, by the plan kept at
+        ``key``: the same products and reductions in the same order."""
+        local = self._factor[cid]
+        parts = ([] if local is None else [local]) + [self._msg[f] for f in ids]
+        plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[e] = self._compile(e, [p.scope for p in parts])
+            plan = self._plans[key] = self._compile([p.scope for p in parts], keep)
         shapes, sum_axes, max_axes, kept = plan
         if len(parts) == 1:
             if not sum_axes and not max_axes:
@@ -184,41 +188,33 @@ class Propagator:
             t = np.maximum.reduce(t, axis=max_axes)
         return trusted(kept, np.asarray(t))   # reducing every axis gives a numpy scalar
 
-    def _message(self, e: int) -> Valuation:
-        msg, local = self._msg, self._factor[self._src[e]]
-        parts = [msg[f] for f in self._into[e]]
-        return self._apply(e, parts if local is None else [local] + parts)
-
-    def belief(self, cid: int) -> Valuation:
-        """Combined local factor and incoming messages:
-        the (possibly max-reduced) joint over the cluster scope."""
-        msg, into = self._msg, self._into
-        b = len(msg) + cid
-        order, stack = [], [f for f in into[b] if msg[f] is None]
+    def _read(self, cid: int, keep: frozenset[int]) -> Valuation:
+        """Collect the messages into ``cid``, then reduce its local
+        factor times them onto ``keep``."""
+        msg, into, src, keep_of = self._msg, self._into, self._src, self._keep
+        inbound = [e ^ 1 for e in self._out[cid]]
+        order, stack = [], [f for f in inbound if msg[f] is None]
         while stack:
             e = stack.pop()
             order.append(e)
             stack += [f for f in into[e] if msg[f] is None]
         for e in reversed(order):
-            msg[e] = self._message(e)
+            msg[e] = self._apply(e, keep_of[e], src[e], into[e])
         self.messages += len(order)
-        return self._message(b)
+        return self._apply((cid, keep), keep, cid, inbound)
+
+    def belief(self, cid: int) -> Valuation:
+        """Combined local factor and incoming messages:
+        the (possibly max-reduced) joint over the cluster scope."""
+        return self._read(cid, self.tree.clusters[cid].scope)
 
     def query(self, root_cluster: int) -> float:
         """Collapse the belief at the root to a scalar."""
-        return reduce_all(self.belief(root_cluster), self.map_vars)
+        return float(self._read(root_cluster, frozenset()).table)
 
     def var_belief(self, var: int) -> Valuation:
-        """The belief at the cluster holding ``var``'s CPT reduced onto
-        ``var``: the other chance variables summed, then the other max
-        variables maxed, as a message into a ``{var}`` leaf would be."""
-        # numpy, not reduce_mixed: perfbench/tracing.py counts its calls
-        bel = self.belief(self.tree.attach[var])
-        mid = [v for v in bel.scope if v == var or v in self.map_vars]
-        t = np.add.reduce(bel.table, axis=tuple(i for i, v in enumerate(bel.scope)
-                                                if v not in mid))
-        t = np.maximum.reduce(t, axis=tuple(i for i, v in enumerate(mid) if v != var))
-        return trusted((var,), t)
+        """The belief at the cluster holding ``var``'s CPT reduced onto it."""
+        return self._read(self.tree.attach[var], frozenset((var,)))
 
 
 def prob_evidence(tree: BinaryJoinTree, net: ErrorModelNet,

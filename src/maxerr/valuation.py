@@ -54,11 +54,6 @@ def trusted(scope: tuple[int, ...], table: np.ndarray) -> Valuation:
     return v
 
 
-def unit() -> Valuation:
-    """Neutral element of combination (empty scope)."""
-    return Valuation((), np.array(1.0))
-
-
 def from_cells(scope: Sequence[int], cells: Sequence[float]) -> Valuation:
     """Valuation from a flat cell list in the given (not necessarily
     sorted) scope order; axes are permuted into canonical order."""

@@ -110,6 +110,27 @@ def test_repeated_output_rejected():
         from_json(doc)
 
 
+_DOC = {"format": "circuit/1", "inputs": ["a", "b"], "outputs": ["z"],
+        "gates": [{"output": "z", "func": "AND", "inputs": ["a", "b"]}]}
+
+
+@pytest.mark.parametrize("in_gate, key, value, message", [
+    (True, "func", 5, "gate 0 func must be a string, not 5"),
+    (True, "output", 3, "gate 0 output must be a string, not 3"),
+    (True, "inputs", "ab", "gate 0 inputs must be a list of strings, not 'ab'"),
+    (False, "inputs", [1, 2], "inputs must be a list of strings, not [1, 2]"),
+    (False, "inputs", "ab", "inputs must be a list of strings, not 'ab'"),
+    (False, "outputs", "z", "outputs must be a list of strings, not 'z'"),
+])
+def test_json_field_of_wrong_type_rejected(in_gate, key, value, message):
+    # a string of net names would otherwise be read one character per net
+    doc = {**_DOC, "gates": [dict(_DOC["gates"][0])]}
+    (doc["gates"][0] if in_gate else doc)[key] = value
+    with pytest.raises(BenchParseError) as info:
+        from_json(doc)
+    assert str(info.value) == "malformed circuit document: " + message
+
+
 def test_cycle_detected():
     with pytest.raises(BenchParseError, match="cycle"):
         parse_bench("INPUT(a)\nOUTPUT(x)\nx = AND(a, y)\ny = BUF(x)\n")

@@ -139,13 +139,38 @@ def test_missing_file_exits_1(tmp_path, capsys, case, reason):
 
 
 @pytest.mark.parametrize("cmd", ["analyze", "spectrum"])
-def test_unwritable_output_exits_2(tmp_path, capsys, cmd):
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, cmd):
+    # refused before the computation, not after it
+    def unreached(*args, **kwargs):
+        raise AssertionError("the engine ran before --output was checked")
+    monkeypatch.setattr("maxerr.cli." + {"analyze": "max_error"}.get(cmd, cmd), unreached)
     for target, reason in ((tmp_path, "Is a directory"),
                            (tmp_path / "no" / "x.csv", "No such file or directory")):
         code, out, err = run(capsys, cmd, C17_PATH, "--epsilon", "0.05",
                              "--output", str(target))
         assert code == 2 and out == ""
-        assert err.splitlines()[-1] == "cannot write %s: %s" % (target, reason)
+        assert err == "cannot write %s: %s\n" % (target, reason)
+
+
+def test_output_is_left_alone_when_the_circuit_fails_to_parse(tmp_path, capsys):
+    bad, target = tmp_path / "bad.bench", tmp_path / "out.csv"
+    bad.write_text("INPUT(a)\nz = FROB(a)\n")
+    target.write_text("earlier results\n")
+    code, _, err = run(capsys, "analyze", str(bad), "--epsilon", "0.05",
+                       "--output", str(target))
+    assert code == 1 and "parse error" in err
+    assert target.read_text() == "earlier results\n"
+
+
+def test_json_field_of_wrong_type_exits_1(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"format": "circuit/1", "inputs": "ab", "outputs": ["z"],
+                                "gates": [{"output": "z", "func": "AND",
+                                           "inputs": ["a", "b"]}]}))
+    code, out, err = run(capsys, "analyze", str(path), "--epsilon", "0.05")
+    assert code == 1 and out == ""
+    assert err == ("parse error: malformed circuit document: "
+                   "inputs must be a list of strings, not 'ab'\n")
 
 
 def test_closed_stdout_is_not_reported_as_a_read_error(monkeypatch):
@@ -181,6 +206,17 @@ def test_epsilon_map_unknown_net_exits_2(tmp_path, capsys):
                        "--epsilon-map", str(table))
     assert code == 2
     assert "zz" in err
+
+
+@pytest.mark.parametrize("value", [None, [0.1], True])
+def test_epsilon_map_non_number_exits_2(tmp_path, capsys, value):
+    table = tmp_path / "eps.json"
+    table.write_text(json.dumps({"10": value}))
+    code, out, err = run(capsys, "analyze", C17_PATH, "--epsilon", "0.05",
+                         "--epsilon-map", str(table))
+    assert code == 2 and out == ""
+    assert err == "error: --epsilon-map value of net '10' is %s, not a number\n" \
+        % json.dumps(value)
 
 
 def test_sweep_csv(capsys):

@@ -13,7 +13,7 @@ from maxerr.mapsearch import MapQuery, _Search
 from maxerr.model import VarClass, build_error_model, joint_prob
 from maxerr.oracle import FaultEnumerator
 from maxerr.propagate import Propagator, prob_evidence
-from maxerr.valuation import combine, indicator, reduce_mixed
+from maxerr.valuation import combine, indicator, reduce_all, reduce_mixed
 
 SMALL = parse_bench("""
 INPUT(a)
@@ -257,6 +257,21 @@ def test_evidence_on_unknown_variable_raises_key_error():
     assert p.evidence == ev and p.query(0) == want
 
 
+@pytest.mark.parametrize("state", [-1, 2])
+def test_evidence_state_other_than_0_or_1_raises_value_error(c17, state):
+    net, tree = _net_tree(c17)
+    p = Propagator(tree, net)
+    ev = {net.input_vars[0]: 1}
+    p.set_evidence(ev)
+    want = p.query(0)
+    cached = list(p._msg)
+    with pytest.raises(ValueError, match="not 0 or 1"):
+        p.set_evidence({net.input_vars[0]: 0, net.input_vars[1]: state})
+    assert p.evidence == ev and p.dropped == 0
+    assert all(m is c for m, c in zip(p._msg, cached))
+    assert p.query(0) == want
+
+
 def test_message_counter(c17, corpus):
     for circuit in [c17] + corpus[:8]:
         net, tree = _net_tree(circuit)
@@ -400,6 +415,7 @@ def test_compiled_messages_equal_combine_then_reduce(c17, corpus, max_mode):
                 got = cached[edge]
                 assert got.scope == want.scope
                 assert np.array_equal(got.table, want.table)
+            want_beliefs = []
             for cid, bel in enumerate(beliefs):
                 parts = _unfolded(p, cid) + [cached[a, cid] for a in tree.neighbors[cid]]
                 want = parts[0]
@@ -407,6 +423,15 @@ def test_compiled_messages_equal_combine_then_reduce(c17, corpus, max_mode):
                     want = combine(want, q)
                 assert bel.scope == want.scope
                 assert np.array_equal(bel.table, want.table)
+                assert p.query(cid) == reduce_all(want, p.map_vars)
+                want_beliefs.append(want)
+            for c in net.comparators:
+                want = want_beliefs[tree.attach[c]]
+                drop = set(want.scope) - {c}
+                want = reduce_mixed(want, drop - p.map_vars, drop & p.map_vars)
+                got = p.var_belief(c)
+                assert got.scope == want.scope == (c,)
+                assert np.array_equal(got.table, want.table)
 
 
 def test_every_sending_side_holds_a_cpt_and_every_edge_is_scheduled(c17, corpus):
@@ -421,9 +446,9 @@ def test_every_sending_side_holds_a_cpt_and_every_edge_is_scheduled(c17, corpus)
         for b, out in enumerate(p._out):
             assert [(p._src[e], p._src[e ^ 1]) for e in out] == \
                 [(b, a) for a in tree.neighbors[b]]
-        n_edges = len(p._msg)
+        assert len(p._into) == len(p._msg) == 2 * len(tree.edges)
         for e, into in enumerate(p._into):
-            b, c = p._src[e], (p._src[e ^ 1] if e < n_edges else None)
+            b, c = p._src[e], p._src[e ^ 1]
             assert [(p._src[f], p._src[f ^ 1]) for f in into] == \
                 [(a, b) for a in tree.neighbors[b] if a != c]
 
