@@ -87,7 +87,7 @@ class GateFunc(Enum):
 _FUNC_ALIASES = {"BUFF": GateFunc.BUF, "BUFFER": GateFunc.BUF}
 
 
-def _lookup_func(token: str, line: int) -> GateFunc:
+def _lookup_func(token: str, line: int | None) -> GateFunc:
     name = token.strip().upper()
     if name in _FUNC_ALIASES:
         return _FUNC_ALIASES[name]
@@ -339,7 +339,7 @@ def from_json(doc) -> Circuit:
         raise BenchParseError("expected a JSON object with format == %r" % JSON_FORMAT)
     try:
         gates = [Gate(_string(g["output"], "gate %d output" % j),
-                      _lookup_func(_string(g["func"], "gate %d func" % j), 0),
+                      _lookup_func(_string(g["func"], "gate %d func" % j), None),
                       _strings(g["inputs"], "gate %d inputs" % j))
                  for j, g in enumerate(doc["gates"])]
         return Circuit(_strings(doc["inputs"], "inputs"), gates,

@@ -4,12 +4,13 @@ The tree is built by fusion: variables are removed one at a time in an
 elimination order, and the active scopes mentioning the current variable
 are merged pairwise (always the pair with the smallest union) until one
 remains, which then sheds the variable.  Every merge adds a fresh
-cluster, so no cluster ever has more than three neighbors; neighboring
-clusters with identical scopes are merged afterwards while that degree
-limit allows, and then every leaf holding no CPT is dropped.  The
-resulting tree satisfies the running intersection property, and each
-network valuation is attached to exactly one cluster covering its
-scope; every leaf holds one.
+cluster, so no cluster ever has more than three neighbors.  Afterwards
+every cluster that holds no CPT and only forwards messages is dropped:
+each leaf, and each cluster between two neighbors that every message
+crosses with at most one reduction step.  The resulting tree satisfies
+the running intersection property, and each network valuation is
+attached to exactly one cluster covering its scope; every leaf holds
+one.
 """
 
 from __future__ import annotations
@@ -166,9 +167,10 @@ def build_tree(net: ErrorModelNet, order: EliminationOrder | None = None,
     """Construct a binary join tree for the network.
 
     A variable's queries root at, and its evidence enters at, the
-    cluster its CPT is attached to (``tree.attach``); every leaf holds a
-    CPT.  Raises WidthLimitError when the largest cluster would exceed
-    ``width_limit`` variables.
+    cluster its CPT is attached to (``tree.attach``).  Every leaf holds a
+    CPT, and a cluster without one is kept only where some message
+    through it takes two reduction steps.  Raises WidthLimitError when
+    the largest cluster would exceed ``width_limit`` variables.
     """
     if order is None:
         order = choose_order(net)
@@ -272,48 +274,38 @@ def _assemble(scopes, edges, attach, scope_key) -> BinaryJoinTree:
             if comp[u] == rep:
                 comp[u] = reps[0]
 
-    # Merge neighboring duplicate scopes while the result keeps <= 3
-    # neighbors.  Lower id survives.  Without it the spectrum-rca4
-    # benchmark computes 40% more messages.
+    # Drop every cluster that holds no CPT and only forwards messages: a
+    # leaf, which only ever sends the unit, or a relay between x and y
+    # that every message crosses with at most one reduction step (for
+    # each way x -> y, scope[x] <= scope[u] or scope[x] & scope[u] <=
+    # scope[y]).  A relay's neighbors are joined directly; by the running
+    # intersection property the direct message is the same table,
+    # computed by the same plan.  (x and y may then list each other at
+    # another place than the relay, so a product over all their inbound
+    # messages can change order and a cluster belief move by an ulp or
+    # two.)  A drop can make a neighbor a leaf or a relay, so it is
+    # checked again.
+    holders = set(attach.values())
     alive = [True] * n
-    owner = {v: c for v, c in attach.items()}
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            if not alive[a]:
-                continue
-            for b in sorted(adj[a]):
-                if b <= a or not alive[b] or scopes[a] != scopes[b]:
-                    continue
-                if len(adj[a]) + len(adj[b]) - 2 > 3:
-                    continue
-                for w in adj[b]:
-                    adj[w].discard(b)
-                    if w != a:
-                        adj[w].add(a)
-                        adj[a].add(w)
-                adj[a].discard(b)
-                adj[b].clear()
-                alive[b] = False
-                for v, c in owner.items():
-                    if c == b:
-                        owner[v] = a
-                changed = True
-                break
 
-    # Drop every leaf holding no CPT, and any leaf a drop leaves: it only
-    # ever sends the unit, and the survivors keep their id order, hence
-    # their neighbor lists, so every product is computed as before.
-    holders = set(owner.values())
-    leaves = [u for u in range(n) if alive[u] and u not in holders and len(adj[u]) <= 1]
-    while leaves:
-        u = leaves.pop()
-        alive[u] = False
-        for w in adj[u]:
-            adj[w].discard(u)
-            if w not in holders and len(adj[w]) == 1:
-                leaves.append(w)
+    def forwards(u: int) -> bool:
+        if u in holders or len(adj[u]) > 2:
+            return False
+        if len(adj[u]) < 2:
+            return True
+        x, y = adj[u]
+        return all(scopes[a] <= scopes[u] or scopes[a] & scopes[u] <= scopes[b]
+                   for a, b in ((x, y), (y, x)))
+
+    todo = list(range(n - 1, -1, -1))
+    while todo:
+        u = todo.pop()
+        if alive[u] and forwards(u):
+            alive[u] = False
+            for w in adj[u]:
+                adj[w].discard(u)
+                adj[w].update(adj[u] - {w})
+            todo += sorted(adj[u])
 
     relabel = {}
     clusters: list[Cluster] = []
@@ -323,7 +315,7 @@ def _assemble(scopes, edges, attach, scope_key) -> BinaryJoinTree:
             clusters.append(Cluster(len(clusters), scopes[old]))
     new_edges = sorted({(min(relabel[a], relabel[b]), max(relabel[a], relabel[b]))
                         for a in range(n) if alive[a] for b in adj[a]})
-    new_attach = {v: relabel[c] for v, c in owner.items()}
+    new_attach = {v: relabel[c] for v, c in attach.items()}
     return BinaryJoinTree(clusters, new_edges, new_attach, scope_key)
 
 

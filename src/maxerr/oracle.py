@@ -27,7 +27,7 @@ MC_SHARD = 1 << 16   # Monte Carlo runs per spawned seed; fixes the random strea
 def _check_eps(c: Circuit, eps) -> np.ndarray:
     arr = np.full(c.n_gates, float(eps)) if np.isscalar(eps) else \
         np.array([float(eps[gi]) for gi in range(c.n_gates)])
-    if np.any((arr < 0) | (arr > 0.5)):
+    if not np.all((arr >= 0) & (arr <= 0.5)):   # NaN fails both
         raise ValueError("gate error probabilities must lie in [0, 0.5]")
     return arr
 

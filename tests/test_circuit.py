@@ -131,6 +131,14 @@ def test_json_field_of_wrong_type_rejected(in_gate, key, value, message):
     assert str(info.value) == "malformed circuit document: " + message
 
 
+def test_json_unknown_function_has_no_line_prefix():
+    doc = {**_DOC, "gates": [{**_DOC["gates"][0], "func": "FROB"}]}
+    with pytest.raises(BenchParseError) as info:
+        from_json(doc)
+    assert str(info.value) == "unknown gate function 'FROB'"
+    assert info.value.line is None
+
+
 def test_cycle_detected():
     with pytest.raises(BenchParseError, match="cycle"):
         parse_bench("INPUT(a)\nOUTPUT(x)\nx = AND(a, y)\ny = BUF(x)\n")

@@ -316,6 +316,13 @@ def test_validate_non_positive_runs_exits_2(capsys, runs):
     assert err == "error: Monte Carlo needs at least 1 run, got %s\n" % runs
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-0.1"])
+def test_validate_eps_outside_range_exits_2(capsys, eps):
+    code, out, err = run(capsys, "validate", C17_PATH, "--epsilon", eps, "--runs", "100")
+    assert code == 2 and out == ""
+    assert err == "error: gate error probabilities must lie in [0, 0.5]\n"
+
+
 def test_oracle_check_agrees(capsys):
     code, out, err = run(capsys, "oracle-check", C17_PATH, "--epsilon", "0.05")
     assert code == 0

@@ -109,6 +109,24 @@ def test_every_leaf_holds_a_cpt(c17, corpus):
         assert validate_tree(tree, net) == []
 
 
+def test_no_cluster_only_forwards(c17, corpus):
+    # a CPT-less cluster stays only where some message through it takes two
+    # reduction steps: it has three neighbors, or a way x -> y that reduces
+    # both at x and at it
+    pb = perfbench_circuits()
+    for c in [c17, DISCONNECTED] + [pb.ripple_carry_adder(n) for n in range(3, 9)] + corpus:
+        tree = build_tree(build_error_model(c, 0.05))
+        scope = [cl.scope for cl in tree.clusters]
+        holders = set(tree.attach.values())
+        for u in range(tree.n_clusters):
+            nb = tree.neighbors[u]
+            if u in holders or len(nb) == 3:
+                continue
+            assert len(nb) == 2, "CPT-less leaf %d" % u
+            assert any(not scope[x] <= scope[u] and not scope[x] & scope[u] <= scope[y]
+                       for x, y in (nb, nb[::-1])), "relay %d only forwards" % u
+
+
 def test_input_only_outputs_still_build():
     c = parse_bench("INPUT(a)\nOUTPUT(a)\nOUTPUT(z)\nz = NOT(a)\n")
     net = build_error_model(c, 0.1)

@@ -47,7 +47,8 @@ def test_weights_per_gate_map():
 
 def test_eps_outside_range_rejected():
     enum = FaultEnumerator(CHAIN)
-    for bad in (-0.01, 0.51, 1.0):
+    # NaN compares False both ways, so only an in-range test rejects it
+    for bad in (-0.01, -0.1, 0.51, 1.0, float("inf"), float("nan"), {0: 0.1, 1: float("nan")}):
         with pytest.raises(ValueError):
             enum.weights(bad)
         with pytest.raises(ValueError):
