@@ -107,8 +107,10 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     """Worst-case output error report.
 
     Per output: search for the input vector maximizing P(inputs, output
-    wrong), then condition that output's comparator on that vector; the
-    report maximum is over the outputs.  With ``joint`` the search instead
+    wrong), then condition that output's comparator on that vector.  The
+    report's worst output is the first whose error ties the largest
+    (within a relative ``PRUNE_TOL``, as in the search), so float noise
+    among tied outputs cannot change it.  With ``joint`` the search instead
     evidences every comparator at once (all outputs wrong together).
     An output no fault combination can flip is marked unreachable.
 
@@ -148,13 +150,11 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
                                  res.nodes_expanded, res.nodes_pruned))
 
     reachable = [r for r in rows if not r.unreachable]
-    if reachable:
-        top = max(reachable, key=lambda r: r.p_error)
-        rep = ErrorReport(rows, top.p_error, top.vector, top.output,
-                          net.circuit.inputs)
-    else:
-        rep = ErrorReport(rows, 0.0, None, None, net.circuit.inputs)
-    return rep
+    if not reachable:
+        return ErrorReport(rows, 0.0, None, None, net.circuit.inputs)
+    most = max(r.p_error for r in reachable)
+    top = next(r for r in reachable if r.p_error >= most * (1.0 - PRUNE_TOL))
+    return ErrorReport(rows, top.p_error, top.vector, top.output, net.circuit.inputs)
 
 
 def avg_error(net: ErrorModelNet, tree: BinaryJoinTree) -> float:

@@ -120,6 +120,17 @@ def test_zero_eps_marks_outputs_unreachable(c17):
     assert rep.worst_vector is None and rep.worst_output is None
 
 
+def test_worst_output_is_the_first_of_tied_outputs(corpus):
+    # g5 and g8 reach the same error up to an ulp (g8's is 1 ulp larger);
+    # within PRUNE_TOL they tie, and the tie goes to the first output
+    rep = max_error(*prepare(corpus[82], 0.01))
+    by_name = {r.output: r for r in rep.per_output}
+    assert by_name["g5"].p_error == pytest.approx(by_name["g8"].p_error, rel=1e-12)
+    assert rep.worst_output == "g5"
+    assert rep.max_error == by_name["g5"].p_error
+    assert rep.worst_vector == by_name["g5"].vector
+
+
 def test_sweep_curve_frozen(c17):
     curve = sweep(c17, GRID, refine=True)
     assert len(curve.points) == 40
