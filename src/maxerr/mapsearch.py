@@ -16,9 +16,12 @@ absolute size of the probabilities (every bound carries the input prior
 of all k inputs).  A complete
 instantiation makes the bound exact, so the incumbent at the end is the
 true maximum.  Inputs named in the query evidence are fixed, not
-searched.  The incumbent starts at the all-zero assignment, the one
-every tie resolves toward, at its exact value; that costs one bound per
-query and changes only the amount of pruning, never the answer.
+searched.  The incumbent starts empty.  ``solve(use_seed=True)`` seeds
+it instead with the all-zero assignment, the one every tie resolves
+toward, at its exact value (``seed``); that costs one bound per query
+and can change only the amount of pruning, never the answer, and since
+the tie cut already follows one path to the optimum it seldom changes
+even that.
 """
 
 from __future__ import annotations
@@ -168,7 +171,7 @@ def seed(q: MapQuery, prop: Propagator | None = None) -> tuple[dict[int, int], f
     return zero, s.bound(zero, q.var_order[-1])
 
 
-def solve(q: MapQuery, use_seed: bool = True, prune: bool = True,
+def solve(q: MapQuery, use_seed: bool = False, prune: bool = True,
           on_bound: Callable[[dict, float], None] | None = None,
           prop: Propagator | None = None) -> MapResult:
     """Exact worst-vector search.

@@ -105,7 +105,7 @@ def test_seed_is_a_lower_bound(corpus):
         assert assign == {v: 0 for v in q.var_order}
         cond = FaultEnumerator(circuit).cond_errors(EPS)[0, 0]
         assert value == pytest.approx(0.5 ** circuit.n_inputs * cond, abs=1e-12)
-        r = solve(q)
+        r = solve(q, use_seed=True)
         assert r.seed_value == value
         assert r.seed_value <= r.p_map + 1e-15
 
@@ -143,7 +143,7 @@ def test_ties_resolve_to_smallest_along_order():
     enum = FaultEnumerator(TIED)
     cond = enum.cond_errors(EPS)[:, 0]
     assert cond.max() - cond.min() < 1e-15
-    r = solve(q)
+    r = solve(q, use_seed=True)
     key = tuple(r.assignment[v] for v in q.var_order)
     assert key == (0, 0)
     # also without the seed
