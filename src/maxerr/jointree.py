@@ -1,16 +1,19 @@
 """Binary join tree construction.
 
-The tree is built by fusion: variables are removed one at a time in an
-elimination order, and the active scopes mentioning the current variable
-are merged pairwise (always the pair with the smallest union) until one
-remains, which then sheds the variable.  Every merge adds a fresh
-cluster, so no cluster ever has more than three neighbors.  Afterwards
-every cluster that holds no CPT and only forwards messages is dropped:
-each leaf, and each cluster between two neighbors that every message
-crosses with at most one reduction step.  The resulting tree satisfies
-the running intersection property, and each network valuation is
-attached to exactly one cluster covering its scope; every leaf holds
-one.
+The tree is built by fusion.  Each CPT starts as a cluster over its
+scope, and each cluster keeps a live scope: its scope minus the
+variables already eliminated.  Variables are removed one at a time in an
+elimination order.  The active clusters whose live scope holds the
+current variable are merged pairwise, always the pair with the smallest
+live union, into a fresh cluster over that union; the variable then
+leaves the live scope of the one left.  The last pair of a merge that
+nothing merges with again (the only two active clusters, or a pair with
+no other live variable) is joined by a direct edge instead.  So every
+cluster the fusion adds has three neighbors, every leaf holds a CPT, and
+each CPT is attached to exactly the cluster over its scope.  Independent
+cones of a circuit end up as separate pieces, which are bridged by edges
+carrying scalar messages.  The tree satisfies the running intersection
+property.
 """
 
 from __future__ import annotations
@@ -166,71 +169,49 @@ def build_tree(net: ErrorModelNet, order: EliminationOrder | None = None,
                width_limit: int = DEFAULT_WIDTH_LIMIT) -> BinaryJoinTree:
     """Construct a binary join tree for the network.
 
-    A variable's queries root at, and its evidence enters at, the
-    cluster its CPT is attached to (``tree.attach``).  Every leaf holds a
-    CPT, and a cluster without one is kept only where some message
-    through it takes two reduction steps.  Raises WidthLimitError when
-    the largest cluster would exceed ``width_limit`` variables.
+    Each CPT gets a cluster over its scope, and a variable's queries root
+    at, and its evidence enters at, that cluster (``tree.attach``).  The
+    fusion adds a cluster only to merge two others, so every leaf holds a
+    CPT and every cluster without one has three neighbors.  Raises
+    WidthLimitError when the largest cluster would exceed ``width_limit``
+    variables.
     """
     if order is None:
         order = choose_order(net)
     order.validate(net)
 
-    scopes: list[frozenset[int]] = []
-    attach: dict[int, int] = {}
-    seen: dict[frozenset[int], int] = {}
-
-    def add_node(scope: frozenset[int]) -> int:
-        scopes.append(scope)
-        return len(scopes) - 1
-
-    for cpt in net.cpts:
-        scope = cpt.scope
-        if scope not in seen:
-            seen[scope] = add_node(scope)
-        attach[cpt.child.id] = seen[scope]
-    # Every variable's singleton still enters the fusion, though _assemble
-    # drops the gate ones: they steer which pairs merge, and fusing without
-    # them reorders products, which moves answers by an ulp (a tie can flip).
-    for v in net.vars:
-        s = frozenset((v.id,))
-        if s not in seen:
-            seen[s] = add_node(s)
-
+    scopes = [cpt.scope for cpt in net.cpts]
+    attach = {cpt.child.id: i for i, cpt in enumerate(net.cpts)}
+    live = list(scopes)      # each cluster's scope minus the eliminated variables
     active = set(range(len(scopes)))
     edges: list[tuple[int, int]] = []
-    remaining = set(order.order)
 
     for y in order.order:
-        if len(active) <= 1:
-            break
-        gamma_y = sorted(n for n in active if y in scopes[n])
-        while len(gamma_y) > 1:
-            best = None
-            for i, a in enumerate(gamma_y):
-                for b in gamma_y[i + 1:]:
-                    u = scopes[a] | scopes[b]
-                    key = (len(u), a, b)
-                    if best is None or key < best[0]:
-                        best = (key, a, b, u)
-            _, a, b, u = best
+        gamma = sorted(n for n in active if y in live[n])
+        while len(gamma) > 1:
+            _, a, b = min((len(live[a] | live[b]), a, b)
+                          for i, a in enumerate(gamma) for b in gamma[i + 1:])
+            u = live[a] | live[b]
+            if len(gamma) == 2 and (len(active) == 2 or u == {y}):
+                # nothing merges with this pair again: join it directly
+                edges.append((a, b))
+                active -= {a, b}
+                gamma = []
+                break
             if len(u) > width_limit:
                 raise WidthLimitError(len(u), width_limit,
                                       "largest clique while eliminating variable %d" % y)
-            k = add_node(frozenset(u))
-            edges.append((a, k))
-            edges.append((b, k))
-            active.discard(a)
-            active.discard(b)
+            k = len(scopes)
+            scopes.append(u)
+            live.append(u)
+            edges += [(a, k), (b, k)]
+            active -= {a, b}
             active.add(k)
-            gamma_y = [n for n in gamma_y if n not in (a, b)] + [k]
-        top = gamma_y[0]
-        if len(remaining) > 1:
-            shed = add_node(scopes[top] - {y})
-            edges.append((top, shed))
-            active.add(shed)
-        active = {n for n in active if y not in scopes[n]}
-        remaining.discard(y)
+            gamma = [n for n in gamma if n not in (a, b)] + [k]
+        for top in gamma:    # the cluster left holding y, unless joined directly
+            live[top] = live[top] - {y}
+            if not live[top]:
+                active.discard(top)
 
     tree = _assemble(scopes, edges, attach, _net_scope_key(net))
     if tree.width > width_limit:
@@ -248,7 +229,8 @@ def _assemble(scopes, edges, attach, scope_key) -> BinaryJoinTree:
     # Bridge disconnected pieces (a circuit can fall into independent
     # cones).  An edge between scope-disjoint clusters carries a scalar
     # message and cannot break the running intersection property; hook
-    # each extra component to the first by its lowest-degree node.
+    # each further piece by its lowest-degree cluster to the lowest-degree
+    # cluster of the pieces before it.
     comp = [-1] * n
     reps: list[int] = []
     for s in range(n):
@@ -264,59 +246,17 @@ def _assemble(scopes, edges, attach, scope_key) -> BinaryJoinTree:
                     comp[w] = s
                     stack.append(w)
     for rep in reps[1:]:
-        a = min((u for u in range(n) if comp[u] == reps[0] and len(adj[u]) < 3),
+        a = min((u for u in range(n) if comp[u] < rep and len(adj[u]) < 3),
                 key=lambda u: (len(adj[u]), u))
         b = min((u for u in range(n) if comp[u] == rep and len(adj[u]) < 3),
                 key=lambda u: (len(adj[u]), u))
         adj[a].add(b)
         adj[b].add(a)
-        for u in range(n):
-            if comp[u] == rep:
-                comp[u] = reps[0]
+        edges.append((a, b))
 
-    # Drop every cluster that holds no CPT and only forwards messages: a
-    # leaf, which only ever sends the unit, or a relay between x and y
-    # that every message crosses with at most one reduction step (for
-    # each way x -> y, scope[x] <= scope[u] or scope[x] & scope[u] <=
-    # scope[y]).  A relay's neighbors are joined directly; by the running
-    # intersection property the direct message is the same table,
-    # computed by the same plan.  (x and y may then list each other at
-    # another place than the relay, so a product over all their inbound
-    # messages can change order and a cluster belief move by an ulp or
-    # two.)  A drop can make a neighbor a leaf or a relay, so it is
-    # checked again.
-    holders = set(attach.values())
-    alive = [True] * n
-
-    def forwards(u: int) -> bool:
-        if u in holders or len(adj[u]) > 2:
-            return False
-        if len(adj[u]) < 2:
-            return True
-        x, y = adj[u]
-        return all(scopes[a] <= scopes[u] or scopes[a] & scopes[u] <= scopes[b]
-                   for a, b in ((x, y), (y, x)))
-
-    todo = list(range(n - 1, -1, -1))
-    while todo:
-        u = todo.pop()
-        if alive[u] and forwards(u):
-            alive[u] = False
-            for w in adj[u]:
-                adj[w].discard(u)
-                adj[w].update(adj[u] - {w})
-            todo += sorted(adj[u])
-
-    relabel = {}
-    clusters: list[Cluster] = []
-    for old in range(n):
-        if alive[old]:
-            relabel[old] = len(clusters)
-            clusters.append(Cluster(len(clusters), scopes[old]))
-    new_edges = sorted({(min(relabel[a], relabel[b]), max(relabel[a], relabel[b]))
-                        for a in range(n) if alive[a] for b in adj[a]})
-    new_attach = {v: relabel[c] for v, c in attach.items()}
-    return BinaryJoinTree(clusters, new_edges, new_attach, scope_key)
+    clusters = [Cluster(i, scope) for i, scope in enumerate(scopes)]
+    return BinaryJoinTree(clusters, sorted((min(e), max(e)) for e in edges), attach,
+                          scope_key)
 
 
 def validate_tree(tree: BinaryJoinTree, net: ErrorModelNet) -> list[str]:

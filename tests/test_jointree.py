@@ -73,8 +73,7 @@ def test_width_limit_enforced(c17):
 def test_validate_reports_leaf_without_cpt(c17):
     net = build_error_model(c17, 0.05)
     tree = build_tree(net)
-    # hang a {comparator} leaf off the comparator's cluster, as a tree
-    # that kept every singleton would
+    # hang a CPT-less {comparator} leaf off the comparator's cluster
     v = net.comparators[0]
     host = tree.attach[v]
     assert len(tree.neighbors[host]) < 3
@@ -125,6 +124,17 @@ def test_no_cluster_only_forwards(c17, corpus):
             assert len(nb) == 2, "CPT-less leaf %d" % u
             assert any(not scope[x] <= scope[u] and not scope[x] & scope[u] <= scope[y]
                        for x, y in (nb, nb[::-1])), "relay %d only forwards" % u
+
+
+def test_every_cptless_cluster_has_three_neighbors(c17, corpus):
+    # the fusion adds a cluster only to merge two, and joins a last pair
+    # that nothing merges with again directly, so no CPT-less root is left
+    pb = perfbench_circuits()
+    for c in [c17, DISCONNECTED] + [pb.ripple_carry_adder(n) for n in range(3, 9)] + corpus:
+        tree = build_tree(build_error_model(c, 0.05))
+        holders = set(tree.attach.values())
+        assert [u for u in range(tree.n_clusters)
+                if u not in holders and len(tree.neighbors[u]) != 3] == []
 
 
 def test_input_only_outputs_still_build():
