@@ -20,6 +20,7 @@ P(output wrong | inputs).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -28,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .circuit import Circuit, GateFunc
-from .valuation import Valuation, from_cells
+from .valuation import Valuation, trusted
 
 
 class VarClass(Enum):
@@ -48,19 +49,22 @@ class Cpt:
     """Conditional probability table P(child | parents).
 
     ``table`` axis 0 is the child state, following axes the parents in
-    declared order; every column over the child states sums to 1.
+    declared order; every column over the child states sums to 1.  In a
+    network over an eps grid, error-prone gate and comparator tables
+    carry one more, leading axis: one table per grid value.
     """
 
     def __init__(self, child: Var, parents: tuple[Var, ...], table: np.ndarray):
         self.child = child
         self.parents = parents
         self.table = np.asarray(table, dtype=np.float64)
-        if self.table.shape != (2,) * (1 + len(parents)):
+        n = 1 + len(parents)
+        if self.table.ndim not in (n, n + 1) or self.table.shape[-n:] != (2,) * n:
             raise ValueError("CPT shape %s does not match %d parents"
                              % (self.table.shape, len(parents)))
         # np.allclose(col_sums, 1.0, atol=1e-12) without its overhead: the
         # same tolerance (numpy's default rtol 1e-5 included), NaN rejected
-        col_sums = self.table.sum(axis=0)
+        col_sums = self.table.sum(axis=-n)
         if not np.all(np.abs(col_sums - 1.0) <= 1e-12 + 1e-5):
             raise ValueError("CPT columns for %r do not normalize" % child.name)
 
@@ -69,33 +73,49 @@ class Cpt:
         return frozenset((self.child.id,) + tuple(p.id for p in self.parents))
 
     def to_valuation(self) -> Valuation:
+        """The table as a valuation, its variable axes permuted into
+        canonical order behind the grid axis, if any."""
         order = (self.child.id,) + tuple(p.id for p in self.parents)
-        return from_cells(order, self.table.ravel())
+        perm = sorted(range(len(order)), key=order.__getitem__)
+        lead = self.table.ndim - len(order)
+        return trusted(tuple(order[i] for i in perm),
+                       self.table.transpose(tuple(range(lead)) + tuple(lead + i for i in perm)))
 
     def prob(self, child_state: int, parent_states: Sequence[int]) -> float:
         return float(self.table[(child_state,) + tuple(parent_states)])
 
 
-def cpt_for_gate(func: GateFunc, fan_in: int, eps: float, faulty: bool,
+@functools.lru_cache(maxsize=None)
+def _truth(func: GateFunc, fan_in: int) -> np.ndarray:
+    """Where a gate is right: cell (y,) + parent states is True when y is
+    ``func`` of those states."""
+    table = np.zeros((2,) * (1 + fan_in), dtype=bool)
+    for pa in product((0, 1), repeat=fan_in):
+        table[(func.eval(pa),) + pa] = True
+    table.flags.writeable = False
+    return table
+
+
+def cpt_for_gate(func: GateFunc, fan_in: int, eps, faulty: bool,
                  child: Var, parents: tuple[Var, ...]) -> Cpt:
     """CPT of one gate variable.
 
     Error-free gates are deterministic; an error-prone gate with error
     rate eps emits the complement of its correct output with probability
     2*eps in every parent row (and the correct output with 1 - 2*eps).
+    ``eps`` may be a 1-d array of rates: an error-prone table then gets
+    a leading axis with one table per rate, each cell computed as for
+    that rate alone.
     """
-    if faulty and not 0.0 <= eps <= 0.5:
-        raise ValueError("gate error probability %g outside [0, 0.5]" % eps)
-    flip = 2.0 * eps
-    table = np.zeros((2,) * (1 + fan_in))
-    for pa in product((0, 1), repeat=fan_in):
-        correct = func.eval(pa)
-        if faulty:
-            table[(correct,) + pa] = 1.0 - flip
-            table[(correct ^ 1,) + pa] = flip
-        else:
-            table[(correct,) + pa] = 1.0
-    return Cpt(child, parents, table)
+    truth = _truth(func, fan_in)
+    if not faulty:
+        return Cpt(child, parents, truth.astype(np.float64))
+    eps = np.asarray(eps, dtype=np.float64)
+    bad = [e for e in eps.ravel().tolist() if not 0.0 <= e <= 0.5]
+    if bad:
+        raise ValueError("gate error probability %g outside [0, 0.5]" % bad[0])
+    flip = (2.0 * eps).reshape(eps.shape + (1,) * truth.ndim)
+    return Cpt(child, parents, np.where(truth, 1.0 - flip, flip))
 
 
 def input_prior(child: Var) -> Cpt:
@@ -103,20 +123,31 @@ def input_prior(child: Var) -> Cpt:
     return Cpt(child, (), np.array([0.5, 0.5]))
 
 
-def _xor_cpt(child: Var, parents: tuple[Var, ...]) -> Cpt:
+def _xor_cpt(child: Var, parents: tuple[Var, ...], batch: tuple[int, ...]) -> Cpt:
+    """Comparator CPT, repeated (as a view) along the grid axis ``batch``:
+    every read collects every comparator, so every read then carries the
+    whole grid, even in a circuit without gates."""
     table = np.zeros((2,) * (1 + len(parents)))
     for pa in product((0, 1), repeat=len(parents)):
         bit = 0 if len(pa) == 1 else (pa[0] ^ pa[1])
         table[(bit,) + pa] = 1.0
-    return Cpt(child, parents, table)
+    return Cpt(child, parents, np.broadcast_to(table, batch + table.shape) if batch else table)
 
 
 class ErrorModelNet:
-    """The assembled network, its circuit and its comparator variables."""
+    """The assembled network, its circuit and its comparator variables.
+
+    A network built over an eps grid of B values is B networks of one
+    structure at once (its members): ``batch`` is ``(B,)``, and the
+    error-prone gate and comparator CPTs carry a leading axis of length
+    B.  A network at one
+    eps or eps map has ``batch == ()``, the single-member case.
+    """
 
     def __init__(self, circuit: Circuit, vars: list[Var], cpts: list[Cpt],
-                 comparators: tuple[int, ...]):
+                 comparators: tuple[int, ...], batch: tuple[int, ...] = ()):
         self.circuit = circuit
+        self.batch = batch            # (B,) over an eps grid of B values, else ()
         self.vars = tuple(vars)
         self.cpts = tuple(cpts)
         self.comparators = comparators
@@ -135,14 +166,21 @@ class ErrorModelNet:
         return self.comparators[self.circuit.outputs.index(output_name)]
 
 
-def _normalize_eps(c: Circuit, eps) -> dict[int, float]:
+def _normalize_eps(c: Circuit, eps) -> tuple[dict, tuple[int, ...]]:
+    """Per gate index its eps (a float, or the grid array), and the
+    network's ``batch``."""
     if isinstance(eps, Mapping):
         table = dict(eps)
         missing = [gi for gi in range(c.n_gates) if gi not in table]
         if missing:
             raise ValueError("missing eps for gate indices %s" % missing)
-        return {gi: float(table[gi]) for gi in range(c.n_gates)}
-    return {gi: float(eps) for gi in range(c.n_gates)}
+        return {gi: float(table[gi]) for gi in range(c.n_gates)}, ()
+    if np.ndim(eps):
+        grid = np.asarray(eps, dtype=np.float64)
+        if grid.ndim != 1 or not grid.size:
+            raise ValueError("an eps grid must be a non-empty 1-d sequence")
+        return {gi: grid for gi in range(c.n_gates)}, grid.shape
+    return {gi: float(eps) for gi in range(c.n_gates)}, ()
 
 
 def eps_by_net_name(c: Circuit, named: Mapping[str, float],
@@ -167,11 +205,13 @@ def eps_by_net_name(c: Circuit, named: Mapping[str, float],
 def build_error_model(c: Circuit, eps) -> ErrorModelNet:
     """Assemble the three-block network for a circuit.
 
-    ``eps`` is a single float applied to every gate or a {gate index:
-    eps} map.  Variable ids run: inputs, error-free gate copies,
-    error-prone gate copies, comparators.
+    ``eps`` is a single float applied to every gate, a {gate index:
+    eps} map, or a 1-d grid of values each applied to every gate, which
+    builds one network member per value (``ErrorModelNet.batch``) in one
+    pass.  Variable ids run: inputs, error-free gate copies, error-prone
+    gate copies, comparators.
     """
-    eps_map = _normalize_eps(c, eps)
+    eps_map, batch = _normalize_eps(c, eps)
     k, G = c.n_inputs, c.n_gates
     vars: list[Var] = []
     for name in c.inputs:
@@ -207,10 +247,10 @@ def build_error_model(c: Circuit, eps) -> ErrorModelNet:
         # An output fed straight from a primary input has identical twins;
         # the comparator is then the constant 0.
         parents = (vars[a],) if a == b else (vars[a], vars[b])
-        cpts.append(_xor_cpt(child, parents))
+        cpts.append(_xor_cpt(child, parents, batch))
         comparators.append(child.id)
 
-    return ErrorModelNet(c, vars, cpts, tuple(comparators))
+    return ErrorModelNet(c, vars, cpts, tuple(comparators), batch)
 
 
 def joint_prob(net: ErrorModelNet, assignment: Sequence[int]) -> float:

@@ -30,11 +30,23 @@ shares them: each operand's broadcast shape over their union scope, the
 axes summed, then the axes maxed, and the scope kept.  A plan keeps an
 edge's shared variables or what a read asks for, summing the other
 chance variables and maxing the other max variables.  Evidence never
-changes a factor's scope, so plans are keyed, per set of max variables,
-by the edge id or by the read's cluster and kept variables alone.  Plans
-multiply and reduce exactly as ``combine`` and ``reduce_mixed`` would,
-so answers are bit-identical.  Cluster potentials are built once per
-(network, tree) pair and kept on the network.
+changes a factor's scope, so plans are keyed, per set of max variables
+and per grid axis (below) or none, by the edge id or by the read's
+cluster and kept variables alone.  Plans multiply and reduce exactly as
+``combine`` and ``reduce_mixed`` would, so answers are bit-identical.
+Cluster potentials are built once per (network, tree) pair and kept on
+the network.
+
+A network over an eps grid of B values (``net.batch == (B,)``) is B
+networks of one structure at once.  Its eps-dependent potentials carry
+a leading axis of length B, and so do the evidence-multiplied factors,
+the messages and the reads (a table without it broadcasts as length
+1); a network at one eps has no such axis, the single-member case.  A
+plan reshapes its operands to that axis followed by their variable
+axes, and counts the summed and maxed axes from the end, so one path
+through ``_apply`` serves both.  Each member's cells are multiplied and
+reduced as they would be in a network of their own, bit for bit.  A
+query returns a float, or a list of the B values.
 
 Marginalization is per variable: sum for chance variables, max for the
 variables being maximized (the primary inputs during a worst-vector
@@ -95,6 +107,12 @@ def _schedule(tree: BinaryJoinTree):
     return tree.schedule
 
 
+def per_member(value) -> list[float]:
+    """A query's value, or a numpy result's ``tolist()``, as one float
+    per member; a network at one eps has one member."""
+    return value if isinstance(value, list) else [value]
+
+
 class Propagator:
     """One query context: a tree, a network binding, optional max
     variables and an evidence assignment.  ``messages`` counts the
@@ -112,7 +130,8 @@ class Propagator:
         self._msg: list[Valuation | None] = [None] * (2 * len(tree.edges))
         self._potential = _potentials(tree, net)
         self._factor = list(self._potential)   # per cluster, potential x evidence
-        self._plans = tree.plans.setdefault(self.map_vars, {})
+        self._lead = (-1,) * len(net.batch)   # reshape prefix for the grid axis
+        self._plans = tree.plans.setdefault((self.map_vars, self._lead), {})
 
     # -- evidence --------------------------------------------------------
 
@@ -155,13 +174,13 @@ class Propagator:
     def _compile(self, scopes: list[tuple[int, ...]], keep: frozenset[int]):
         """Plan of the product of operands with ``scopes`` reduced onto
         ``keep``: the other chance variables summed, then the other max
-        variables maxed.  Every operand lies inside one cluster, so the
-        union is within the tree's width."""
+        variables maxed, their axes counted from the end.  Every operand
+        lies inside one cluster, so the union is within the tree's width."""
         union = tuple(sorted(set().union(*scopes)))
         mid = tuple(v for v in union if v in keep or v in self.map_vars)
-        return (tuple(tuple(2 if v in s else 1 for v in union) for s in scopes),
-                tuple(i for i, v in enumerate(union) if v not in mid),
-                tuple(i for i, v in enumerate(mid) if v not in keep),
+        return (tuple(self._lead + tuple(2 if v in s else 1 for v in union) for s in scopes),
+                tuple(i - len(union) for i, v in enumerate(union) if v not in mid),
+                tuple(i - len(mid) for i, v in enumerate(mid) if v not in keep),
                 tuple(v for v in mid if v in keep))
 
     def _apply(self, key, keep: frozenset[int], cid: int, ids) -> Valuation:
@@ -208,9 +227,10 @@ class Propagator:
         the (possibly max-reduced) joint over the cluster scope."""
         return self._read(cid, self.tree.clusters[cid].scope)
 
-    def query(self, root_cluster: int) -> float:
-        """Collapse the belief at the root to a scalar."""
-        return float(self._read(root_cluster, frozenset()).table)
+    def query(self, root_cluster: int):
+        """Collapse the belief at the root to a scalar: a float, or a
+        list of one float per member over an eps grid."""
+        return self._read(root_cluster, frozenset()).table.tolist()
 
     def var_belief(self, var: int) -> Valuation:
         """The belief at the cluster holding ``var``'s CPT reduced onto it."""

@@ -147,23 +147,32 @@ def test_sweep_curve_frozen(c17):
     assert at[0.105].max_error < 0.5 < at[0.110].max_error
 
 
-def test_sweep_compiles_plans_at_its_first_point_only(c17, monkeypatch):
-    # the tree is shared across eps, and so are its message plans
+def test_sweep_compiles_plans_in_its_first_batched_pass_only(c17, monkeypatch):
+    # the whole grid runs on one tree in one batched pass, and the refine
+    # points, batched by bisection levels on that tree, compile no new plans
     import maxerr.analysis as analysis
-    sizes, trees = [], []
+    calls, trees, sizes = [], [], []
 
-    def recording(net, tree):
-        out = avg_error(net, tree)
-        trees.append(tree)
-        sizes.append(sum(len(plans) for plans in tree.plans.values()))
-        return out
+    def recording(name):
+        fn = getattr(analysis, name)
 
-    monkeypatch.setattr(analysis, "avg_error", recording)
+        def wrapped(net, tree, *args, **kwargs):
+            out = fn(net, tree, *args, **kwargs)
+            calls.append((name, net.batch))
+            trees.append(tree)
+            sizes.append(sum(len(plans) for plans in tree.plans.values()))
+            return out
+        return wrapped
+
+    for name in ("max_errors", "avg_error", "max_error"):
+        monkeypatch.setattr(analysis, name, recording(name))
     curve = sweep(c17, GRID, refine=True)
     assert curve.refined_bound is not None
-    assert len(sizes) == len(GRID) and all(t is trees[0] for t in trees)
-    assert sizes[0] > 0
-    assert sum(len(plans) for plans in trees[0].plans.values()) == sizes[0]
+    assert calls[:2] == [("max_errors", (len(GRID),)), ("avg_error", (len(GRID),))]
+    assert [name for name, _ in calls[2:]] == ["max_errors"]   # 5 levels, 31 midpoints
+    assert calls[2][1] == (31,)
+    assert all(t is trees[0] for t in trees)
+    assert sizes[1] > 0 and sizes[-1] == sizes[1]
 
 
 def test_sweep_without_crossing_leaves_bounds_unset(c17):
