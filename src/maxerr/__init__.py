@@ -6,8 +6,8 @@ from .model import (Cpt, ErrorModelNet, Var, VarClass, build_error_model,
                     cpt_for_gate, eps_by_net_name, input_prior, joint_prob)
 from .valuation import (DEFAULT_WIDTH_LIMIT, Valuation, WidthLimitError,
                         combine, indicator, marg_max, marg_sum)
-from .jointree import (BinaryJoinTree, EliminationOrder, build_tree,
-                       choose_order, moral_graph, order_width, validate_tree)
+from .jointree import (BinaryJoinTree, build_tree, check_order, choose_order,
+                       moral_graph, order_width, validate_tree)
 from .propagate import Propagator, prob_evidence
 from .mapsearch import (MapQuery, MapResult, search, seed, solve,
                         var_order_heuristic)

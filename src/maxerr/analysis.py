@@ -288,8 +288,11 @@ def spectrum(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT) -> Spectru
     """Exact per-vector worst-output error over all 2**k input vectors.
 
     Enumerates vectors in Gray order so each step moves one evidence
-    bit and most messages stay cached.  Capped at 20 inputs.
+    bit and most messages stay cached.  Capped at 20 inputs.  ``eps``
+    is one eps or an eps map; an eps grid is rejected.
     """
+    if np.ndim(eps):
+        raise ValueError("spectrum takes one eps or an eps map, not an eps grid")
     if c.n_inputs > MAX_SPECTRUM_INPUTS:
         raise ValueError("spectrum enumeration capped at %d inputs, circuit has %d"
                          % (MAX_SPECTRUM_INPUTS, c.n_inputs))

@@ -105,8 +105,7 @@ def _emit(args, text: str) -> None:
 
 
 def _explain(net, tree) -> None:
-    order = choose_order(net)
-    print("elimination order: %s" % (order.order,), file=sys.stderr)
+    print("elimination order: %s" % (choose_order(net),), file=sys.stderr)
     print("join tree: %d clusters, width Z = %d"
           % (tree.n_clusters, tree.width), file=sys.stderr)
     print(tree.describe(net), file=sys.stderr)

@@ -14,13 +14,18 @@ each CPT is attached to exactly the cluster over its scope.  Independent
 cones of a circuit end up as separate pieces, which are bridged by edges
 carrying scalar messages.  The tree satisfies the running intersection
 property.
+
+An elimination order is a plain tuple of variable ids (``choose_order``,
+checked by ``check_order``), and a tree is plain data: ``tree.scopes``
+holds each cluster's variables by cluster id, ``tree.edges`` the edges
+as id pairs and ``tree.attach`` each CPT's cluster.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import combinations
 
-from .model import ErrorModelNet, VarClass
+from .model import ErrorModelNet
 from .valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
 
 
@@ -28,54 +33,41 @@ class InvalidOrderError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EliminationOrder:
-    """A permutation of the variable ids ending in the maximized (input)
-    variables."""
+def check_order(net: ErrorModelNet, order: tuple[int, ...]) -> None:
+    """Raise InvalidOrderError unless ``order`` is a permutation of the
+    variable ids ending in the maximized (input) variables."""
+    if sorted(order) != list(range(net.n_vars)):
+        raise InvalidOrderError("order is not a permutation of the %d variables"
+                                % net.n_vars)
+    inputs = set(net.input_vars)
+    if set(order[len(order) - len(inputs):]) != inputs:
+        raise InvalidOrderError("input variables must occupy the trailing "
+                                "positions of the order")
 
-    order: tuple[int, ...]
 
-    def validate(self, net: ErrorModelNet) -> None:
-        if sorted(self.order) != list(range(net.n_vars)):
-            raise InvalidOrderError("order is not a permutation of the %d variables"
-                                    % net.n_vars)
-        inputs = set(net.input_vars)
-        if set(self.order[len(self.order) - len(inputs):]) != inputs:
-            raise InvalidOrderError("input variables must occupy the trailing "
-                                    "positions of the order")
+def _link(adj: dict[int, set[int]], vs) -> None:
+    for a, b in combinations(vs, 2):
+        adj[a].add(b)
+        adj[b].add(a)
 
 
 def moral_graph(net: ErrorModelNet) -> dict[int, set[int]]:
     """Undirected adjacency: each CPT family becomes a clique."""
     adj: dict[int, set[int]] = {v.id: set() for v in net.vars}
     for cpt in net.cpts:
-        fam = sorted(cpt.scope)
-        for i, a in enumerate(fam):
-            for b in fam[i + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
+        _link(adj, cpt.scope)
     return adj
 
 
 def _count_fillin(adj: dict[int, set[int]], v: int) -> int:
-    nb = sorted(adj[v])
-    missing = 0
-    for i, a in enumerate(nb):
-        for b in nb[i + 1:]:
-            if b not in adj[a]:
-                missing += 1
-    return missing
+    return sum(b not in adj[a] for a, b in combinations(adj[v], 2))
 
 
 def _eliminate(adj: dict[int, set[int]], v: int) -> int:
     nb = adj.pop(v)
     for a in nb:
         adj[a].discard(v)
-    nb = sorted(nb)
-    for i, a in enumerate(nb):
-        for b in nb[i + 1:]:
-            adj[a].add(b)
-            adj[b].add(a)
+    _link(adj, nb)
     return len(nb)
 
 
@@ -89,7 +81,7 @@ def _min_fill_pass(adj: dict[int, set[int]], pool: set[int]) -> list[int]:
     return out
 
 
-def choose_order(net: ErrorModelNet) -> EliminationOrder:
+def choose_order(net: ErrorModelNet) -> tuple[int, ...]:
     """Greedy min-fill order, restricted so inputs are eliminated last.
 
     Delaying the maximized variables keeps the collect schedules rooted
@@ -97,41 +89,30 @@ def choose_order(net: ErrorModelNet) -> EliminationOrder:
     search bounds tight.  Ties break on the lowest variable id.
     """
     adj = moral_graph(net)
-    inputs = {v.id for v in net.vars if v.klass is VarClass.INPUT}
-    rest = {v.id for v in net.vars if v.klass is not VarClass.INPUT}
-    order = _min_fill_pass(adj, rest) + _min_fill_pass(adj, inputs)
-    return EliminationOrder(tuple(order))
+    inputs = set(net.input_vars)
+    rest = set(range(net.n_vars)) - inputs
+    return tuple(_min_fill_pass(adj, rest) + _min_fill_pass(adj, inputs))
 
 
-def order_width(net: ErrorModelNet, order: EliminationOrder | tuple[int, ...]) -> int:
+def order_width(net: ErrorModelNet, order: tuple[int, ...]) -> int:
     """Largest neighbor set met while eliminating along the order."""
-    seq = order.order if isinstance(order, EliminationOrder) else tuple(order)
     adj = moral_graph(net)
-    return max(_eliminate(adj, v) for v in seq)
-
-
-@dataclass
-class Cluster:
-    id: int
-    scope: frozenset[int]
-
-    def __repr__(self):
-        return "C%d%s" % (self.id, sorted(self.scope))
+    return max(_eliminate(adj, v) for v in order)
 
 
 class BinaryJoinTree:
-    def __init__(self, clusters: list[Cluster], edges: list[tuple[int, int]],
+    def __init__(self, scopes: list[frozenset[int]], edges: list[tuple[int, int]],
                  attach: dict[int, int], scope_key):
-        self.clusters = clusters
+        self.scopes = scopes        # cluster id -> its variables
         self.edges = edges
         self.attach = attach        # CPT child var id -> cluster id
-        self.neighbors: list[list[int]] = [[] for _ in clusters]
+        self.neighbors: list[list[int]] = [[] for _ in scopes]
         for a, b in edges:
             self.neighbors[a].append(b)
             self.neighbors[b].append(a)
         for nb in self.neighbors:
             nb.sort()
-        self.width = max((len(c.scope) for c in clusters), default=0)
+        self.width = max(map(len, scopes), default=0)
         self._scope_key = scope_key  # for compatibility checks against a net
         # compiled lazily by propagators: the numbered directed edges, and
         # per map_vars {edge id or (read cluster, kept variables): plan}
@@ -140,7 +121,7 @@ class BinaryJoinTree:
 
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
+        return len(self.scopes)
 
     def compatible(self, net: ErrorModelNet) -> bool:
         """True when ``net`` has the same CPT scopes this tree was built
@@ -152,10 +133,10 @@ class BinaryJoinTree:
             return ",".join(sorted(net.vars[v].name for v in s))
 
         lines = ["clusters: %d  width: %d" % (self.n_clusters, self.width)]
-        for c in self.clusters:
-            att = [v for v, cid in self.attach.items() if cid == c.id]
+        for cid, scope in enumerate(self.scopes):
+            att = [v for v, c in self.attach.items() if c == cid]
             lines.append("  C%-3d {%s}%s" % (
-                c.id, names(c.scope),
+                cid, names(scope),
                 ("  <- phi(%s)" % names(att)) if att else ""))
         lines.append("edges: " + " ".join("%d-%d" % e for e in self.edges))
         return "\n".join(lines)
@@ -165,7 +146,7 @@ def _net_scope_key(net: ErrorModelNet):
     return tuple(tuple(sorted(c.scope)) for c in net.cpts)
 
 
-def build_tree(net: ErrorModelNet, order: EliminationOrder | None = None,
+def build_tree(net: ErrorModelNet, order: tuple[int, ...] | None = None,
                width_limit: int = DEFAULT_WIDTH_LIMIT) -> BinaryJoinTree:
     """Construct a binary join tree for the network.
 
@@ -178,7 +159,7 @@ def build_tree(net: ErrorModelNet, order: EliminationOrder | None = None,
     """
     if order is None:
         order = choose_order(net)
-    order.validate(net)
+    check_order(net, order)
 
     scopes = [cpt.scope for cpt in net.cpts]
     attach = {cpt.child.id: i for i, cpt in enumerate(net.cpts)}
@@ -186,7 +167,7 @@ def build_tree(net: ErrorModelNet, order: EliminationOrder | None = None,
     active = set(range(len(scopes)))
     edges: list[tuple[int, int]] = []
 
-    for y in order.order:
+    for y in order:
         gamma = sorted(n for n in active if y in live[n])
         while len(gamma) > 1:
             _, a, b = min((len(live[a] | live[b]), a, b)
@@ -254,8 +235,7 @@ def _assemble(scopes, edges, attach, scope_key) -> BinaryJoinTree:
         adj[b].add(a)
         edges.append((a, b))
 
-    clusters = [Cluster(i, scope) for i, scope in enumerate(scopes)]
-    return BinaryJoinTree(clusters, sorted((min(e), max(e)) for e in edges), attach,
+    return BinaryJoinTree(scopes, sorted((min(e), max(e)) for e in edges), attach,
                           scope_key)
 
 
@@ -275,11 +255,11 @@ def validate_tree(tree: BinaryJoinTree, net: ErrorModelNet) -> list[str]:
                 stack.append(w)
     if len(seen) != n:
         bad.append("tree is not connected")
-    for c in tree.clusters:
-        if len(tree.neighbors[c.id]) > 3:
-            bad.append("cluster %d has degree %d" % (c.id, len(tree.neighbors[c.id])))
-    for v in (v.id for v in net.vars):
-        members = [c.id for c in tree.clusters if v in c.scope]
+    for cid, nb in enumerate(tree.neighbors):
+        if len(nb) > 3:
+            bad.append("cluster %d has degree %d" % (cid, len(nb)))
+    for v in range(net.n_vars):
+        members = [cid for cid, scope in enumerate(tree.scopes) if v in scope]
         if not members:
             bad.append("variable %d in no cluster" % v)
             continue
@@ -289,20 +269,20 @@ def validate_tree(tree: BinaryJoinTree, net: ErrorModelNet) -> list[str]:
         while stack:
             u = stack.pop()
             for w in tree.neighbors[u]:
-                if w not in reach and v in tree.clusters[w].scope:
+                if w not in reach and v in tree.scopes[w]:
                     reach.add(w)
                     stack.append(w)
         if reach != set(members):
             bad.append("running intersection fails for variable %d" % v)
     holders = set(tree.attach.values())
-    for c in tree.clusters:
-        if len(tree.neighbors[c.id]) <= 1 and c.id not in holders:
-            bad.append("leaf cluster %d holds no CPT" % c.id)
+    for cid, nb in enumerate(tree.neighbors):
+        if len(nb) <= 1 and cid not in holders:
+            bad.append("leaf cluster %d holds no CPT" % cid)
     for cpt in net.cpts:
         cid = tree.attach.get(cpt.child.id)
         if cid is None:
             bad.append("CPT of variable %d unattached" % cpt.child.id)
-        elif not cpt.scope <= tree.clusters[cid].scope:
+        elif not cpt.scope <= tree.scopes[cid]:
             bad.append("CPT of variable %d attached to non-covering cluster %d"
                        % (cpt.child.id, cid))
     return bad

@@ -127,10 +127,10 @@ def _xor_cpt(child: Var, parents: tuple[Var, ...], batch: tuple[int, ...]) -> Cp
     """Comparator CPT, repeated (as a view) along the grid axis ``batch``:
     every read collects every comparator, so every read then carries the
     whole grid, even in a circuit without gates."""
-    table = np.zeros((2,) * (1 + len(parents)))
-    for pa in product((0, 1), repeat=len(parents)):
-        bit = 0 if len(pa) == 1 else (pa[0] ^ pa[1])
-        table[(bit,) + pa] = 1.0
+    if len(parents) == 2:
+        table = _truth(GateFunc.XOR, 2).astype(np.float64)
+    else:    # identical twins: the constant 0
+        table = np.array([[1.0, 1.0], [0.0, 0.0]])
     return Cpt(child, parents, np.broadcast_to(table, batch + table.shape) if batch else table)
 
 

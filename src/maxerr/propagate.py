@@ -98,7 +98,7 @@ def _schedule(tree: BinaryJoinTree):
     if tree.schedule is None:
         ends = [e for a, b in tree.edges for e in ((a, b), (b, a))]
         ids = {ab: e for e, ab in enumerate(ends)}
-        nb, scope = tree.neighbors, [c.scope for c in tree.clusters]
+        nb, scope = tree.neighbors, tree.scopes
         tree.schedule = (
             [b for b, _ in ends],
             [tuple([ids[a, b] for a in nb[b] if a != c]) for b, c in ends],
@@ -225,7 +225,7 @@ class Propagator:
     def belief(self, cid: int) -> Valuation:
         """Combined local factor and incoming messages:
         the (possibly max-reduced) joint over the cluster scope."""
-        return self._read(cid, self.tree.clusters[cid].scope)
+        return self._read(cid, self.tree.scopes[cid])
 
     def query(self, root_cluster: int):
         """Collapse the belief at the root to a scalar: a float, or a
@@ -238,8 +238,9 @@ class Propagator:
 
 
 def prob_evidence(tree: BinaryJoinTree, net: ErrorModelNet,
-                  evidence: Mapping[int, int]) -> float:
-    """P(evidence); identical (up to 1e-9) for every choice of root."""
+                  evidence: Mapping[int, int]):
+    """P(evidence): a float, or a list of one float per member over an
+    eps grid; identical (up to 1e-9) for every choice of root."""
     p = Propagator(tree, net)
     p.set_evidence(evidence)
     return p.query(tree.attach[min(tree.attach)])

@@ -92,6 +92,31 @@ def test_parse_errors_carry_line_numbers():
         parse_bench("INPUT(a)\nOUTPUT(z)\nz = NOT(a)\nz = BUF(a)\n")
 
 
+@pytest.mark.parametrize("parse, source, message, line", [
+    (parse_bench, "OUTPUT(z)\n", "circuit declares no inputs", None),
+    (parse_bench, "INPUT(a)\n", "circuit declares no outputs", None),
+    (parse_bench, "INPUT(a)\nINPUT(a)\nOUTPUT(a)\n", "duplicate net definition 'a'", None),
+    (parse_bench, "INPUT(a)\nOUTPUT(z)\n", "line 2: undefined net 'z'", 2),
+    (parse_bench, "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, , b)\n",
+     "line 4: empty fan-in entry", 4),
+    (parse_bench, "INPUT(a)\nOUTPUT(a)\nwire a;\n", "line 3: unrecognized statement 'wire a;'", 3),
+    (from_json, '{"format": "circuit/1",\n"inputs": [}',
+     "line 2: invalid JSON: Expecting value: line 2 column 12 (char 35)", 2),
+    (from_json, {"format": "circuit/2"}, "expected a JSON object with format == 'circuit/1'", None),
+], ids=["no-inputs", "no-outputs", "duplicate-input", "undefined-output", "empty-fanin",
+        "unrecognized", "invalid-json", "json-format"])
+def test_parse_error_messages(parse, source, message, line):
+    with pytest.raises(BenchParseError) as info:
+        parse(source)
+    assert str(info.value) == message
+    assert info.value.line == line
+
+
+def test_buff_reads_as_buf():
+    c = parse_bench("INPUT(a)\nOUTPUT(z)\nz = BUFF(a)\n")
+    assert c.gates == (Gate("z", GateFunc.BUF, ("a",), 3),)
+
+
 def test_duplicate_fanin_rejected():
     with pytest.raises(BenchParseError, match="line 4: gate 'g' lists fan-in 'a' twice"):
         parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(g)\ng = AND(a, b, a)\n")

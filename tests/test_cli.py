@@ -219,6 +219,15 @@ def test_epsilon_map_non_number_exits_2(tmp_path, capsys, value):
         % json.dumps(value)
 
 
+def test_epsilon_map_array_exits_2(tmp_path, capsys):
+    table = tmp_path / "eps.json"
+    table.write_text(json.dumps([0.1]))
+    code, out, err = run(capsys, "analyze", C17_PATH, "--epsilon", "0.05",
+                         "--epsilon-map", str(table))
+    assert code == 2 and out == ""
+    assert err == "error: --epsilon-map must hold a JSON object {net: eps}\n"
+
+
 def test_sweep_csv(capsys):
     code, out, err = run(capsys, "sweep", C17_PATH, "--grid", "0.05:0.15:0.05",
                          "--refine")
@@ -309,6 +318,21 @@ def test_validate_csv_layout(capsys):
         float(first[5]), abs=5e-7)
 
 
+def test_validate_json_matches_csv(capsys):
+    args = ("validate", C17_PATH, "--epsilon", "0.05", "--runs", "1000", "--seed", "1")
+    _, csv_out, _ = run(capsys, *args)
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["inputs"] == ["1", "2", "3", "6", "7"]
+    assert (doc["runs"], doc["seed"]) == (1000, 1)
+    rows = [",".join((r["vector"], r["output"])
+                     + tuple("%.6f" % r[k] for k in ("exact", "mc_estimate", "mc_stderr",
+                                                     "abs_diff")))
+            for r in doc["rows"]]
+    assert rows == csv_out.splitlines()[2:]
+
+
 @pytest.mark.parametrize("runs", ["0", "-5"])
 def test_validate_non_positive_runs_exits_2(capsys, runs):
     code, out, err = run(capsys, "validate", C17_PATH, "--epsilon", "0.05", "--runs", runs)
@@ -341,3 +365,15 @@ def test_oracle_check_json(capsys):
     assert code == 0
     assert doc["max_abs_diff"] < 1e-9
     assert len(doc["rows"]) == 64
+
+
+def test_oracle_check_explain(capsys):
+    _, plain, _ = run(capsys, "oracle-check", C17_PATH, "--epsilon", "0.05")
+    code, out, err = run(capsys, "oracle-check", C17_PATH, "--epsilon", "0.05", "--explain")
+    assert code == 0
+    assert out == plain
+    lines = err.splitlines()
+    assert lines[0] == ("elimination order: "
+                        "(17, 18, 9, 10, 8, 14, 5, 11, 15, 16, 6, 12, 7, 13, 0, 1, 2, 3, 4)")
+    assert lines[1] == "join tree: 36 clusters, width Z = 8"
+    assert lines[-1].startswith("oracle-check: max |engine - exact| = ")

@@ -2,9 +2,9 @@ import pytest
 
 from conftest import DISCONNECTED, perfbench_circuits
 from maxerr.circuit import parse_bench
-from maxerr.jointree import (BinaryJoinTree, Cluster, EliminationOrder,
-                             InvalidOrderError, build_tree, choose_order,
-                             moral_graph, order_width, validate_tree)
+from maxerr.jointree import (BinaryJoinTree, InvalidOrderError, build_tree,
+                             check_order, choose_order, moral_graph,
+                             order_width, validate_tree)
 from maxerr.model import VarClass, build_error_model
 from maxerr.valuation import WidthLimitError
 
@@ -12,8 +12,8 @@ from maxerr.valuation import WidthLimitError
 def test_choose_order_places_inputs_last(c17):
     net = build_error_model(c17, 0.05)
     order = choose_order(net)
-    order.validate(net)
-    tail = set(order.order[-5:])
+    check_order(net, order)
+    tail = set(order[-5:])
     assert tail == set(net.input_vars)
 
 
@@ -21,11 +21,11 @@ def test_order_validation_rejects_bad_orders(c17):
     net = build_error_model(c17, 0.05)
     good = choose_order(net)
     with pytest.raises(InvalidOrderError):
-        EliminationOrder(good.order[:-1]).validate(net)
+        check_order(net, good[:-1])
     # inputs not trailing
-    swapped = (good.order[-1],) + good.order[1:-1] + (good.order[0],)
+    swapped = (good[-1],) + good[1:-1] + (good[0],)
     with pytest.raises(InvalidOrderError):
-        EliminationOrder(swapped).validate(net)
+        check_order(net, swapped)
 
 
 def test_moral_graph_covers_cpt_families(c17):
@@ -45,7 +45,7 @@ def test_tree_valid_on_c17(c17):
     assert tree.width <= 12
     # each input's prior sits in a cluster of its own, the root of its bounds
     for v in net.input_vars:
-        assert tree.clusters[tree.attach[v]].scope == frozenset((v,))
+        assert tree.scopes[tree.attach[v]] == frozenset((v,))
 
 
 def test_tree_valid_on_disconnected_network():
@@ -57,7 +57,7 @@ def test_tree_valid_on_disconnected_network():
 def test_tree_degree_capped(c17):
     net = build_error_model(c17, 0.05)
     tree = build_tree(net)
-    deg = {c.id: 0 for c in tree.clusters}
+    deg = dict.fromkeys(range(tree.n_clusters), 0)
     for a, b in tree.edges:
         deg[a] += 1
         deg[b] += 1
@@ -77,10 +77,80 @@ def test_validate_reports_leaf_without_cpt(c17):
     v = net.comparators[0]
     host = tree.attach[v]
     assert len(tree.neighbors[host]) < 3
-    leaf = Cluster(tree.n_clusters, frozenset((v,)))
-    grown = BinaryJoinTree(tree.clusters + [leaf], tree.edges + [(host, leaf.id)],
+    leaf = tree.n_clusters
+    grown = BinaryJoinTree(tree.scopes + [frozenset((v,))], tree.edges + [(host, leaf)],
                            dict(tree.attach), tree._scope_key)
-    assert validate_tree(grown, net) == ["leaf cluster %d holds no CPT" % leaf.id]
+    assert validate_tree(grown, net) == ["leaf cluster %d holds no CPT" % leaf]
+
+
+# Each breaks a copy of c17's tree (scopes, edges, attach in place) and
+# returns the violations validate_tree must report.
+def _close_a_cycle(net, tree, scopes, edges, attach):
+    a, b = [u for u, nb in enumerate(tree.neighbors) if len(nb) == 1][:2]
+    edges.append((a, b))
+    return ["edge count %d != clusters - 1" % len(edges)]
+
+
+def _add_a_looped_cluster(net, tree, scopes, edges, attach):
+    # a scope-free cluster whose one edge loops back to it: the edge count holds
+    k = len(scopes)
+    scopes.append(frozenset())
+    edges.append((k, k))
+    return ["tree is not connected"]
+
+
+def _move_a_leaf_to_a_full_cluster(net, tree, scopes, edges, attach):
+    v = net.input_vars[0]
+    b = attach[v]
+    (a,) = tree.neighbors[b]
+    h = next(h for h, nb in enumerate(tree.neighbors)
+             if len(nb) == 3 and h != a and v in scopes[h])
+    edges[edges.index((min(a, b), max(a, b)))] = (b, h)
+    return ["cluster %d has degree 4" % h]
+
+
+def _drop_a_comparator_everywhere(net, tree, scopes, edges, attach):
+    v = net.comparators[0]
+    scopes[:] = [s - {v} for s in scopes]
+    return ["variable %d in no cluster" % v,
+            "CPT of variable %d attached to non-covering cluster %d" % (v, attach[v])]
+
+
+def _cut_a_variable_path(net, tree, scopes, edges, attach):
+    # a CPT-less cluster between two neighbors holding v loses v
+    holders = set(attach.values())
+    u, v = next((u, v) for u in range(len(scopes)) if u not in holders
+                for v in sorted(scopes[u])
+                if sum(v in scopes[w] for w in tree.neighbors[u]) >= 2)
+    scopes[u] = scopes[u] - {v}
+    return ["running intersection fails for variable %d" % v]
+
+
+def _detach_an_input_prior(net, tree, scopes, edges, attach):
+    v = net.input_vars[0]
+    cid = attach.pop(v)
+    return ["leaf cluster %d holds no CPT" % cid, "CPT of variable %d unattached" % v]
+
+
+def _swap_a_prior_and_a_gate(net, tree, scopes, edges, attach):
+    # the input's singleton cannot hold the family of a gate it feeds
+    v = net.input_vars[0]
+    g = next(cpt.child.id for cpt in net.cpts if v in cpt.scope and cpt.child.id != v)
+    attach[v], attach[g] = attach[g], attach[v]
+    return ["CPT of variable %d attached to non-covering cluster %d" % (g, attach[g])]
+
+
+@pytest.mark.parametrize("breaks", [
+    _close_a_cycle, _add_a_looped_cluster, _move_a_leaf_to_a_full_cluster,
+    _drop_a_comparator_everywhere, _cut_a_variable_path, _detach_an_input_prior,
+    _swap_a_prior_and_a_gate], ids=lambda f: f.__name__.lstrip("_"))
+def test_validate_reports_each_violation(c17, breaks):
+    net = build_error_model(c17, 0.05)
+    tree = build_tree(net)
+    scopes, edges, attach = list(tree.scopes), list(tree.edges), dict(tree.attach)
+    expected = breaks(net, tree, scopes, edges, attach)
+    broken = BinaryJoinTree(scopes, edges, attach, tree._scope_key)
+    assert validate_tree(broken, net) == expected
 
 
 def test_order_width_reasonable(c17):
@@ -115,7 +185,7 @@ def test_no_cluster_only_forwards(c17, corpus):
     pb = perfbench_circuits()
     for c in [c17, DISCONNECTED] + [pb.ripple_carry_adder(n) for n in range(3, 9)] + corpus:
         tree = build_tree(build_error_model(c, 0.05))
-        scope = [cl.scope for cl in tree.clusters]
+        scope = tree.scopes
         holders = set(tree.attach.values())
         for u in range(tree.n_clusters):
             nb = tree.neighbors[u]

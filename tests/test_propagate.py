@@ -392,7 +392,7 @@ def _reference_message(p, b, c):
     val = parts[0]
     for q in parts[1:]:
         val = combine(val, q)
-    drop = (p.tree.clusters[b].scope - p.tree.clusters[c].scope) & set(val.scope)
+    drop = (p.tree.scopes[b] - p.tree.scopes[c]) & set(val.scope)
     return reduce_mixed(val, drop - p.map_vars, drop & p.map_vars)
 
 

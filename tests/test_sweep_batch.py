@@ -8,8 +8,9 @@ import pytest
 
 import maxerr.analysis as analysis
 from conftest import DISCONNECTED, perfbench_circuits
-from maxerr.analysis import avg_error, max_error, max_errors, prepare, sweep
+from maxerr.analysis import avg_error, max_error, max_errors, prepare, spectrum, sweep
 from maxerr.circuit import parse_bench
+from maxerr.mapsearch import MapQuery, solve
 from maxerr.model import build_error_model
 from maxerr.oracle import FaultEnumerator
 
@@ -95,6 +96,26 @@ def test_sweep_checks_every_grid_value_before_building(c17, monkeypatch, grid, b
     with pytest.raises(ValueError, match=re.escape("value %s " % bad)):
         sweep(c17, grid, refine=True)
     assert calls == []
+
+
+def test_spectrum_rejects_a_grid_before_building(c17, monkeypatch):
+    calls = []
+    for name in ("build_error_model", "prepare"):
+        def counted(*args, _fn=getattr(analysis, name), **kwargs):
+            calls.append(_fn)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, counted)
+    with pytest.raises(ValueError, match="spectrum takes one eps or an eps map"):
+        spectrum(c17, [0.1, 0.2])
+    assert calls == []
+
+
+def test_single_eps_entry_points_reject_a_grid_network(c17):
+    net, tree = prepare(c17, [0.1, 0.2])
+    with pytest.raises(ValueError, match="max_error takes a network at one eps"):
+        max_error(net, tree)
+    with pytest.raises(ValueError, match="solve takes a network at one eps"):
+        solve(MapQuery(net, tree, {net.comparators[0]: 1}))
 
 
 def test_c17_coin_flip_eps_closed_form(c17):
