@@ -141,7 +141,7 @@ def max_errors(net: ErrorModelNet, tree: BinaryJoinTree,
             assign = {**fixed, **results[ms[0]].assignment}
             cond_prop.set_evidence(assign)
             if joint:
-                p_inputs = per_member(cond_prop.query(tree.attach[net.input_vars[0]]))
+                p_inputs = per_member(cond_prop.query(net.input_vars[0]))
                 p = [res.p_map / pi for res, pi in zip(results, p_inputs)]
             else:
                 p = per_member(cond_error(cond_prop, next(iter(evid))).tolist())

@@ -297,6 +297,8 @@ def parse_bench(text: str) -> Circuit:
         if m:
             kind, name = m.group(1).upper(), m.group(2)
             if kind == "INPUT":
+                if name in inputs:
+                    raise BenchParseError("duplicate net definition %r" % name, lineno)
                 inputs.append(name)
             else:
                 outputs.append(name)

@@ -9,16 +9,17 @@ live union, into a fresh cluster over that union; the variable then
 leaves the live scope of the one left.  The last pair of a merge that
 nothing merges with again (the only two active clusters, or a pair with
 no other live variable) is joined by a direct edge instead.  So every
-cluster the fusion adds has three neighbors, every leaf holds a CPT, and
-each CPT is attached to exactly the cluster over its scope.  Independent
-cones of a circuit end up as separate pieces, which are bridged by edges
-carrying scalar messages.  The tree satisfies the running intersection
-property.
+cluster the fusion adds has three neighbors and every leaf holds a CPT.
+Independent cones of a circuit end up as separate pieces, which are
+bridged by edges carrying scalar messages.  The tree satisfies the
+running intersection property.
 
 An elimination order is a plain tuple of variable ids (``choose_order``,
 checked by ``check_order``), and a tree is plain data: ``tree.scopes``
-holds each cluster's variables by cluster id, ``tree.edges`` the edges
-as id pairs and ``tree.attach`` each CPT's cluster.
+holds each cluster's variables by cluster id and ``tree.edges`` the
+edges as id pairs.  Cluster ``v`` holds the CPT of variable ``v``, over
+that CPT's scope, for ``v < net.n_vars``; the clusters from
+``net.n_vars`` up are the ones the fusion adds, and hold no CPT.
 """
 
 from __future__ import annotations
@@ -101,11 +102,9 @@ def order_width(net: ErrorModelNet, order: tuple[int, ...]) -> int:
 
 
 class BinaryJoinTree:
-    def __init__(self, scopes: list[frozenset[int]], edges: list[tuple[int, int]],
-                 attach: dict[int, int], scope_key):
+    def __init__(self, scopes: list[frozenset[int]], edges: list[tuple[int, int]]):
         self.scopes = scopes        # cluster id -> its variables
         self.edges = edges
-        self.attach = attach        # CPT child var id -> cluster id
         self.neighbors: list[list[int]] = [[] for _ in scopes]
         for a, b in edges:
             self.neighbors[a].append(b)
@@ -113,7 +112,6 @@ class BinaryJoinTree:
         for nb in self.neighbors:
             nb.sort()
         self.width = max(map(len, scopes), default=0)
-        self._scope_key = scope_key  # for compatibility checks against a net
         # compiled lazily by propagators: the numbered directed edges, and
         # per map_vars {edge id or (read cluster, kept variables): plan}
         self.schedule = None
@@ -123,35 +121,25 @@ class BinaryJoinTree:
     def n_clusters(self) -> int:
         return len(self.scopes)
 
-    def compatible(self, net: ErrorModelNet) -> bool:
-        """True when ``net`` has the same CPT scopes this tree was built
-        from (same circuit, any eps), so valuations can be re-bound."""
-        return _net_scope_key(net) == self._scope_key
-
     def describe(self, net: ErrorModelNet) -> str:
         def names(s):
             return ",".join(sorted(net.vars[v].name for v in s))
 
         lines = ["clusters: %d  width: %d" % (self.n_clusters, self.width)]
         for cid, scope in enumerate(self.scopes):
-            att = [v for v, c in self.attach.items() if c == cid]
             lines.append("  C%-3d {%s}%s" % (
                 cid, names(scope),
-                ("  <- phi(%s)" % names(att)) if att else ""))
+                ("  <- phi(%s)" % net.vars[cid].name) if cid < net.n_vars else ""))
         lines.append("edges: " + " ".join("%d-%d" % e for e in self.edges))
         return "\n".join(lines)
-
-
-def _net_scope_key(net: ErrorModelNet):
-    return tuple(tuple(sorted(c.scope)) for c in net.cpts)
 
 
 def build_tree(net: ErrorModelNet, order: tuple[int, ...] | None = None,
                width_limit: int = DEFAULT_WIDTH_LIMIT) -> BinaryJoinTree:
     """Construct a binary join tree for the network.
 
-    Each CPT gets a cluster over its scope, and a variable's queries root
-    at, and its evidence enters at, that cluster (``tree.attach``).  The
+    Cluster ``v`` is CPT ``v``'s, over its scope, and variable ``v``'s
+    queries root at, and its evidence enters at, that cluster.  The
     fusion adds a cluster only to merge two others, so every leaf holds a
     CPT and every cluster without one has three neighbors.  Raises
     WidthLimitError when the largest cluster would exceed ``width_limit``
@@ -162,7 +150,6 @@ def build_tree(net: ErrorModelNet, order: tuple[int, ...] | None = None,
     check_order(net, order)
 
     scopes = [cpt.scope for cpt in net.cpts]
-    attach = {cpt.child.id: i for i, cpt in enumerate(net.cpts)}
     live = list(scopes)      # each cluster's scope minus the eliminated variables
     active = set(range(len(scopes)))
     edges: list[tuple[int, int]] = []
@@ -194,13 +181,13 @@ def build_tree(net: ErrorModelNet, order: tuple[int, ...] | None = None,
             if not live[top]:
                 active.discard(top)
 
-    tree = _assemble(scopes, edges, attach, _net_scope_key(net))
+    tree = _assemble(scopes, edges)
     if tree.width > width_limit:
         raise WidthLimitError(tree.width, width_limit, "largest cluster in the tree")
     return tree
 
 
-def _assemble(scopes, edges, attach, scope_key) -> BinaryJoinTree:
+def _assemble(scopes, edges) -> BinaryJoinTree:
     n = len(scopes)
     adj: list[set[int]] = [set() for _ in range(n)]
     for a, b in edges:
@@ -235,8 +222,7 @@ def _assemble(scopes, edges, attach, scope_key) -> BinaryJoinTree:
         adj[b].add(a)
         edges.append((a, b))
 
-    return BinaryJoinTree(scopes, sorted((min(e), max(e)) for e in edges), attach,
-                          scope_key)
+    return BinaryJoinTree(scopes, sorted((min(e), max(e)) for e in edges))
 
 
 def validate_tree(tree: BinaryJoinTree, net: ErrorModelNet) -> list[str]:
@@ -274,15 +260,10 @@ def validate_tree(tree: BinaryJoinTree, net: ErrorModelNet) -> list[str]:
                     stack.append(w)
         if reach != set(members):
             bad.append("running intersection fails for variable %d" % v)
-    holders = set(tree.attach.values())
     for cid, nb in enumerate(tree.neighbors):
-        if len(nb) <= 1 and cid not in holders:
+        if len(nb) <= 1 and cid >= net.n_vars:
             bad.append("leaf cluster %d holds no CPT" % cid)
-    for cpt in net.cpts:
-        cid = tree.attach.get(cpt.child.id)
-        if cid is None:
-            bad.append("CPT of variable %d unattached" % cpt.child.id)
-        elif not cpt.scope <= tree.scopes[cid]:
-            bad.append("CPT of variable %d attached to non-covering cluster %d"
-                       % (cpt.child.id, cid))
+    for v, cpt in enumerate(net.cpts):
+        if v >= n or not cpt.scope <= tree.scopes[v]:
+            bad.append("cluster %d is missing or does not cover its CPT" % v)
     return bad

@@ -118,7 +118,7 @@ class _Search:
         ev = dict(self.q.evid_o)
         ev.update(partial)
         self.prop.set_evidence(ev)
-        u = self.prop.query(self.q.tree.attach[new_var])
+        u = self.prop.query(new_var)
         if self.on_bound is not None:
             self.on_bound(dict(partial), u)
         return u

@@ -7,6 +7,12 @@ disagreement between the two copies.  Variables are binary; the network
 has k + 2G + n of them for a circuit with k inputs, G gates and n
 outputs.
 
+One id names a variable and everything kept for it: ``net.cpts[v]`` is
+variable ``v``'s CPT, ``net.potentials[v]`` that CPT as a valuation, and
+a join tree holds it in cluster ``v`` (``jointree``).  The potentials are
+built once per network and shared, never written, by every tree and
+propagator on it.
+
 A gate with error rate eps emits the complement of its correct output
 with probability 2*eps, so eps = 0.25 makes the gate a fair coin and
 eps = 0.5 a deterministic inverter.  Everything downstream (oracles,
@@ -57,6 +63,7 @@ class Cpt:
     def __init__(self, child: Var, parents: tuple[Var, ...], table: np.ndarray):
         self.child = child
         self.parents = parents
+        self.scope = frozenset((child.id,) + tuple(p.id for p in parents))
         self.table = np.asarray(table, dtype=np.float64)
         n = 1 + len(parents)
         if self.table.ndim not in (n, n + 1) or self.table.shape[-n:] != (2,) * n:
@@ -67,10 +74,6 @@ class Cpt:
         col_sums = self.table.sum(axis=-n)
         if not np.all(np.abs(col_sums - 1.0) <= 1e-12 + 1e-5):
             raise ValueError("CPT columns for %r do not normalize" % child.name)
-
-    @property
-    def scope(self) -> frozenset[int]:
-        return frozenset((self.child.id,) + tuple(p.id for p in self.parents))
 
     def to_valuation(self) -> Valuation:
         """The table as a valuation, its variable axes permuted into
@@ -152,11 +155,11 @@ class ErrorModelNet:
         self.cpts = tuple(cpts)
         self.comparators = comparators
         self.input_vars = tuple(v.id for v in vars if v.klass is VarClass.INPUT)
-        self.potentials: dict = {}    # join tree -> cluster potentials (propagate)
         if [v.id for v in vars] != list(range(len(vars))):
             raise ValueError("variable ids must be dense 0..N-1")
-        if len(cpts) != len(vars):
-            raise ValueError("need exactly one CPT per variable")
+        if [cpt.child.id for cpt in cpts] != list(range(len(vars))):
+            raise ValueError("need exactly one CPT per variable, in variable order")
+        self.potentials = [cpt.to_valuation() for cpt in self.cpts]
 
     @property
     def n_vars(self) -> int:

@@ -17,12 +17,16 @@ pass stops at cached messages: a message is computed only after every
 message into its sender and dropped only with everything downstream of
 it, so all messages upstream of a cached one are cached.
 
-A cluster's local factor is its CPT, times the indicator of the
-evidence on that CPT's variable.  Setting evidence on a variable walks
-from the cluster holding its CPT, dropping the cached messages whose
-sending side holds that cluster (the walk follows edge ids and stops at
-uncached edges), then replaces that cluster's factor; the potentials
-kept on the network are never written.
+Cluster ``v`` holds variable ``v``'s CPT (``jointree``), so its local
+factor is the network's potential ``v`` times the indicator of the
+evidence on ``v``; the clusters from ``net.n_vars`` up have none.  A
+propagator checks that cluster ``v`` has CPT ``v``'s scope for every
+variable, and so takes any tree built on a network of the same circuit,
+at any eps.  Setting evidence on a variable walks from its cluster,
+dropping the cached messages whose sending side holds that cluster (the
+walk follows edge ids and stops at uncached edges), then replaces that
+cluster's factor; the potentials, built once per network and shared by
+every tree and propagator on it, are never written.
 
 Messages and reads run from plans compiled on first use and kept on the
 tree, so every propagator, evidence change and eps value on that tree
@@ -34,8 +38,6 @@ changes a factor's scope, so plans are keyed, per set of max variables
 and per grid axis (below) or none, by the edge id or by the read's
 cluster and kept variables alone.  Plans multiply and reduce exactly as
 ``combine`` and ``reduce_mixed`` would, so answers are bit-identical.
-Cluster potentials are built once per (network, tree) pair and kept on
-the network.
 
 A network over an eps grid of B values (``net.batch == (B,)``) is B
 networks of one structure at once.  Its eps-dependent potentials carry
@@ -69,21 +71,6 @@ from .valuation import Valuation, combine, reduce_all, reduce_mixed, trusted
 
 # the evidence indicator of each state, reshaped onto a CPT's scope
 _INDICATOR = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
-
-
-def _potentials(tree: BinaryJoinTree, net: ErrorModelNet) -> list[Valuation | None]:
-    """Per cluster, the CPT attached to it; built once per (net, tree)
-    pair and kept on the net.  A cluster holds at most one CPT: two CPTs
-    with one scope would each be the other's parent, a cycle."""
-    pots = net.potentials.get(tree)
-    if pots is None:
-        if not tree.compatible(net):
-            raise ValueError("tree was built for a different network structure")
-        pots = [None] * tree.n_clusters
-        for cpt in net.cpts:
-            pots[tree.attach[cpt.child.id]] = cpt.to_valuation()
-        net.potentials[tree] = pots
-    return pots
 
 
 def _schedule(tree: BinaryJoinTree):
@@ -120,6 +107,8 @@ class Propagator:
 
     def __init__(self, tree: BinaryJoinTree, net: ErrorModelNet,
                  map_vars=()):
+        if tree.scopes[:net.n_vars] != [cpt.scope for cpt in net.cpts]:
+            raise ValueError("tree was built for a different network structure")
         self.tree = tree
         self.net = net
         self.map_vars = frozenset(map_vars)
@@ -128,8 +117,8 @@ class Propagator:
         self.dropped = 0
         self._src, self._into, self._out, self._keep = _schedule(tree)
         self._msg: list[Valuation | None] = [None] * (2 * len(tree.edges))
-        self._potential = _potentials(tree, net)
-        self._factor = list(self._potential)   # per cluster, potential x evidence
+        # per cluster, potential x evidence
+        self._factor = net.potentials + [None] * (tree.n_clusters - net.n_vars)
         self._lead = (-1,) * len(net.batch)   # reshape prefix for the grid axis
         self._plans = tree.plans.setdefault((self.map_vars, self._lead), {})
 
@@ -142,19 +131,21 @@ class Propagator:
         changed = [v for v in set(new) | set(self.evidence)
                    if self.evidence.get(v) != new.get(v)]
         # every check first, so an unknown variable or state changes nothing
-        spots = [self.tree.attach[v] for v in changed]
+        unknown = [v for v in changed if v not in range(self.net.n_vars)]
+        if unknown:
+            raise KeyError(unknown[0])
         bad = [v for v in changed if v in new and new[v] not in _INDICATOR]
         if bad:
             raise ValueError("evidence state of variable %d is %r, not 0 or 1"
                              % (bad[0], new[bad[0]]))
-        for v, cid in zip(changed, spots):
-            self._invalidate(cid)
-            pot = self._potential[cid]
+        for v in changed:
+            self._invalidate(v)
+            pot = self.net.potentials[v]
             if v in new:
                 ind = _INDICATOR[new[v]].reshape([2 if u == v else 1 for u in pot.scope])
-                self._factor[cid] = trusted(pot.scope, pot.table * ind)
+                self._factor[v] = trusted(pot.scope, pot.table * ind)
             else:
-                self._factor[cid] = pot
+                self._factor[v] = pot
         self.evidence = new
 
     def _invalidate(self, cid: int) -> None:
@@ -233,8 +224,10 @@ class Propagator:
         return self._read(root_cluster, frozenset()).table.tolist()
 
     def var_belief(self, var: int) -> Valuation:
-        """The belief at the cluster holding ``var``'s CPT reduced onto it."""
-        return self._read(self.tree.attach[var], frozenset((var,)))
+        """The belief at ``var``'s cluster reduced onto it."""
+        if var not in range(self.net.n_vars):
+            raise KeyError(var)
+        return self._read(var, frozenset((var,)))
 
 
 def prob_evidence(tree: BinaryJoinTree, net: ErrorModelNet,
@@ -243,4 +236,4 @@ def prob_evidence(tree: BinaryJoinTree, net: ErrorModelNet,
     eps grid; identical (up to 1e-9) for every choice of root."""
     p = Propagator(tree, net)
     p.set_evidence(evidence)
-    return p.query(tree.attach[min(tree.attach)])
+    return p.query(0)

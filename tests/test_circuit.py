@@ -95,7 +95,7 @@ def test_parse_errors_carry_line_numbers():
 @pytest.mark.parametrize("parse, source, message, line", [
     (parse_bench, "OUTPUT(z)\n", "circuit declares no inputs", None),
     (parse_bench, "INPUT(a)\n", "circuit declares no outputs", None),
-    (parse_bench, "INPUT(a)\nINPUT(a)\nOUTPUT(a)\n", "duplicate net definition 'a'", None),
+    (parse_bench, "INPUT(a)\nINPUT(a)\nOUTPUT(a)\n", "line 2: duplicate net definition 'a'", 2),
     (parse_bench, "INPUT(a)\nOUTPUT(z)\n", "line 2: undefined net 'z'", 2),
     (parse_bench, "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, , b)\n",
      "line 4: empty fan-in entry", 4),

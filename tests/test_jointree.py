@@ -45,7 +45,7 @@ def test_tree_valid_on_c17(c17):
     assert tree.width <= 12
     # each input's prior sits in a cluster of its own, the root of its bounds
     for v in net.input_vars:
-        assert tree.scopes[tree.attach[v]] == frozenset((v,))
+        assert tree.scopes[v] == frozenset((v,))
 
 
 def test_tree_valid_on_disconnected_network():
@@ -75,23 +75,21 @@ def test_validate_reports_leaf_without_cpt(c17):
     tree = build_tree(net)
     # hang a CPT-less {comparator} leaf off the comparator's cluster
     v = net.comparators[0]
-    host = tree.attach[v]
-    assert len(tree.neighbors[host]) < 3
+    assert len(tree.neighbors[v]) < 3
     leaf = tree.n_clusters
-    grown = BinaryJoinTree(tree.scopes + [frozenset((v,))], tree.edges + [(host, leaf)],
-                           dict(tree.attach), tree._scope_key)
+    grown = BinaryJoinTree(tree.scopes + [frozenset((v,))], tree.edges + [(v, leaf)])
     assert validate_tree(grown, net) == ["leaf cluster %d holds no CPT" % leaf]
 
 
-# Each breaks a copy of c17's tree (scopes, edges, attach in place) and
+# Each breaks a copy of c17's tree (scopes and edges in place) and
 # returns the violations validate_tree must report.
-def _close_a_cycle(net, tree, scopes, edges, attach):
+def _close_a_cycle(net, tree, scopes, edges):
     a, b = [u for u, nb in enumerate(tree.neighbors) if len(nb) == 1][:2]
     edges.append((a, b))
     return ["edge count %d != clusters - 1" % len(edges)]
 
 
-def _add_a_looped_cluster(net, tree, scopes, edges, attach):
+def _add_a_looped_cluster(net, tree, scopes, edges):
     # a scope-free cluster whose one edge loops back to it: the edge count holds
     k = len(scopes)
     scopes.append(frozenset())
@@ -99,9 +97,8 @@ def _add_a_looped_cluster(net, tree, scopes, edges, attach):
     return ["tree is not connected"]
 
 
-def _move_a_leaf_to_a_full_cluster(net, tree, scopes, edges, attach):
-    v = net.input_vars[0]
-    b = attach[v]
+def _move_a_leaf_to_a_full_cluster(net, tree, scopes, edges):
+    b = v = net.input_vars[0]
     (a,) = tree.neighbors[b]
     h = next(h for h, nb in enumerate(tree.neighbors)
              if len(nb) == 3 and h != a and v in scopes[h])
@@ -109,48 +106,48 @@ def _move_a_leaf_to_a_full_cluster(net, tree, scopes, edges, attach):
     return ["cluster %d has degree 4" % h]
 
 
-def _drop_a_comparator_everywhere(net, tree, scopes, edges, attach):
+def _drop_a_comparator_everywhere(net, tree, scopes, edges):
     v = net.comparators[0]
     scopes[:] = [s - {v} for s in scopes]
     return ["variable %d in no cluster" % v,
-            "CPT of variable %d attached to non-covering cluster %d" % (v, attach[v])]
+            "cluster %d is missing or does not cover its CPT" % v]
 
 
-def _cut_a_variable_path(net, tree, scopes, edges, attach):
+def _cut_a_variable_path(net, tree, scopes, edges):
     # a CPT-less cluster between two neighbors holding v loses v
-    holders = set(attach.values())
-    u, v = next((u, v) for u in range(len(scopes)) if u not in holders
+    u, v = next((u, v) for u in range(net.n_vars, len(scopes))
                 for v in sorted(scopes[u])
                 if sum(v in scopes[w] for w in tree.neighbors[u]) >= 2)
     scopes[u] = scopes[u] - {v}
     return ["running intersection fails for variable %d" % v]
 
 
-def _detach_an_input_prior(net, tree, scopes, edges, attach):
+def _empty_an_input_prior(net, tree, scopes, edges):
+    # the prior's leaf still hangs off a cluster holding the input
     v = net.input_vars[0]
-    cid = attach.pop(v)
-    return ["leaf cluster %d holds no CPT" % cid, "CPT of variable %d unattached" % v]
+    scopes[v] = frozenset()
+    return ["cluster %d is missing or does not cover its CPT" % v]
 
 
-def _swap_a_prior_and_a_gate(net, tree, scopes, edges, attach):
-    # the input's singleton cannot hold the family of a gate it feeds
-    v = net.input_vars[0]
-    g = next(cpt.child.id for cpt in net.cpts if v in cpt.scope and cpt.child.id != v)
-    attach[v], attach[g] = attach[g], attach[v]
-    return ["CPT of variable %d attached to non-covering cluster %d" % (g, attach[g])]
+def _drop_every_cluster(net, tree, scopes, edges):
+    scopes.clear()
+    edges.clear()
+    return (["edge count 0 != clusters - 1"]
+            + ["variable %d in no cluster" % v for v in range(net.n_vars)]
+            + ["cluster %d is missing or does not cover its CPT" % v
+               for v in range(net.n_vars)])
 
 
 @pytest.mark.parametrize("breaks", [
     _close_a_cycle, _add_a_looped_cluster, _move_a_leaf_to_a_full_cluster,
-    _drop_a_comparator_everywhere, _cut_a_variable_path, _detach_an_input_prior,
-    _swap_a_prior_and_a_gate], ids=lambda f: f.__name__.lstrip("_"))
+    _drop_a_comparator_everywhere, _cut_a_variable_path, _empty_an_input_prior,
+    _drop_every_cluster], ids=lambda f: f.__name__.lstrip("_"))
 def test_validate_reports_each_violation(c17, breaks):
     net = build_error_model(c17, 0.05)
     tree = build_tree(net)
-    scopes, edges, attach = list(tree.scopes), list(tree.edges), dict(tree.attach)
-    expected = breaks(net, tree, scopes, edges, attach)
-    broken = BinaryJoinTree(scopes, edges, attach, tree._scope_key)
-    assert validate_tree(broken, net) == expected
+    scopes, edges = list(tree.scopes), list(tree.edges)
+    expected = breaks(net, tree, scopes, edges)
+    assert validate_tree(BinaryJoinTree(scopes, edges), net) == expected
 
 
 def test_order_width_reasonable(c17):
@@ -172,9 +169,9 @@ def test_every_leaf_holds_a_cpt(c17, corpus):
     for c in [c17, DISCONNECTED] + [pb.ripple_carry_adder(n) for n in range(3, 9)] + corpus:
         net = build_error_model(c, 0.05)
         tree = build_tree(net)
-        holders = set(tree.attach.values())
-        assert [u for u in range(tree.n_clusters)
-                if len(tree.neighbors[u]) <= 1 and u not in holders] == []
+        assert tree.scopes[:net.n_vars] == [cpt.scope for cpt in net.cpts]
+        assert [u for u in range(net.n_vars, tree.n_clusters)
+                if len(tree.neighbors[u]) <= 1] == []
         assert validate_tree(tree, net) == []
 
 
@@ -184,12 +181,12 @@ def test_no_cluster_only_forwards(c17, corpus):
     # both at x and at it
     pb = perfbench_circuits()
     for c in [c17, DISCONNECTED] + [pb.ripple_carry_adder(n) for n in range(3, 9)] + corpus:
-        tree = build_tree(build_error_model(c, 0.05))
+        net = build_error_model(c, 0.05)
+        tree = build_tree(net)
         scope = tree.scopes
-        holders = set(tree.attach.values())
-        for u in range(tree.n_clusters):
+        for u in range(net.n_vars, tree.n_clusters):
             nb = tree.neighbors[u]
-            if u in holders or len(nb) == 3:
+            if len(nb) == 3:
                 continue
             assert len(nb) == 2, "CPT-less leaf %d" % u
             assert any(not scope[x] <= scope[u] and not scope[x] & scope[u] <= scope[y]
@@ -201,10 +198,10 @@ def test_every_cptless_cluster_has_three_neighbors(c17, corpus):
     # that nothing merges with again directly, so no CPT-less root is left
     pb = perfbench_circuits()
     for c in [c17, DISCONNECTED] + [pb.ripple_carry_adder(n) for n in range(3, 9)] + corpus:
-        tree = build_tree(build_error_model(c, 0.05))
-        holders = set(tree.attach.values())
-        assert [u for u in range(tree.n_clusters)
-                if u not in holders and len(tree.neighbors[u]) != 3] == []
+        net = build_error_model(c, 0.05)
+        tree = build_tree(net)
+        assert [u for u in range(net.n_vars, tree.n_clusters)
+                if len(tree.neighbors[u]) != 3] == []
 
 
 def test_input_only_outputs_still_build():

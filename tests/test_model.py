@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from maxerr.circuit import GateFunc, parse_bench
-from maxerr.model import (Cpt, Var, VarClass, build_error_model, cpt_for_gate,
-                          eps_by_net_name, joint_prob)
+from maxerr.model import (Cpt, ErrorModelNet, Var, VarClass, build_error_model,
+                          cpt_for_gate, eps_by_net_name, joint_prob)
 
 AND2 = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b)\n")
 
@@ -20,6 +20,14 @@ def test_variable_layout(c17):
     assert net.vars[-1].name == "err:23"
     assert len(net.cpts) == net.n_vars
     assert net.input_vars == (0, 1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("reorder", [lambda cpts: [cpts[1], cpts[0]] + cpts[2:],
+                                     lambda cpts: cpts[:-1]], ids=["swapped", "missing"])
+def test_cpts_must_follow_variable_order(reorder):
+    net = build_error_model(AND2, 0.05)
+    with pytest.raises(ValueError, match="one CPT per variable, in variable order"):
+        ErrorModelNet(AND2, list(net.vars), reorder(list(net.cpts)), net.comparators)
 
 
 def test_faulty_cpt_entries_are_twice_eps():

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import DISCONNECTED
 from maxerr.circuit import parse_bench, vector_index
-from maxerr.jointree import build_tree
+from maxerr.jointree import BinaryJoinTree, build_tree
 from maxerr.mapsearch import MapQuery, _Search
 from maxerr.model import VarClass, build_error_model, joint_prob
 from maxerr.oracle import FaultEnumerator
@@ -106,7 +106,7 @@ def test_var_belief_recovers_marginals():
 def test_evidence_delta_matches_fresh_propagator():
     net, tree = _net_tree(SMALL)
     cmp_var = net.comparator_of("z")
-    root = tree.attach[cmp_var]
+    root = cmp_var
     i0, i1 = net.input_vars[0], net.input_vars[1]
 
     p = Propagator(tree, net)
@@ -123,15 +123,15 @@ def test_evidence_delta_keeps_unrelated_messages(c17):
     net, tree = _net_tree(c17)
     p = Propagator(tree, net)
     p.set_evidence({net.input_vars[0]: 0})
-    p.query(tree.attach[net.comparators[0]])
+    p.query(net.comparators[0])
     before = set(_cached(p))
     p.set_evidence({net.input_vars[0]: 1})
     assert before & set(_cached(p)), "flipping one input should not drop every message"
     # and the reused cache still gives the fresh answer
-    got = p.query(tree.attach[net.comparators[0]])
+    got = p.query(net.comparators[0])
     fresh = Propagator(tree, net)
     fresh.set_evidence({net.input_vars[0]: 1})
-    assert got == pytest.approx(fresh.query(tree.attach[net.comparators[0]]), abs=1e-12)
+    assert got == pytest.approx(fresh.query(net.comparators[0]), abs=1e-12)
 
 
 def _sending_side(tree, b, c):
@@ -154,7 +154,7 @@ def test_flip_drops_exactly_the_messages_that_saw_it(c17, corpus, max_mode):
         net, tree = _net_tree(circuit)
         ev = {v: 0 for v in net.input_vars}
         ev[net.comparators[0]] = 1
-        roots = sorted({tree.attach[v] for v in ev})
+        roots = sorted(ev)
         map_vars = net.input_vars if max_mode else ()
         p = Propagator(tree, net, map_vars=map_vars)
         p.set_evidence(ev)
@@ -162,11 +162,10 @@ def test_flip_drops_exactly_the_messages_that_saw_it(c17, corpus, max_mode):
             p.query(r)
         for var in list(ev):
             before = set(_cached(p))
-            spot = tree.attach[var]
             ev = {**ev, var: 1 - ev[var]}
             p.set_evidence(ev)
             assert set(_cached(p)) == {(b, c) for b, c in before
-                                       if spot not in _sending_side(tree, b, c)}
+                                       if var not in _sending_side(tree, b, c)}
             fresh = Propagator(tree, net, map_vars=map_vars)
             fresh.set_evidence(ev)
             for r in roots:
@@ -195,7 +194,7 @@ def test_mixed_query_bounds_exact_max():
         assert p.query(cid) >= exact - 1e-12
     # the search roots its bounds at the clusters of the input priors
     for v in net.input_vars:
-        assert p.query(tree.attach[v]) == pytest.approx(exact, abs=1e-12)
+        assert p.query(v) == pytest.approx(exact, abs=1e-12)
 
 
 def test_complete_assignment_bound_is_exact():
@@ -228,33 +227,52 @@ def test_partial_assignment_bound_dominates_completions():
         assert u >= best - 1e-12
 
 
-def test_potentials_built_once_per_net_and_tree(c17):
+def test_potentials_built_once_per_net_and_shared_by_every_tree(c17):
     net, tree = _net_tree(c17)
-    a = Propagator(tree, net)
-    b = Propagator(tree, net, map_vars=net.input_vars)
-    assert a._potential is b._potential is net.potentials[tree]
-    other = build_tree(net)
-    assert Propagator(other, net)._potential is not a._potential
-    assert set(net.potentials) == {tree, other}
+    pots = net.potentials
+    for v, cpt in enumerate(net.cpts):
+        want = cpt.to_valuation()
+        assert pots[v].scope == want.scope and np.array_equal(pots[v].table, want.table)
+    for p in (Propagator(tree, net), Propagator(tree, net, map_vars=net.input_vars),
+              Propagator(build_tree(net), net)):
+        assert p.net.potentials is pots
+        assert all(f is pot for f, pot in zip(p._factor, pots))
+        assert p._factor[net.n_vars:] == [None] * (p.tree.n_clusters - net.n_vars)
 
 
 def test_rejects_tree_from_other_network(c17):
     net_small, tree_small = _net_tree(SMALL)
     net_c17 = build_error_model(c17, EPS)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different network structure"):
         Propagator(tree_small, net_c17)
 
 
-def test_evidence_on_unknown_variable_raises_key_error():
+def test_rejects_tree_with_two_cpt_scopes_swapped(c17):
+    net, tree = _net_tree(c17)
+    v = net.input_vars[0]
+    g = next(cpt.child.id for cpt in net.cpts if v in cpt.scope and cpt.child.id != v)
+    scopes = list(tree.scopes)
+    scopes[v], scopes[g] = scopes[g], scopes[v]
+    with pytest.raises(ValueError, match="different network structure"):
+        Propagator(BinaryJoinTree(scopes, tree.edges), net)
+
+
+@pytest.mark.parametrize("unknown", [-1, "n_vars"])
+def test_evidence_on_unknown_variable_raises_key_error(unknown):
     net, tree = _net_tree(SMALL)
+    unknown = net.n_vars if unknown == "n_vars" else unknown
     p = Propagator(tree, net)
     ev = {net.input_vars[0]: 1}
     p.set_evidence(ev)
     want = p.query(0)
-    assert net.n_vars not in tree.attach
+    cached = list(p._msg)
     with pytest.raises(KeyError):
-        p.set_evidence({net.n_vars: 1})
-    assert p.evidence == ev and p.query(0) == want
+        p.set_evidence({net.input_vars[0]: 0, unknown: 1})
+    assert p.evidence == ev and p.dropped == 0
+    assert all(m is c for m, c in zip(p._msg, cached))
+    assert p.query(0) == want
+    with pytest.raises(KeyError):
+        p.var_belief(unknown)
 
 
 @pytest.mark.parametrize("state", [-1, 2])
@@ -283,7 +301,7 @@ def test_message_counter(c17, corpus):
             assert p.messages == full
             p.query(root)
             assert p.messages == full
-        root = tree.attach[net.comparators[0]]
+        root = net.comparators[0]
         p = Propagator(tree, net, map_vars=net.input_vars)
         p.set_evidence(ev)
         p.query(root)
@@ -301,7 +319,7 @@ def test_dropped_counter(c17, corpus, max_mode):
     for circuit in [c17] + corpus[:8]:
         net, tree = _net_tree(circuit)
         ev = {v: 0 for v in net.input_vars}
-        root = tree.attach[net.comparators[0]]
+        root = net.comparators[0]
         p = Propagator(tree, net, map_vars=net.input_vars if max_mode else ())
         p.set_evidence(ev)
         p.query(root)
@@ -375,11 +393,10 @@ def test_collect_computes_exactly_the_missing_edges(c17, corpus, max_mode):
 def _unfolded(p, cid):
     """The shared potential at ``cid`` and the indicator of the evidence
     on that CPT's variable: the operands its local factor folds into one."""
-    pot = p.net.potentials[p.tree][cid]
-    if pot is None:
+    if cid >= p.net.n_vars:
         return []
-    v = next(v for v, c in p.tree.attach.items() if c == cid)
-    return [pot, indicator(v, p.evidence[v])] if v in p.evidence else [pot]
+    pot = p.net.potentials[cid]
+    return [pot, indicator(cid, p.evidence[cid])] if cid in p.evidence else [pot]
 
 
 def _reference_message(p, b, c):
@@ -426,7 +443,7 @@ def test_compiled_messages_equal_combine_then_reduce(c17, corpus, max_mode):
                 assert p.query(cid) == reduce_all(want, p.map_vars)
                 want_beliefs.append(want)
             for c in net.comparators:
-                want = want_beliefs[tree.attach[c]]
+                want = want_beliefs[c]
                 drop = set(want.scope) - {c}
                 want = reduce_mixed(want, drop - p.map_vars, drop & p.map_vars)
                 got = p.var_belief(c)
@@ -438,9 +455,9 @@ def test_every_sending_side_holds_a_cpt_and_every_edge_is_scheduled(c17, corpus)
     for circuit in [c17, DISCONNECTED] + corpus[:20]:
         net, tree = _net_tree(circuit)
         p = Propagator(tree, net)
-        holders = set(tree.attach.values())
-        assert [u for u in range(tree.n_clusters)
-                if len(tree.neighbors[u]) <= 1 and u not in holders] == []
+        holders = set(range(net.n_vars))
+        assert [u for u in range(net.n_vars, tree.n_clusters)
+                if len(tree.neighbors[u]) <= 1] == []
         for b, c in _directed(tree):
             assert holders & _sending_side(tree, b, c)
         for b, out in enumerate(p._out):
