@@ -28,7 +28,7 @@ from .jointree import BinaryJoinTree, build_tree, choose_order
 from .mapsearch import PRUNE_TOL, MapQuery, search, solve
 from .model import ErrorModelNet, build_error_model
 from .propagate import Propagator, per_member
-from .valuation import DEFAULT_WIDTH_LIMIT
+from .valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
 
 
 @dataclass
@@ -85,7 +85,14 @@ class Spectrum:
 
 
 def prepare(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT):
-    """Model plus join tree for a circuit; the usual entry point."""
+    """Model plus join tree for a circuit; the usual entry point.
+
+    Every CPT lies inside one cluster, so a gate whose CPT (the gate and
+    its fan-in) spans more than ``width_limit`` variables raises
+    ``WidthLimitError`` here, before any table is built."""
+    widest = 1 + max((len(g.fanin) for g in c.gates), default=0)
+    if widest > width_limit:
+        raise WidthLimitError(widest, width_limit, "widest gate CPT")
     net = build_error_model(c, eps)
     tree = build_tree(net, choose_order(net), width_limit)
     return net, tree
@@ -94,7 +101,12 @@ def prepare(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT):
 def cond_error(prop: Propagator, comp_var: int):
     """P(comparator = 1 | the evidence set on ``prop``), via
     P(comparator, evidence) normalized: a float, or an array over the
-    members of an eps grid."""
+    members of an eps grid.  A max-mode ``prop`` must have evidence on
+    every max variable (``ValueError`` otherwise); the read then equals
+    the sum-mode one up to rounding (``propagate``)."""
+    if not prop.map_vars <= prop.evidence.keys():
+        raise ValueError("a max-mode read is a conditional probability only "
+                         "with evidence on every max variable")
     t = prop.var_belief(comp_var).table.T    # the comparator's states first
     return t[1] / (t[0] + t[1])
 
@@ -177,7 +189,9 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     (the union of the cones in joint mode); the others cannot change
     the error, are held at 0 and are reported as 0.  ``nodes_expanded``
     and ``nodes_pruned`` count nodes over the cone inputs.  All searches
-    share one max-mode propagator and its cached messages.
+    share one max-mode propagator and its cached messages; the errors at
+    the worst vectors are read from one sum-mode propagator, whose reads
+    the max-mode one matches only up to rounding (``propagate``).
     """
     if net.batch:
         raise ValueError("max_error takes a network at one eps; max_errors takes an eps grid")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 import time
@@ -48,6 +49,8 @@ def _parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError("grid must be start:stop:step or a comma list")
         start, stop, step = (float(x) for x in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError("grid start, stop and step must be finite")
         if step <= 0 or stop < start:
             raise ValueError("grid must satisfy step > 0 and stop >= start")
         n = int(round((stop - start) / step))

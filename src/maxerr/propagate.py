@@ -55,6 +55,18 @@ variables being maximized (the primary inputs during a worst-vector
 search).  Rooting the collect at a cluster whose schedule sums before it
 maxes yields the exact maximum; any other root still yields a sound
 upper bound because moving a max inward can only increase the value.
+
+With evidence on every max variable, a max-mode read equals the
+sum-mode one in exact arithmetic.  A max variable ``u`` is reduced out
+of a message only on an edge whose sending side holds cluster ``u``
+(on the receiving side, the running intersection property would put
+``u`` in the separator), so every table that reduces ``u`` carries the
+evidence indicator's exact zeros, and max(x, 0) = x = x + 0.  It does
+not hold bit for bit: a sum-mode plan sums the chance and the evidenced
+axes in one ``np.add.reduce``, whose pairwise grouping differs from
+summing the chance axes alone, so a few messages and reads differ in
+the last bits.  That is why ``analysis.max_errors`` reads each worst
+vector's error from a sum-mode propagator of its own.
 """
 
 from __future__ import annotations

@@ -18,6 +18,10 @@ CORPUS_EPS = (0.01, 0.05, 0.1, 0.2)
 DISCONNECTED = parse_bench(
     "INPUT(a)\nINPUT(b)\nOUTPUT(x)\nOUTPUT(y)\nx = NOT(a)\ny = NOT(b)\n")
 
+# one AND gate over 20 inputs: its CPT alone spans 21 variables
+WIDE_AND = ("".join("INPUT(a%d)\n" % i for i in range(20))
+            + "OUTPUT(z)\nz = AND(%s)\n" % ", ".join("a%d" % i for i in range(20)))
+
 
 @pytest.fixture(scope="session")
 def c17():

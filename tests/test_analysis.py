@@ -4,6 +4,8 @@ fault-set enumeration oracle and are pinned here as literals."""
 import numpy as np
 import pytest
 
+from conftest import WIDE_AND
+from maxerr import analysis
 from maxerr.analysis import (MAX_SPECTRUM_INPUTS, avg_error, max_error,
                              prepare, spectrum, sweep)
 from maxerr.circuit import Circuit, all_input_vectors, parse_bench, vector_index
@@ -252,6 +254,26 @@ def test_spectrum_input_cap():
 def test_prepare_forwards_width_limit(c17):
     with pytest.raises(WidthLimitError):
         prepare(c17, 0.05, width_limit=2)
+
+
+def test_prepare_rejects_a_wide_gate_before_building_the_model(c17, monkeypatch):
+    wide = parse_bench(WIDE_AND)
+    calls = [0]
+    build = analysis.build_error_model
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "build_error_model", counted)
+    with pytest.raises(WidthLimitError) as exc:
+        prepare(wide, 0.05, width_limit=5)
+    assert (exc.value.width, exc.value.limit) == (21, 5)
+    assert calls[0] == 0
+    # every gate CPT fits in 5 variables, but c17's tree does not
+    with pytest.raises(WidthLimitError):
+        prepare(c17, 0.05, width_limit=5)
+    assert calls[0] == 1
 
 
 def test_reports_on_corpus_match_oracle(corpus):

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from conftest import WIDE_AND
 from maxerr.cli import main
 
 C17_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -189,6 +190,15 @@ def test_width_limit_exits_2(capsys):
     assert "too wide" in err
 
 
+def test_wide_gate_exits_2_before_the_model_is_built(tmp_path, capsys):
+    wide = tmp_path / "wide.bench"
+    wide.write_text(WIDE_AND)
+    code, _, err = run(capsys, "analyze", str(wide), "--epsilon", "0.05",
+                       "--width-limit", "5")
+    assert code == 2
+    assert "too wide" in err and "21 variables" in err
+
+
 def test_epsilon_map(tmp_path, capsys):
     table = tmp_path / "eps.json"
     table.write_text(json.dumps({"10": 0.1}))
@@ -255,7 +265,8 @@ def test_sweep_json_comma_grid(capsys):
 
 @pytest.mark.parametrize("grid", ["0.6,0.1", "0:0.1:0.02", "0.1:0.05:0.01",
                                   "0.1:0.2:0", ",", "0.1:0.2", "0.3,0.05,0.2",
-                                  "0.05,0.05"])
+                                  "0.05,0.05", "0.01:inf:0.01", "nan:0.2:0.01",
+                                  "0.01:0.2:inf"])
 def test_sweep_bad_grid_exits_2(capsys, grid):
     assert run(capsys, "sweep", C17_PATH, "--grid", grid)[0] == 2
 

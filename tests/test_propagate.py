@@ -6,7 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import DISCONNECTED
+from conftest import DISCONNECTED, perfbench_circuits
+from maxerr.analysis import cond_error
 from maxerr.circuit import parse_bench, vector_index
 from maxerr.jointree import BinaryJoinTree, build_tree
 from maxerr.mapsearch import MapQuery, _Search
@@ -483,3 +484,48 @@ def test_evidence_on_one_propagator_leaves_another_alone(c17, corpus):
             for q in (other, Propagator(tree, net)):
                 for cid, want in enumerate(before):
                     assert np.array_equal(q.belief(cid).table, want)
+
+
+def test_max_mode_reads_match_sum_mode_reads_under_full_input_evidence(c17, corpus):
+    # a max variable is reduced only on edges whose sending side holds
+    # its evidenced cluster, so every max over it meets exact zeros and
+    # the reads are equal in exact arithmetic; numpy groups a sum over
+    # more axes differently, so they may differ in the last bits
+    rng = np.random.default_rng(7)
+    adder = perfbench_circuits().ripple_carry_adder(4)
+    for circuit in [c17, adder] + corpus[:20]:
+        for eps in (EPS, [0.01, 0.05, 0.1, 0.2, 0.3]):
+            net, tree = _net_tree(circuit, eps)
+            summed = Propagator(tree, net)
+            maxed = Propagator(tree, net, map_vars=net.input_vars)
+            k = len(net.input_vars)
+            vectors = [[0] * k, [1] * k] + rng.integers(0, 2, size=(3, k)).tolist()
+            for bits in vectors:
+                inputs = dict(zip(net.input_vars, bits))
+                for ev in (inputs, {**inputs, net.comparators[-1]: 1}):
+                    summed.set_evidence(ev)
+                    maxed.set_evidence(ev)
+                    for comp in net.comparators:
+                        np.testing.assert_allclose(maxed.var_belief(comp).table,
+                                                   summed.var_belief(comp).table,
+                                                   rtol=1e-14, atol=0)
+                    for cid in range(tree.n_clusters):
+                        np.testing.assert_allclose(maxed.query(cid), summed.query(cid),
+                                                   rtol=1e-14, atol=0)
+
+
+def test_cond_error_needs_evidence_on_every_max_variable(c17):
+    net, tree = _net_tree(c17)
+    maxed = Propagator(tree, net, map_vars=net.input_vars)
+    summed = Propagator(tree, net)
+    comp = net.comparators[0]
+    for ev in ({}, {v: 1 for v in net.input_vars[1:]}):
+        maxed.set_evidence(ev)
+        with pytest.raises(ValueError, match="every max variable"):
+            cond_error(maxed, comp)
+    ev = {v: 1 for v in net.input_vars}
+    maxed.set_evidence(ev)
+    summed.set_evidence(ev)
+    assert cond_error(maxed, comp) == pytest.approx(cond_error(summed, comp), rel=1e-14)
+    summed.set_evidence({})
+    assert 0.0 < cond_error(summed, comp) < 1.0
