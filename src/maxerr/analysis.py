@@ -1,17 +1,10 @@
 """Circuit-level reliability quantities.
 
-Builds on the search and the propagator: the worst-case output error of
-a circuit is, per output, the conditional error probability at the most
-error-prone input vector; sweeping the gate error probability locates
-the point where that worst case stops being useful (crosses 0.5); the
-spectrum enumerates every input vector.
-
-A sweep builds one network over its whole eps grid, a leading batch axis
-on every table (``ErrorModelNet.batch``), and runs ``max_errors`` and
-``avg_error`` on it once: one search walk and one read per comparator
-serve every grid value.  The grid is split into chunks where B x 2^width
-would pass 2^17 cells (``_chunk_size``).  Each member's answer is the
-one ``max_error`` gives on the network of its eps alone.
+Per output: the worst-case error, the conditional error probability at
+the most error-prone input vector, found by search (``max_error``); the
+error at every vector, read from the output's fan-in cone (``spectrum``);
+and across an eps grid, the first eps where the worst case reaches 0.5
+(``sweep``), run as batched passes over the whole grid.
 """
 
 from __future__ import annotations
@@ -70,9 +63,12 @@ class SweepCurve:
 class Spectrum:
     input_order: tuple[str, ...]
     per_output: np.ndarray   # (2**k, n) conditional error probabilities
-    max_probs: np.ndarray    # (2**k,) max over outputs
     mu: float
     sigma: float
+
+    @property
+    def max_probs(self) -> np.ndarray:   # (2**k,) max over outputs
+        return self.per_output.max(axis=1)
 
     def above(self, threshold: float | None = None) -> list[tuple[str, float]]:
         """Vectors whose worst-output error reaches the threshold
@@ -113,14 +109,13 @@ def cond_error(prop: Propagator, comp_var: int):
 
 def _cone_inputs(net: ErrorModelNet, roots) -> frozenset[int]:
     """Primary inputs among the ancestors of ``roots``: their fan-in cone."""
-    parents = {cpt.child.id: cpt.parents for cpt in net.cpts}
     seen: set[int] = set()
     stack = list(roots)
     while stack:
         v = stack.pop()
         if v not in seen:
             seen.add(v)
-            stack.extend(p.id for p in parents[v])
+            stack.extend(p.id for p in net.cpts[v].parents)
     return frozenset(seen.intersection(net.input_vars))
 
 
@@ -301,9 +296,12 @@ MAX_SPECTRUM_INPUTS = 20
 def spectrum(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT) -> Spectrum:
     """Exact per-vector worst-output error over all 2**k input vectors.
 
-    Enumerates vectors in Gray order so each step moves one evidence
-    bit and most messages stay cached.  Capped at 20 inputs.  ``eps``
-    is one eps or an eps map; an eps grid is rejected.
+    Per output, the cone inputs lie in one cluster, as ``choose_order``
+    eliminates every other variable first (``ValueError`` otherwise).  The
+    smallest such cluster, lowest id on a tie, is read with the comparator
+    at 1 and at 0, onto those inputs: P(cone, wrong) / P(cone), broadcast
+    over the other inputs.  Capped at 20 inputs, as the result has 2**k
+    rows.  One eps or eps map; a grid is rejected.
     """
     if np.ndim(eps):
         raise ValueError("spectrum takes one eps or an eps map, not an eps grid")
@@ -312,13 +310,20 @@ def spectrum(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT) -> Spectru
                          % (MAX_SPECTRUM_INPUTS, c.n_inputs))
     net, tree = prepare(c, eps, width_limit)
     prop = Propagator(tree, net)
-    k = c.n_inputs
-    table = np.zeros((1 << k, len(net.comparators)))
-    for step in range(1 << k):
-        idx = step ^ (step >> 1)
-        bits = index_vector(idx, k)
-        prop.set_evidence({v: bits[j] for j, v in enumerate(net.input_vars)})
-        for j, comp in enumerate(net.comparators):
-            table[idx, j] = cond_error(prop, comp)
+    table = np.empty((2,) * c.n_inputs + (len(net.comparators),))
+    for j, comp in enumerate(net.comparators):
+        cone = _cone_inputs(net, (comp,))
+        holders = [(len(s), cid) for cid, s in enumerate(tree.scopes) if cone <= s]
+        if not holders:
+            raise ValueError("no cluster holds the cone inputs of output " + c.outputs[j])
+        _, cid = min(holders)
+        prop.set_evidence({comp: 1})
+        wrong = prop.belief(cid, cone).table
+        prop.set_evidence({comp: 0})
+        right = prop.belief(cid, cone).table
+        # a read's axes follow its sorted scope, and input ids ascend
+        table[..., j] = (wrong / (right + wrong)).reshape(
+            [2 if v in cone else 1 for v in net.input_vars])
+    table = table.reshape(1 << c.n_inputs, -1)
     maxes = table.max(axis=1)
-    return Spectrum(c.inputs, table, maxes, float(maxes.mean()), float(maxes.std()))
+    return Spectrum(c.inputs, table, float(maxes.mean()), float(maxes.std()))

@@ -203,7 +203,7 @@ def cmd_spectrum(args) -> int:
     eps = _load_eps(args, c)
     t0 = time.perf_counter()
     sp = spectrum(c, eps, width_limit=args.width_limit)
-    print("spectrum: %d vectors, %.3fs" % (len(sp.max_probs),
+    print("spectrum: %d vectors, %.3fs" % (len(sp.per_output),
                                            time.perf_counter() - t0), file=sys.stderr)
     k = c.n_inputs
     if args.format == "json":
@@ -212,19 +212,19 @@ def cmd_spectrum(args) -> int:
             "mu": round(sp.mu, 6),
             "sigma": round(sp.sigma, 6),
             "rows": [{"vector": vector_string(index_vector(i, k)),
-                      "per_output": [round(float(x), 6) for x in sp.per_output[i]],
-                      "max": round(float(sp.max_probs[i]), 6)}
-                     for i in range(1 << k)],
+                      "per_output": [round(float(x), 6) for x in row],
+                      "max": round(float(m), 6)}
+                     for i, (row, m) in enumerate(zip(sp.per_output, sp.max_probs))],
             "above": [{"vector": v, "max": round(p, 6)} for v, p in sp.above()],
         }
         _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
         lines = [_inputs_header(c),
                  "vector," + ",".join(c.outputs) + ",max"]
-        for i in range(1 << k):
-            cells = ",".join(_fmt(float(x)) for x in sp.per_output[i])
+        for i, (row, m) in enumerate(zip(sp.per_output, sp.max_probs)):
+            cells = ",".join(_fmt(float(x)) for x in row)
             lines.append("%s,%s,%s" % (vector_string(index_vector(i, k)), cells,
-                                       _fmt(float(sp.max_probs[i]))))
+                                       _fmt(float(m))))
         lines.append("# mu=%s sigma=%s above_mu_plus_sigma=%d" % (
             _fmt(sp.mu), _fmt(sp.sigma), len(sp.above())))
         _emit(args, "\n".join(lines) + "\n")

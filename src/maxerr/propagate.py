@@ -32,12 +32,12 @@ Messages and reads run from plans compiled on first use and kept on the
 tree, so every propagator, evidence change and eps value on that tree
 shares them: each operand's broadcast shape over their union scope, the
 axes summed, then the axes maxed, and the scope kept.  A plan keeps an
-edge's shared variables or what a read asks for, summing the other
-chance variables and maxing the other max variables.  Evidence never
-changes a factor's scope, so plans are keyed, per set of max variables
-and per grid axis (below) or none, by the edge id or by the read's
-cluster and kept variables alone.  Plans multiply and reduce exactly as
-``combine`` and ``reduce_mixed`` would, so answers are bit-identical.
+edge's shared variables or any set of a read's cluster variables,
+summing the other chance variables and maxing the other max variables.
+Evidence never changes a factor's scope, so plans are keyed, per set of
+max variables and per grid axis (below) or none, by the edge id or by
+the read's cluster and kept variables alone.  Plans multiply and reduce
+exactly as ``combine`` and ``reduce_mixed`` would: bit-identical answers.
 
 A network over an eps grid of B values (``net.batch == (B,)``) is B
 networks of one structure at once.  Its eps-dependent potentials carry
@@ -225,10 +225,10 @@ class Propagator:
         self.messages += len(order)
         return self._apply((cid, keep), keep, cid, inbound)
 
-    def belief(self, cid: int) -> Valuation:
-        """Combined local factor and incoming messages:
-        the (possibly max-reduced) joint over the cluster scope."""
-        return self._read(cid, self.tree.scopes[cid])
+    def belief(self, cid: int, keep=None) -> Valuation:
+        """Local factor times incoming messages, sum- or max-reduced onto
+        the variables of ``keep`` the cluster holds (default all of them)."""
+        return self._read(cid, self.tree.scopes[cid] if keep is None else frozenset(keep))
 
     def query(self, root_cluster: int):
         """Collapse the belief at the root to a scalar: a float, or a

@@ -4,11 +4,12 @@ fault-set enumeration oracle and are pinned here as literals."""
 import numpy as np
 import pytest
 
-from conftest import WIDE_AND
+from conftest import DISCONNECTED, WIDE_AND, perfbench_circuits
 from maxerr import analysis
-from maxerr.analysis import (MAX_SPECTRUM_INPUTS, avg_error, max_error,
+from maxerr.analysis import (MAX_SPECTRUM_INPUTS, avg_error, cond_error, max_error,
                              prepare, spectrum, sweep)
-from maxerr.circuit import Circuit, all_input_vectors, parse_bench, vector_index
+from maxerr.circuit import (Circuit, all_input_vectors, index_vector, parse_bench,
+                            vector_index)
 from maxerr.oracle import FaultEnumerator, random_circuit
 from maxerr.propagate import Propagator
 from maxerr.valuation import WidthLimitError
@@ -75,9 +76,9 @@ def test_max_error_builds_two_propagators(c17, corpus, monkeypatch):
             assert calls[0] == 2
 
 
-def test_evidence_is_set_once_per_vector(c17, monkeypatch):
-    # spectrum reads every comparator under one evidence setting per
-    # vector; avg_error reads them with no evidence at all
+def test_spectrum_sets_evidence_twice_per_output(c17, monkeypatch):
+    # spectrum evidences each comparator at 1 and at 0 and reads its cone;
+    # avg_error reads every comparator with no evidence at all
     calls = [0]
     set_evidence = Propagator.set_evidence
 
@@ -87,7 +88,7 @@ def test_evidence_is_set_once_per_vector(c17, monkeypatch):
 
     monkeypatch.setattr(Propagator, "set_evidence", counted)
     spectrum(c17, 0.05)
-    assert calls[0] == 32
+    assert calls[0] == 2 * len(c17.outputs) == 4
     calls[0] = 0
     avg_error(*prepare(c17, 0.05))
     assert calls[0] == 0
@@ -249,6 +250,59 @@ def test_spectrum_input_cap():
     big = random_circuit(rng, MAX_SPECTRUM_INPUTS + 1, 3)
     with pytest.raises(ValueError):
         spectrum(big, 0.05)
+
+
+def _per_vector_spectrum(c, eps) -> np.ndarray:
+    """Every vector evidenced in turn, in Gray order, and every
+    comparator read at its own cluster: the arithmetic ``spectrum`` ran
+    before it read output cones.  ``eps`` may be an eps grid, whose
+    members compute bit for bit as they would alone (``propagate``);
+    shape (members, 2**k, outputs)."""
+    net, tree = prepare(c, eps)
+    prop = Propagator(tree, net)
+    k = c.n_inputs
+    table = np.zeros((1 << k, len(net.comparators)) + net.batch)
+    for step in range(1 << k):
+        idx = step ^ (step >> 1)
+        prop.set_evidence(dict(zip(net.input_vars, index_vector(idx, k))))
+        table[idx] = [cond_error(prop, comp) for comp in net.comparators]
+    return np.moveaxis(table.reshape(1 << k, len(net.comparators), -1), -1, 0)
+
+
+def _spectrum_cases(c17, corpus):
+    """(circuit, eps): c17 and the corpus over an eps grid, adders at
+    seeded eps maps, FLAT at one eps."""
+    pb = perfbench_circuits()
+    grid = [0.01, 0.05, 0.2]
+    yield c17, grid
+    for n in (3, 4):
+        adder = pb.ripple_carry_adder(n)
+        yield from ((adder, pb.seeded_eps(adder, seed)) for seed in range(3))
+    yield FLAT, 0.05
+    yield from ((c, grid) for c in corpus)
+
+
+def test_spectrum_matches_per_vector_reads(c17, corpus):
+    for c, eps in _spectrum_cases(c17, corpus):
+        members = eps if isinstance(eps, list) else [eps]
+        for e, want in zip(members, _per_vector_spectrum(c, eps)):
+            got = spectrum(c, e).per_output
+            assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+
+def test_every_output_cone_lies_in_one_cluster(c17, corpus):
+    for c, eps in _spectrum_cases(c17, corpus):
+        net, tree = prepare(c, eps)
+        for comp in net.comparators:
+            cone = analysis._cone_inputs(net, (comp,))
+            assert any(cone <= scope for scope in tree.scopes)
+
+
+def test_spectrum_rejects_a_cone_no_cluster_holds(monkeypatch):
+    # DISCONNECTED's two inputs sit in separate pieces of its tree
+    monkeypatch.setattr(analysis, "_cone_inputs", lambda net, roots: frozenset(net.input_vars))
+    with pytest.raises(ValueError, match="no cluster holds the cone inputs of output x"):
+        spectrum(DISCONNECTED, 0.05)
 
 
 def test_prepare_forwards_width_limit(c17):
