@@ -99,7 +99,7 @@ def cond_error(prop: Propagator, comp_var: int):
     P(comparator, evidence) normalized: a float, or an array over the
     members of an eps grid.  A max-mode ``prop`` must have evidence on
     every max variable (``ValueError`` otherwise); the read then equals
-    the sum-mode one up to rounding (``propagate``)."""
+    the sum-mode one bit for bit (``propagate``)."""
     if not prop.map_vars <= prop.evidence.keys():
         raise ValueError("a max-mode read is a conditional probability only "
                          "with evidence on every max variable")
@@ -124,7 +124,6 @@ def max_errors(net: ErrorModelNet, tree: BinaryJoinTree,
     """Worst-case output error reports, one per member of ``net`` (see
     ``max_error``); every member is searched and read in the same
     batched passes."""
-    cond_prop = Propagator(tree, net)
     map_prop = Propagator(tree, net, map_vars=net.input_vars)
     rows: list[list[OutputReport]] = [[] for _ in range(math.prod(net.batch))]
     names = list(net.circuit.outputs)
@@ -146,15 +145,11 @@ def max_errors(net: ErrorModelNet, tree: BinaryJoinTree,
                 by_vector.setdefault(tuple(res.assignment.values()), []).append(m)
         for ms in by_vector.values():   # one evidence setting and read per vector
             assign = {**fixed, **results[ms[0]].assignment}
-            cond_prop.set_evidence(assign)
-            if joint:
-                p_inputs = per_member(cond_prop.query(net.input_vars[0]))
-                p = [res.p_map / pi for res, pi in zip(results, p_inputs)]
-            else:
-                p = per_member(cond_error(cond_prop, next(iter(evid))).tolist())
+            map_prop.set_evidence(assign)
+            p_inputs = per_member(map_prop.query(net.input_vars[0]))
             vector = vector_string([assign[v] for v in net.input_vars])
             for m in ms:
-                rows[m].append(OutputReport(name, vector, p[m], False,
+                rows[m].append(OutputReport(name, vector, results[m].p_map / p_inputs[m], False,
                                             results[m].nodes_expanded, results[m].nodes_pruned))
     return [_report(net, r) for r in rows]
 
@@ -173,20 +168,20 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     """Worst-case output error report of a network at one eps.
 
     Per output: search for the input vector maximizing P(inputs, output
-    wrong), then condition that output's comparator on that vector.  The
-    report's worst output is the first whose error ties the largest
-    (within a relative ``PRUNE_TOL``, as in the search), so float noise
-    among tied outputs cannot change it.  With ``joint`` the search instead
-    evidences every comparator at once (all outputs wrong together).
+    wrong), then divide that by P(inputs).  The report's worst output is
+    the first whose error ties the largest (within a relative
+    ``PRUNE_TOL``, as in the search), so float noise among tied outputs
+    cannot change it.  With ``joint`` the search instead evidences every
+    comparator at once (all outputs wrong together).
     An output no fault combination can flip is marked unreachable.
 
     The search branches only on the inputs in the query's fan-in cone
     (the union of the cones in joint mode); the others cannot change
     the error, are held at 0 and are reported as 0.  ``nodes_expanded``
     and ``nodes_pruned`` count nodes over the cone inputs.  All searches
-    share one max-mode propagator and its cached messages; the errors at
-    the worst vectors are read from one sum-mode propagator, whose reads
-    the max-mode one matches only up to rounding (``propagate``).
+    share one max-mode propagator and its cached messages, and P(inputs)
+    is read from it with the vector as evidence, where a max-mode read
+    equals the sum-mode one bit for bit (``propagate``).
     """
     if net.batch:
         raise ValueError("max_error takes a network at one eps; max_errors takes an eps grid")

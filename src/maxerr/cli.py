@@ -286,14 +286,14 @@ def cmd_oracle_check(args) -> int:
                "rows": [{"vector": v, "output": o, "engine": round(g, 9),
                          "exact": round(e, 9), "abs_diff": round(d, 9)}
                         for v, o, g, e, d in rows],
-               "max_abs_diff": worst}
+               "max_abs_diff": round(worst, 9)}
         _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
         lines = [_inputs_header(c),
                  "vector,output,engine,exact,abs_diff"]
         for v, o, g, e, d in rows:
-            lines.append("%s,%s,%.9f,%.9f,%.2e" % (v, o, g, e, d))
-        lines.append("# max_abs_diff=%.3e" % worst)
+            lines.append("%s,%s,%.9f,%.9f,%.9f" % (v, o, g, e, d))
+        lines.append("# max_abs_diff=%.9f" % worst)
         _emit(args, "\n".join(lines) + "\n")
     print("oracle-check: max |engine - exact| = %.3e" % worst, file=sys.stderr)
     return EXIT_OK

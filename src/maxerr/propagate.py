@@ -57,16 +57,15 @@ maxes yields the exact maximum; any other root still yields a sound
 upper bound because moving a max inward can only increase the value.
 
 With evidence on every max variable, a max-mode read equals the
-sum-mode one in exact arithmetic.  A max variable ``u`` is reduced out
-of a message only on an edge whose sending side holds cluster ``u``
-(on the receiving side, the running intersection property would put
-``u`` in the separator), so every table that reduces ``u`` carries the
-evidence indicator's exact zeros, and max(x, 0) = x = x + 0.  It does
-not hold bit for bit: a sum-mode plan sums the chance and the evidenced
-axes in one ``np.add.reduce``, whose pairwise grouping differs from
-summing the chance axes alone, so a few messages and reads differ in
-the last bits.  That is why ``analysis.max_errors`` reads each worst
-vector's error from a sum-mode propagator of its own.
+sum-mode one bit for bit.  A max variable ``u`` is reduced out of a
+message only on an edge whose sending side holds cluster ``u`` (on the
+receiving side, the running intersection property would put ``u`` in
+the separator), so every table that reduces ``u`` carries the evidence
+indicator's exact zeros.  Plans sum one axis at a time, highest first
+(``valuation.sum_axes``), so summing ``u`` adds an exact zero to each
+cell, and x + 0 = x = max(x, 0): both modes do the same adds in the
+same order.  So ``analysis.max_errors`` reads each worst vector's error
+from the max-mode propagator that searched for it.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ from .jointree import BinaryJoinTree
 from .model import ErrorModelNet
 # combine, reduce_mixed and reduce_all stay bound here: perfbench/tracing.py
 # wraps them by name in this module.
-from .valuation import Valuation, combine, reduce_all, reduce_mixed, trusted
+from .valuation import Valuation, combine, reduce_all, reduce_mixed, sum_axes, trusted
 
 # the evidence indicator of each state, reshaped onto a CPT's scope
 _INDICATOR = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
@@ -195,17 +194,16 @@ class Propagator:
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self._compile([p.scope for p in parts], keep)
-        shapes, sum_axes, max_axes, kept = plan
+        shapes, summed, max_axes, kept = plan
         if len(parts) == 1:
-            if not sum_axes and not max_axes:
+            if not summed and not max_axes:
                 return parts[0]
             t = parts[0].table
         else:
             t = parts[0].table.reshape(shapes[0])
             for p, shape in zip(parts[1:], shapes[1:]):
                 t = t * p.table.reshape(shape)
-        if sum_axes:
-            t = np.add.reduce(t, axis=sum_axes)
+        t = sum_axes(t, summed)
         if max_axes:
             t = np.maximum.reduce(t, axis=max_axes)
         return trusted(kept, np.asarray(t))   # reducing every axis gives a numpy scalar

@@ -107,12 +107,18 @@ def _drop_axes(v: Valuation, drop: Iterable[int]):
     return axes, kept
 
 
+def sum_axes(table: np.ndarray, axes: Iterable[int]) -> np.ndarray:
+    """Sum ``table`` over ``axes`` one length-2 axis at a time, highest
+    first: one ``a + b`` per cell and step, whatever numpy's grouping."""
+    for axis in sorted((a % table.ndim for a in axes), reverse=True):
+        table = np.add.reduce(table, axis=axis)
+    return table
+
+
 def marg_sum(v: Valuation, drop: Iterable[int]) -> Valuation:
-    """Sum out the given variables."""
+    """Sum out the given variables (``sum_axes``)."""
     axes, kept = _drop_axes(v, drop)
-    if not axes:
-        return v
-    return Valuation(kept, np.sum(v.table, axis=axes))
+    return Valuation(kept, sum_axes(v.table, axes))
 
 
 def marg_max(v: Valuation, drop: Iterable[int]):

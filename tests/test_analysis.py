@@ -57,9 +57,9 @@ def test_search_counters_surface_in_report(c17):
         assert row.nodes_pruned == 0
 
 
-def test_max_error_builds_two_propagators(c17, corpus, monkeypatch):
-    # one sum-mode propagator for the conditional errors and one
-    # max-mode propagator that every output's search shares
+def test_max_error_builds_one_propagator(c17, corpus, monkeypatch):
+    # every output's search shares one max-mode propagator, and each
+    # worst vector's error is read from it under that vector's evidence
     calls = [0]
     init = Propagator.__init__
 
@@ -73,7 +73,7 @@ def test_max_error_builds_two_propagators(c17, corpus, monkeypatch):
         for joint in (False, True):
             calls[0] = 0
             max_error(net, tree, joint=joint)
-            assert calls[0] == 2
+            assert calls[0] == 1
 
 
 def test_spectrum_sets_evidence_twice_per_output(c17, monkeypatch):

@@ -3,9 +3,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from conftest import WIDE_AND
+from maxerr import cli
+from maxerr.analysis import spectrum
 from maxerr.cli import main
 
 C17_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -376,6 +379,23 @@ def test_oracle_check_json(capsys):
     assert code == 0
     assert doc["max_abs_diff"] < 1e-9
     assert len(doc["rows"]) == 64
+
+
+@pytest.mark.parametrize("toward", [np.inf, 0.0])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_oracle_check_stdout_ignores_a_one_ulp_move(capsys, monkeypatch, toward, fmt):
+    argv = ("oracle-check", C17_PATH, "--epsilon", "0.05", "--format", fmt)
+    _, plain, _ = run(capsys, *argv)
+
+    def nudged(*args, **kwargs):
+        spec = spectrum(*args, **kwargs)
+        spec.per_output = np.nextafter(spec.per_output, toward)
+        return spec
+
+    monkeypatch.setattr(cli, "spectrum", nudged)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == plain
 
 
 def test_oracle_check_explain(capsys):

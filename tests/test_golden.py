@@ -8,8 +8,10 @@ root:
     PYTHONPATH=src python tests/test_golden.py
 
 and says in CHANGES.md why the answers moved and by how much.  Floats
-are stored as ``float.hex()``; the numpy version that wrote the file is
-recorded next to them, since a different numpy may round differently.
+are stored as ``float.hex()``.  The engine sums one length-2 axis at a
+time (``valuation.sum_axes``), so each answer here follows from the plan
+and IEEE arithmetic, not from how numpy groups a reduction; the numpy
+version that wrote the file is recorded next to them all the same.
 """
 
 from __future__ import annotations

@@ -107,6 +107,22 @@ def test_reduce_mixed_sum_before_max():
     np.testing.assert_allclose(got.table, want.table)
 
 
+def test_summing_an_axis_with_a_zero_slice_equals_maxing_it():
+    # axes are summed one at a time, so summing an axis whose other slice
+    # is all zero adds exact zeros, and x + 0 = max(x, 0) bit for bit
+    rng = np.random.default_rng(11)
+    scope = tuple(range(10))
+    for _ in range(40):
+        v = rand_val(rng, scope)
+        u = int(rng.integers(len(scope)))
+        v.table[(slice(None),) * u + (int(rng.integers(2)),)] = 0.0
+        others = [w for w in scope if w != u and rng.random() < 0.6]
+        got = marg_sum(v, others + [u])
+        want = reduce_mixed(v, others, [u])
+        assert got.scope == want.scope
+        assert np.array_equal(got.table, want.table)
+
+
 def test_reduce_all_scalar():
     v = from_cells((0, 1), [1.0, 2.0, 3.0, 4.0])
     assert reduce_all(v) == pytest.approx(10.0)
