@@ -20,7 +20,7 @@ from .circuit import Circuit, index_vector, vector_string
 from .jointree import BinaryJoinTree, build_tree, choose_order
 from .mapsearch import PRUNE_TOL, MapQuery, search, solve
 from .model import ErrorModelNet, build_error_model
-from .propagate import Propagator, per_member
+from .propagate import Propagator
 from .valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
 
 
@@ -122,8 +122,8 @@ def _cone_inputs(net: ErrorModelNet, roots) -> frozenset[int]:
 def max_errors(net: ErrorModelNet, tree: BinaryJoinTree,
                prune: bool = True, joint: bool = False) -> list[ErrorReport]:
     """Worst-case output error reports, one per member of ``net`` (see
-    ``max_error``); every member is searched and read in the same
-    batched passes."""
+    ``max_error``); every member is searched in the same batched
+    passes."""
     map_prop = Propagator(tree, net, map_vars=net.input_vars)
     rows: list[list[OutputReport]] = [[] for _ in range(math.prod(net.batch))]
     names = list(net.circuit.outputs)
@@ -136,21 +136,13 @@ def max_errors(net: ErrorModelNet, tree: BinaryJoinTree,
         cone = _cone_inputs(net, evid)
         fixed = {v: 0 for v in net.input_vars if v not in cone}
         results = search(MapQuery(net, tree, {**evid, **fixed}), prune=prune, prop=map_prop)
-        by_vector: dict[tuple, list[int]] = {}   # members per worst vector
         for m, res in enumerate(results):
-            if res.p_map <= 0.0:
-                rows[m].append(OutputReport(name, None, 0.0, True,
-                                            res.nodes_expanded, res.nodes_pruned))
-            else:
-                by_vector.setdefault(tuple(res.assignment.values()), []).append(m)
-        for ms in by_vector.values():   # one evidence setting and read per vector
-            assign = {**fixed, **results[ms[0]].assignment}
-            map_prop.set_evidence(assign)
-            p_inputs = per_member(map_prop.query(net.input_vars[0]))
-            vector = vector_string([assign[v] for v in net.input_vars])
-            for m in ms:
-                rows[m].append(OutputReport(name, vector, results[m].p_map / p_inputs[m], False,
-                                            results[m].nodes_expanded, results[m].nodes_pruned))
+            assign = {**fixed, **res.assignment}
+            reached = res.p_map > 0.0
+            rows[m].append(OutputReport(
+                name, vector_string([assign[v] for v in net.input_vars]) if reached else None,
+                math.ldexp(res.p_map, len(net.input_vars)), not reached,
+                res.nodes_expanded, res.nodes_pruned))
     return [_report(net, r) for r in rows]
 
 
@@ -168,8 +160,9 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     """Worst-case output error report of a network at one eps.
 
     Per output: search for the input vector maximizing P(inputs, output
-    wrong), then divide that by P(inputs).  The report's worst output is
-    the first whose error ties the largest (within a relative
+    wrong); the error is 2^k times the search's exact P(inputs, output
+    wrong), as inputs are uniform (``model``).  The report's worst output
+    is the first whose error ties the largest (within a relative
     ``PRUNE_TOL``, as in the search), so float noise among tied outputs
     cannot change it.  With ``joint`` the search instead evidences every
     comparator at once (all outputs wrong together).
@@ -179,9 +172,8 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     (the union of the cones in joint mode); the others cannot change
     the error, are held at 0 and are reported as 0.  ``nodes_expanded``
     and ``nodes_pruned`` count nodes over the cone inputs.  All searches
-    share one max-mode propagator and its cached messages, and P(inputs)
-    is read from it with the vector as evidence, where a max-mode read
-    equals the sum-mode one bit for bit (``propagate``).
+    share one max-mode propagator and its cached messages; nothing is
+    read after a search.
     """
     if net.batch:
         raise ValueError("max_error takes a network at one eps; max_errors takes an eps grid")
@@ -321,4 +313,5 @@ def spectrum(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT) -> Spectru
             [2 if v in cone else 1 for v in net.input_vars])
     table = table.reshape(1 << c.n_inputs, -1)
     maxes = table.max(axis=1)
-    return Spectrum(c.inputs, table, float(maxes.mean()), float(maxes.std()))
+    mu = math.fsum(maxes) / len(maxes)
+    return Spectrum(c.inputs, table, mu, math.sqrt(math.fsum((maxes - mu) ** 2) / len(maxes)))

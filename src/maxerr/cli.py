@@ -4,7 +4,7 @@ Subcommands cover the whole pipeline: ``analyze`` (worst-case error per
 output), ``sweep`` (error vs gate error rate, with bound detection),
 ``spectrum`` (every input vector), ``validate`` (exact vs Monte Carlo)
 and ``oracle-check`` (engine vs fault-set enumeration).  Output goes to
-stdout or ``--output`` as CSV or JSON with probabilities at 6 decimals;
+stdout or ``--output`` as CSV or JSON, probabilities at 6 decimals (``_round``);
 timing and diagnostics go to stderr so repeated runs with the same
 arguments produce byte-identical files.
 
@@ -37,8 +37,13 @@ EXIT_LIMIT = 2
 EXIT_UNREACHABLE = 3
 
 
-def _fmt(p: float) -> str:
-    return "%.6f" % p
+def _round(p: float, places: int = 6) -> float:
+    # 12 decimals first: values an ulp apart across a tie print alike
+    return round(round(p, 12), places)
+
+
+def _fmt(p: float, places: int = 6) -> str:
+    return "%.*f" % (places, _round(p, places))
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -137,11 +142,11 @@ def cmd_analyze(args) -> int:
             "inputs": list(rep.input_order),
             "per_output": [
                 {"output": r.output, "vector": r.vector,
-                 "p_error": round(r.p_error, 6), "unreachable": r.unreachable,
+                 "p_error": _round(r.p_error), "unreachable": r.unreachable,
                  "nodes_expanded": r.nodes_expanded,
                  "nodes_pruned": r.nodes_pruned}
                 for r in rep.per_output],
-            "max_error": round(rep.max_error, 6),
+            "max_error": _round(rep.max_error),
             "worst_vector": rep.worst_vector,
             "worst_output": rep.worst_output,
         }
@@ -175,8 +180,8 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         doc = {
             "points": [{"epsilon": p.epsilon,
-                        "max_error": round(p.max_error, 6),
-                        "avg_error": round(p.avg_error, 6),
+                        "max_error": _round(p.max_error),
+                        "avg_error": _round(p.avg_error),
                         "worst_vector": p.worst_vector,
                         "worst_output": p.worst_output}
                        for p in curve.points],
@@ -209,13 +214,13 @@ def cmd_spectrum(args) -> int:
     if args.format == "json":
         doc = {
             "inputs": list(sp.input_order),
-            "mu": round(sp.mu, 6),
-            "sigma": round(sp.sigma, 6),
+            "mu": _round(sp.mu),
+            "sigma": _round(sp.sigma),
             "rows": [{"vector": vector_string(index_vector(i, k)),
-                      "per_output": [round(float(x), 6) for x in row],
-                      "max": round(float(m), 6)}
+                      "per_output": [_round(float(x)) for x in row],
+                      "max": _round(float(m))}
                      for i, (row, m) in enumerate(zip(sp.per_output, sp.max_probs))],
-            "above": [{"vector": v, "max": round(p, 6)} for v, p in sp.above()],
+            "above": [{"vector": v, "max": _round(p)} for v, p in sp.above()],
         }
         _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
@@ -251,8 +256,8 @@ def cmd_validate(args) -> int:
     if args.format == "json":
         doc = {"inputs": list(c.inputs), "runs": args.runs, "seed": args.seed,
                "rows": [{"vector": v, "output": o,
-                         "exact": round(e, 6), "mc_estimate": round(m, 6),
-                         "mc_stderr": round(s, 6), "abs_diff": round(abs(e - m), 6)}
+                         "exact": _round(e), "mc_estimate": _round(m),
+                         "mc_stderr": _round(s), "abs_diff": _round(abs(e - m))}
                         for v, o, e, m, s in rows]}
         _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
@@ -283,17 +288,17 @@ def cmd_oracle_check(args) -> int:
 
     if args.format == "json":
         doc = {"inputs": list(c.inputs),
-               "rows": [{"vector": v, "output": o, "engine": round(g, 9),
-                         "exact": round(e, 9), "abs_diff": round(d, 9)}
+               "rows": [{"vector": v, "output": o, "engine": _round(g, 9),
+                         "exact": _round(e, 9), "abs_diff": _round(d, 9)}
                         for v, o, g, e, d in rows],
-               "max_abs_diff": round(worst, 9)}
+               "max_abs_diff": _round(worst, 9)}
         _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
         lines = [_inputs_header(c),
                  "vector,output,engine,exact,abs_diff"]
         for v, o, g, e, d in rows:
-            lines.append("%s,%s,%.9f,%.9f,%.9f" % (v, o, g, e, d))
-        lines.append("# max_abs_diff=%.9f" % worst)
+            lines.append(",".join((v, o, _fmt(g, 9), _fmt(e, 9), _fmt(d, 9))))
+        lines.append("# max_abs_diff=" + _fmt(worst, 9))
         _emit(args, "\n".join(lines) + "\n")
     print("oracle-check: max |engine - exact| = %.3e" % worst, file=sys.stderr)
     return EXIT_OK

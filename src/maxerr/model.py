@@ -21,7 +21,7 @@ sweeps, the CLI) quotes eps on this scale.
 Inputs are uniform by definition.  Every input vector then has the same
 probability 2^-k, so the vector maximizing the joint P(inputs, output
 wrong), which the search finds, also maximizes the conditional error
-P(output wrong | inputs).
+P(output wrong | inputs) = 2^k P(inputs, output wrong), ``p_error``.
 """
 
 from __future__ import annotations

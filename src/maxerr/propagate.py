@@ -64,8 +64,8 @@ the separator), so every table that reduces ``u`` carries the evidence
 indicator's exact zeros.  Plans sum one axis at a time, highest first
 (``valuation.sum_axes``), so summing ``u`` adds an exact zero to each
 cell, and x + 0 = x = max(x, 0): both modes do the same adds in the
-same order.  So ``analysis.max_errors`` reads each worst vector's error
-from the max-mode propagator that searched for it.
+same order.  So a search's value at a complete assignment is the exact
+P(vector, evidence) that ``analysis.max_errors`` scales to its error.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Report-level checks; the numeric anchors were derived once from the
 fault-set enumeration oracle and are pinned here as literals."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from maxerr.analysis import (MAX_SPECTRUM_INPUTS, avg_error, cond_error, max_err
                              prepare, spectrum, sweep)
 from maxerr.circuit import (Circuit, all_input_vectors, index_vector, parse_bench,
                             vector_index)
+from maxerr.mapsearch import MapQuery, solve
 from maxerr.oracle import FaultEnumerator, random_circuit
 from maxerr.propagate import Propagator
 from maxerr.valuation import WidthLimitError
@@ -59,21 +62,63 @@ def test_search_counters_surface_in_report(c17):
 
 def test_max_error_builds_one_propagator(c17, corpus, monkeypatch):
     # every output's search shares one max-mode propagator, and each
-    # worst vector's error is read from it under that vector's evidence
-    calls = [0]
-    init = Propagator.__init__
+    # worst vector's error comes from the search's own value: evidence
+    # is set once per search bound and never after the search
+    calls = {"init": 0, "evidence": 0}
+    init, set_evidence = Propagator.__init__, Propagator.set_evidence
 
-    def counted(self, *args, **kwargs):
-        calls[0] += 1
+    def counted_init(self, *args, **kwargs):
+        calls["init"] += 1
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Propagator, "__init__", counted)
+    def counted_evidence(self, evidence):
+        calls["evidence"] += 1
+        set_evidence(self, evidence)
+
+    monkeypatch.setattr(Propagator, "__init__", counted_init)
+    monkeypatch.setattr(Propagator, "set_evidence", counted_evidence)
     for circuit in [c17] + corpus[:8]:
         net, tree = prepare(circuit, 0.05)
         for joint in (False, True):
-            calls[0] = 0
-            max_error(net, tree, joint=joint)
-            assert calls[0] == 1
+            calls.update(init=0, evidence=0)
+            rep = max_error(net, tree, joint=joint)
+            assert calls["init"] == 1
+            # the root is expanded without a bound
+            assert calls["evidence"] == sum(r.nodes_expanded - 1 for r in rep.per_output)
+
+
+def _answer_rule_cases(c17, corpus):
+    pb = perfbench_circuits()
+    for n in (3, 4):
+        c = pb.ripple_carry_adder(n)
+        for seed in (0, 1, 2):
+            yield c, pb.seeded_eps(c, seed)
+    for c in [c17] + corpus[:40]:
+        for eps in (0.01, 0.05, 0.2):
+            yield c, eps
+
+
+def test_p_error_is_the_search_value_scaled_by_the_input_prior(c17, corpus):
+    # inputs are uniform, so P(wrong | vector) = 2^k P(vector, wrong), and
+    # the search ends holding P(vector, wrong) exactly; dividing by
+    # P(vector) read on a sum-mode propagator agrees to within rounding
+    for c, eps in _answer_rule_cases(c17, corpus):
+        net, tree = prepare(c, eps)
+        k = len(net.input_vars)
+        for joint in (False, True):
+            rep = max_error(net, tree, joint=joint)
+            comps = [net.comparators] if joint else [[comp] for comp in net.comparators]
+            for row, evid in zip(rep.per_output, comps):
+                if row.unreachable:
+                    continue
+                cone = analysis._cone_inputs(net, evid)
+                fixed = {v: 0 for v in net.input_vars if v not in cone}
+                res = solve(MapQuery(net, tree, {**{v: 1 for v in evid}, **fixed}))
+                assert row.p_error == math.ldexp(res.p_map, k)
+                prop = Propagator(tree, net)
+                prop.set_evidence({v: int(b) for v, b in zip(net.input_vars, row.vector)})
+                assert row.p_error == pytest.approx(res.p_map / prop.query(net.input_vars[0]),
+                                                    rel=1e-15, abs=0.0)
 
 
 def test_spectrum_sets_evidence_twice_per_output(c17, monkeypatch):

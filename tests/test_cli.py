@@ -8,7 +8,8 @@ import pytest
 
 from conftest import WIDE_AND
 from maxerr import cli
-from maxerr.analysis import spectrum
+from maxerr.analysis import spectrum, sweep
+from maxerr.circuit import to_bench
 from maxerr.cli import main
 
 C17_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -393,6 +394,30 @@ def test_oracle_check_stdout_ignores_a_one_ulp_move(capsys, monkeypatch, toward,
         return spec
 
     monkeypatch.setattr(cli, "spectrum", nudged)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == plain
+
+
+@pytest.mark.parametrize("toward", [np.inf, 0.0])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_stdout_ignores_a_one_ulp_move(tmp_path, capsys, monkeypatch, corpus, toward, fmt):
+    # corpus circuit 19 at eps 0.175 has max_error 0.4996355 to 12 decimals:
+    # a rounding tie at 6 decimals, which an ulp either way must not flip
+    path = tmp_path / "c19.bench"
+    path.write_text(to_bench(corpus[19]))
+    argv = ("sweep", str(path), "--grid", "0.15,0.175,0.2", "--format", fmt)
+    _, plain, _ = run(capsys, *argv)
+    assert ("0.175,0.499636," in plain) if fmt == "csv" else ('"max_error": 0.499636,' in plain)
+
+    def nudged(*args, **kwargs):
+        curve = sweep(*args, **kwargs)
+        for p in curve.points:
+            p.max_error = float(np.nextafter(p.max_error, toward))
+            p.avg_error = float(np.nextafter(p.avg_error, toward))
+        return curve
+
+    monkeypatch.setattr(cli, "sweep", nudged)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == plain

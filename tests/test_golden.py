@@ -83,12 +83,21 @@ def _corpus_reports() -> dict:
             for eps in CORPUS_EPS for joint in (False, True)}
 
 
-def _spectrum_digests() -> dict:
+def _spectra() -> dict:
     pb = perfbench_circuits()
     rca4 = pb.ripple_carry_adder(4)
-    return {name: hashlib.sha256(spectrum(c, eps).per_output.tobytes()).hexdigest()
+    return {name: spectrum(c, eps)
             for name, c, eps in (("c17 eps=0.05", load_circuit(C17_PATH), 0.05),
                                  ("rca4 seed=0", rca4, pb.seeded_eps(rca4, 0)))}
+
+
+def _spectrum_digests() -> dict:
+    return {name: hashlib.sha256(sp.per_output.tobytes()).hexdigest()
+            for name, sp in _spectra().items()}
+
+
+def _spectrum_mu_sigma() -> dict:
+    return {name: [sp.mu.hex(), sp.sigma.hex()] for name, sp in _spectra().items()}
 
 
 SECTIONS = {
@@ -97,6 +106,7 @@ SECTIONS = {
     "adder_max_error": _adder_reports,
     "corpus_max_error": _corpus_reports,
     "spectrum_sha256": _spectrum_digests,
+    "spectrum_mu_sigma": _spectrum_mu_sigma,
 }
 
 

@@ -524,6 +524,6 @@ def test_cond_error_needs_evidence_on_every_max_variable(c17):
     ev = {v: 1 for v in net.input_vars}
     maxed.set_evidence(ev)
     summed.set_evidence(ev)
-    assert cond_error(maxed, comp) == pytest.approx(cond_error(summed, comp), rel=1e-14)
+    assert cond_error(maxed, comp) == cond_error(summed, comp)
     summed.set_evidence({})
     assert 0.0 < cond_error(summed, comp) < 1.0
