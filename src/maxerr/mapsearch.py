@@ -1,35 +1,42 @@
-"""Worst input vector by depth-first branch and bound.
+"""Worst input vector by one exact descent over the inputs.
 
 The search instantiates the primary inputs one at a time.  Each child
-node gets an upper bound on P(inputs, comparator evidence) over all
-completions from a collect rooted at the cluster holding the prior of
-the variable just assigned; a child whose bound falls below the
-incumbent by more than a relative hair is cut.  Values within that hair
-of each other tie, and a tie goes to the smaller assignment along the
-branching order, so a child whose bound at most ties the incumbent is
-cut too when its prefix sorts after the incumbent's.  Many vectors tie exactly in real circuits (an
-XOR chain fails on an odd number of gate faults whatever its inputs), so
-the search then follows one path instead of every tied one, and float
-noise among tied values does not change how much it searches.  The
-tolerance scales with the incumbent, so pruning does not depend on the
-absolute size of the probabilities (every bound carries the input prior
-of all k inputs).  A complete
-instantiation makes the bound exact, so the incumbent at the end is the
-true maximum.  Inputs named in the query evidence are fixed, not
-searched.
+node gets a bound on P(inputs, comparator evidence) over all
+completions from a max-mode collect rooted at the cluster holding the
+prior of the variable just assigned.  Any root gives an upper bound
+(moving a max inward only raises the value); on the trees
+``build_tree`` makes, the bound is exact.  ``check_order`` puts every
+input after every gate and comparator variable, so the clusters the
+fusion adds while eliminating inputs hold inputs only, and an input's
+prior cluster joins the tree at such a cluster or by a direct edge
+whose separator is that input.  On every edge toward it, the sending
+side then drops only gate and comparator variables, or the separator
+holds only inputs: every collect rooted there sums before it maxes.
+Each prior cluster is a strong root (Jensen, Jensen & Dittmer, UAI
+1994; Park & Darwiche, JAIR 21, 2004).
+
+So a pruned search bounds both children of a node and enters only the
+better one, state 1 only when its bound beats state 0's by more than a
+relative hair; the other child is pruned.  Values within that hair tie
+and go to state 0, so the path ends at the smallest tied optimum along
+the branching order, and float noise among tied values (an XOR chain
+fails on an odd number of gate faults whatever its inputs) does not
+move it.  The hair is relative, so the path does not depend on the
+absolute size of the probabilities (every bound carries the input
+prior of all k inputs).  A complete instantiation makes the bound an
+exact read.  The larger bound at depth 1 bounds every vector, so a leaf
+that reaches it is certified optimal; a leaf below it means a bound was
+not exact (a tree from another order), and the search raises
+``RuntimeError`` rather than answer wrongly.  Inputs named in the query
+evidence are fixed, not searched.
 
 Over an eps grid (``net.batch == (B,)``) one walk searches every member
-at once: each bound is one batched read, each member keeps its own
-incumbent, and a node is visited with the members still active there.
-Each of them takes the two children in its own order (rank 0, then
-rank 1), so it makes exactly the cuts, ties and node counts of a search
-of its eps alone.
-
-The incumbent starts empty.  ``use_seed`` seeds it instead with the
-all-zero assignment, the one every tie resolves toward, at its exact
-value (``seed``); that costs one bound per query and can change only
-the amount of pruning, never the answer, and since the tie cut already
-follows one path to the optimum it seldom changes even that.
+at once: each bound is one batched read, and a node is visited with
+the members that entered it, so each makes the path and node counts of
+a search of its eps alone.  ``use_seed`` starts each member's best leaf
+at the all-zero assignment, the one ties resolve toward, at its exact
+value (``seed``): one more bound per query, and the same answer and
+node counts.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from .jointree import BinaryJoinTree
 from .model import ErrorModelNet
 from .propagate import Propagator, per_member
 
-PRUNE_TOL = 1e-12   # relative to the incumbent; closer values tie
+PRUNE_TOL = 1e-12   # relative; closer values tie
 
 
 @dataclass
@@ -92,7 +99,8 @@ def var_order_heuristic(net: ErrorModelNet) -> tuple[int, ...]:
 
 class _Search:
     """The walk over every member of ``q.net`` at once (see the module
-    docstring); per member an incumbent, its key and node counts."""
+    docstring); per member its best leaf, that leaf's key, node counts
+    and the larger bound at depth 1, which a pruned descent must reach."""
 
     def __init__(self, q: MapQuery, prune: bool,
                  on_bound: Callable[[dict, float | list[float]], None] | None,
@@ -112,6 +120,7 @@ class _Search:
         self.best_key: list[tuple[int, ...] | None] = [None] * members
         self.expanded = [1] * members     # the root
         self.pruned = [0] * members
+        self.top: list[float] = []        # set at the root
 
     def bound(self, partial: dict[int, int], new_var: int):
         """The bound at ``partial``: a float, or a list over members."""
@@ -132,19 +141,6 @@ class _Search:
             self.best[m] = value
             self.best_key[m] = key
 
-    def cut(self, m: int, u: float, prefix: tuple[int, ...]) -> bool:
-        """Whether no completion of ``prefix`` (the states of the first
-        ``len(prefix)`` inputs along ``var_order``) can replace member
-        ``m``'s incumbent: its bound is below the incumbent, or ties it
-        at best while the prefix sorts after the incumbent's, so any tie
-        loses to the incumbent under the tie rule."""
-        best = self.best[m]
-        if u < best * (1.0 - PRUNE_TOL):
-            return True
-        if u > best * (1.0 + PRUNE_TOL):
-            return False
-        return prefix > self.best_key[m][:len(prefix)]
-
     def walk(self, partial: dict[int, int], head: tuple[int, ...], active: list[int]) -> None:
         v = self.q.var_order[len(head)]
         u = []
@@ -152,30 +148,31 @@ class _Search:
             partial[v] = s
             u.append(per_member(self.bound(partial, v)))
         del partial[v]
+        if not head:
+            self.top = [max(u0, u1) for u0, u1 in zip(*u)]
         zero_first, one_first = [], []    # ties go to state 0 first
         for m in active:
             self.expanded[m] += 2
+            self.pruned[m] += self.prune    # the worse child
             (one_first if u[1][m] > u[0][m] * (1.0 + PRUNE_TOL) else zero_first).append(m)
+        # every member takes its better child; unpruned, then the other
+        visits = [(0, zero_first), (1, one_first)]
+        if not self.prune:
+            visits += [(1, zero_first), (0, one_first)]
         complete = len(head) + 1 == len(self.q.var_order)
-        # every member takes its first child, then its second
-        for s, group in ((0, zero_first), (1, one_first), (1, zero_first), (0, one_first)):
+        for s, group in visits:
             if not group:
                 continue
             key = head + (s,)
-            go = []
-            for m in group:
-                if self.prune and self.cut(m, u[s][m], key):
-                    self.pruned[m] += 1
-                else:
-                    go.append(m)
-            if not go:
-                continue
             if complete:    # the bound is exact
-                for m in go:
+                for m in group:
+                    if self.prune and u[s][m] < self.top[m] * (1.0 - PRUNE_TOL):
+                        raise RuntimeError("descent ended at %r, below the depth-1 bound "
+                                           "%r: the bounds are not exact" % (u[s][m], self.top[m]))
                     self.offer(m, key, u[s][m])
             else:
                 partial[v] = s
-                self.walk(partial, key, go)
+                self.walk(partial, key, group)
                 del partial[v]
 
 
@@ -199,20 +196,21 @@ def search(q: MapQuery, prune: bool = True,
     """Exact worst-vector search, one result per member of ``q.net``
     (one in all for a network at a single eps).
 
-    ``on_bound`` (assignment, bound) fires for every bound computed at a
-    search node, for auditing: every node but the root, which is never
-    cut and so gets no bound; the seed's bound does not fire it.  The
-    bound is a float, or a list over members.  With ``prune`` off the
-    search visits the full binary tree over the inputs not in
-    ``q.evid_o``.  Ties (values within a relative ``PRUNE_TOL``) resolve
-    to the lexicographically smallest assignment along ``q.var_order``,
-    and ``p_map`` is that assignment's value.
+    ``on_bound`` (assignment, bound) fires, for auditing, for both
+    children of every node the search enters (the root needs no bound),
+    not for the seed.  The bound is a float, or a list over members.  With
+    ``prune`` each member descends along one path (``RuntimeError`` if
+    its leaf falls below the bound at depth 1; see the module
+    docstring); without, the search visits the full binary tree over
+    the inputs not in ``q.evid_o``.  Ties (values within a relative
+    ``PRUNE_TOL``) resolve to the lexicographically smallest assignment
+    along ``q.var_order``, and ``p_map`` is that assignment's value.
 
     ``prop`` shares a max-mode propagator over ``q.tree``, ``q.net`` and
     the net's inputs between queries (``ValueError`` otherwise); the
     answer does not change, since a cached message depends only on the
-    evidence on its sending side.  ``use_seed`` starts every incumbent
-    at the all-zero assignment (``seed``).
+    evidence on its sending side.  ``use_seed`` starts every member's
+    best leaf at the all-zero assignment (``seed``).
     """
     if not q.var_order:
         raise ValueError("no input variables to search over")

@@ -99,6 +99,12 @@ def _truth(func: GateFunc, fan_in: int) -> np.ndarray:
     return table
 
 
+def _check_eps(values) -> None:
+    bad = [e for e in values if not 0.0 <= e <= 0.5]    # NaN fails both sides
+    if bad:
+        raise ValueError("gate error probability %g outside [0, 0.5]" % bad[0])
+
+
 def cpt_for_gate(func: GateFunc, fan_in: int, eps, faulty: bool,
                  child: Var, parents: tuple[Var, ...]) -> Cpt:
     """CPT of one gate variable.
@@ -114,9 +120,7 @@ def cpt_for_gate(func: GateFunc, fan_in: int, eps, faulty: bool,
     if not faulty:
         return Cpt(child, parents, truth.astype(np.float64))
     eps = np.asarray(eps, dtype=np.float64)
-    bad = [e for e in eps.ravel().tolist() if not 0.0 <= e <= 0.5]
-    if bad:
-        raise ValueError("gate error probability %g outside [0, 0.5]" % bad[0])
+    _check_eps(eps.ravel().tolist())
     flip = (2.0 * eps).reshape(eps.shape + (1,) * truth.ndim)
     return Cpt(child, parents, np.where(truth, 1.0 - flip, flip))
 
@@ -171,18 +175,23 @@ class ErrorModelNet:
 
 def _normalize_eps(c: Circuit, eps) -> tuple[dict, tuple[int, ...]]:
     """Per gate index its eps (a float, or the grid array), and the
-    network's ``batch``."""
+    network's ``batch``.  Every value is checked here, before any CPT is
+    built, so a circuit without gates rejects a bad eps too."""
     if isinstance(eps, Mapping):
         table = dict(eps)
         missing = [gi for gi in range(c.n_gates) if gi not in table]
         if missing:
             raise ValueError("missing eps for gate indices %s" % missing)
-        return {gi: float(table[gi]) for gi in range(c.n_gates)}, ()
+        per_gate = {gi: float(table[gi]) for gi in range(c.n_gates)}
+        _check_eps(per_gate.values())
+        return per_gate, ()
     if np.ndim(eps):
         grid = np.asarray(eps, dtype=np.float64)
         if grid.ndim != 1 or not grid.size:
             raise ValueError("an eps grid must be a non-empty 1-d sequence")
+        _check_eps(grid.tolist())
         return {gi: grid for gi in range(c.n_gates)}, grid.shape
+    _check_eps([float(eps)])
     return {gi: float(eps) for gi in range(c.n_gates)}, ()
 
 

@@ -362,6 +362,16 @@ def test_validate_eps_outside_range_exits_2(capsys, eps):
     assert err == "error: gate error probabilities must lie in [0, 0.5]\n"
 
 
+@pytest.mark.parametrize("cmd", ["analyze", "spectrum"])
+@pytest.mark.parametrize("eps", ["-3", "nan", "0.7"])
+def test_eps_outside_range_exits_2_on_a_circuit_without_gates(tmp_path, capsys, cmd, eps):
+    path = tmp_path / "wire.bench"
+    path.write_text("INPUT(a)\nOUTPUT(a)\n")
+    code, out, err = run(capsys, cmd, str(path), "--epsilon", eps)
+    assert code == 2 and out == ""
+    assert err == "error: gate error probability %s outside [0, 0.5]\n" % eps
+
+
 def test_oracle_check_agrees(capsys):
     code, out, err = run(capsys, "oracle-check", C17_PATH, "--epsilon", "0.05")
     assert code == 0

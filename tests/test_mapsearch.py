@@ -1,11 +1,14 @@
-"""Branch-and-bound worst-vector search against the enumeration oracle."""
+"""Worst-vector search (one exact descent, or the full walk) against the
+enumeration oracle."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from maxerr.circuit import index_vector, parse_bench, vector_index
+from conftest import perfbench_circuits
+from maxerr import jointree
+from maxerr.circuit import all_input_vectors, index_vector, parse_bench, vector_index
 from maxerr.jointree import build_tree
 from maxerr.mapsearch import (MapQuery, MapResult, _Search, seed, solve,
                               var_order_heuristic)
@@ -173,20 +176,55 @@ def test_bad_var_order_rejected():
                  var_order=(net.input_vars[0],))
 
 
-def test_bound_audit_dominates_completions():
-    q = _query(SMALL)
-    enum = FaultEnumerator(SMALL)
-    cond = enum.cond_errors(EPS)[:, 0]
-    k = SMALL.n_inputs
-    seen = []
-    solve(q, use_seed=False, prune=False, on_bound=lambda a, u: seen.append((a, u)))
-    assert len(seen) == 2 ** (k + 1) - 2    # every node but the root
-    for partial, u in seen:
-        best = max(0.5 ** k * cond[vector_index(bits)]
-                   for bits in itertools.product((0, 1), repeat=k)
-                   if all(bits[list(q.net.input_vars).index(v)] == s
-                          for v, s in partial.items()))
-        assert u >= best - 1e-12
+def test_bound_audit_equals_completion_maxima(c17, corpus):
+    # inputs go last in the elimination order, so every bound is the
+    # exact maximum over its node's completions, not just an upper bound
+    rca3 = perfbench_circuits().ripple_carry_adder(3)
+    for circuit in [SMALL, c17, rca3] + corpus[:60]:
+        enum = FaultEnumerator(circuit)
+        rows = all_input_vectors(circuit.n_inputs)
+        for eps in (0.0, EPS):
+            joint = 0.5 ** circuit.n_inputs * enum.cond_errors(eps)
+            net = build_error_model(circuit, eps)
+            tree = build_tree(net)
+            column = {v: rows[:, i] for i, v in enumerate(net.input_vars)}
+            for j, comp in enumerate(net.comparators):
+                q = MapQuery(net, tree, {comp: 1})
+                seen = []
+                solve(q, prune=False, on_bound=lambda a, u: seen.append((a, u)))
+                assert len(seen) == 2 ** (circuit.n_inputs + 1) - 2    # every node but the root
+                for partial, u in seen:
+                    under = np.logical_and.reduce([column[v] == s for v, s in partial.items()])
+                    best = joint[under, j].max()
+                    if best == 0.0:
+                        assert u == 0.0
+                    else:
+                        assert abs(u - best) <= 1e-12 * best
+
+
+def test_descent_on_inexact_bounds_raises_or_is_exact(corpus, monkeypatch):
+    # an unconstrained min-fill order can eliminate an input before a
+    # gate, so bounds are only upper bounds: a descent may then end below
+    # the optimum, and must raise rather than return such a leaf
+    monkeypatch.setattr(jointree, "check_order", lambda net, order: None)
+    pb = perfbench_circuits()
+    raised = 0
+    for circuit in [pb.ripple_carry_adder(3), pb.ripple_carry_adder(4)] + corpus[:120]:
+        net = build_error_model(circuit, EPS)
+        tree = build_tree(net)
+        loose = build_tree(net, tuple(jointree._min_fill_pass(jointree.moral_graph(net),
+                                                               set(range(net.n_vars)))))
+        for comp in net.comparators:
+            # the full walk's best leaf is an exact read; enumeration
+            # cannot reach rca4
+            best = solve(MapQuery(net, tree, {comp: 1}), prune=False).p_map
+            try:
+                r = solve(MapQuery(net, loose, {comp: 1}))
+            except RuntimeError:
+                raised += 1
+                continue
+            assert abs(r.p_map - best) <= 1e-12 * best
+    assert raised
 
 
 def test_joint_evidence_over_all_comparators():

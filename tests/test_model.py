@@ -58,6 +58,17 @@ def test_eps_validation():
         cpt_for_gate(GateFunc.NOT, 1, -0.1, True, child, parent)
 
 
+@pytest.mark.parametrize("eps", [-3.0, float("nan"), 0.7])
+def test_eps_is_checked_without_any_gate(eps):
+    # no gate CPT is built here, so the model itself must reject the eps
+    wire = parse_bench("INPUT(a)\nOUTPUT(a)\n")
+    for form in (eps, [0.05, eps]):
+        with pytest.raises(ValueError, match="gate error probability .* outside"):
+            build_error_model(wire, form)
+    with pytest.raises(ValueError, match="gate error probability .* outside"):
+        build_error_model(AND2, {0: eps})
+
+
 def test_cpt_column_tolerance_is_allclose_default():
     """Columns must sum to 1 within 1e-12 + 1e-5 (np.allclose with
     atol=1e-12 and its default rtol); NaN never passes."""
