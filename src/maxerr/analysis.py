@@ -1,10 +1,12 @@
 """Circuit-level reliability quantities.
 
 Per output: the worst-case error, the conditional error probability at
-the most error-prone input vector, found by search (``max_error``); the
-error at every vector, read from the output's fan-in cone (``spectrum``);
-and across an eps grid, the first eps where the worst case reaches 0.5
-(``sweep``), run as batched passes over the whole grid.
+the most error-prone input vector, found by a descent over one read of
+the output's fan-in cone (``max_error``); the error at every vector,
+read from the same cone (``spectrum``); and across an eps grid, the
+first eps where the worst case reaches 0.5 (``sweep``), run as batched
+passes over the whole grid.  A cone read happens at the smallest
+cluster holding the cone inputs (``_holder``).
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ import numpy as np
 
 from .circuit import Circuit, index_vector, vector_string
 # perfbench/tracing.py wraps the imported layer functions by name in this
-# module, ``solve`` among them, though the reports here call ``search``.
+# module, ``solve`` among them, though the reports here call ``search``
+# or read cone tables; so ``solve`` stays imported here, as do
+# ``mapsearch.seed`` and ``propagate``'s ``combine``, ``reduce_mixed`` and
+# ``reduce_all`` in their modules.
 from .jointree import BinaryJoinTree, build_tree, choose_order
-from .mapsearch import PRUNE_TOL, MapQuery, search, solve
+from .mapsearch import PRUNE_TOL, MapQuery, MapResult, search, solve, var_order_heuristic
 from .model import ErrorModelNet, build_error_model
 from .propagate import Propagator
 from .valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
@@ -119,12 +124,58 @@ def _cone_inputs(net: ErrorModelNet, roots) -> frozenset[int]:
     return frozenset(seen.intersection(net.input_vars))
 
 
+def _holder(tree: BinaryJoinTree, cone: frozenset[int]) -> int | None:
+    """The smallest cluster holding every input of ``cone``, lowest id on
+    a tie; None when no cluster holds them all."""
+    return min(((len(s), cid) for cid, s in enumerate(tree.scopes) if cone <= s),
+               default=(0, None))[1]
+
+
+def _descents(prop: Propagator, cid: int, cone: frozenset[int]) -> list[MapResult]:
+    """Per member of ``prop.net``, what a pruned ``search`` returns for
+    the comparator evidence set on ``prop``, from one sum-mode read of
+    cluster ``cid`` onto ``cone``: P(cone inputs, evidence).  Along
+    ``var_order_heuristic`` over the cone, each step takes state 1 only
+    when the maximum of its half of the table beats state 0's by more
+    than a relative ``PRUNE_TOL``: the test the search applies to its
+    bounds, which are these maxima (``mapsearch``).  So the path, the
+    tie rule and the node counts are the search's.  Members that take
+    the same path descend together, on views of the read.  ``p_map`` is
+    the leaf's cell times the 1/2 prior of each input outside the cone:
+    P(vector, evidence) with those inputs at 0."""
+    net = prop.net
+    path = [v for v in var_order_heuristic(net) if v in cone]
+    ranked, lead = sorted(cone), len(net.batch)
+    # a read's axes follow its sorted scope, after the grid axis if any
+    t = np.broadcast_to(prop.belief(cid, cone).table, net.batch + (2,) * len(cone))
+    t = t.transpose(tuple(range(lead)) + tuple(lead + ranked.index(v) for v in path))
+    shift = len(path) - len(net.input_vars)
+    results: list[MapResult | None] = [None] * math.prod(net.batch)
+    stack = [(t if lead else t[None], np.arange(len(results)), ())]
+    while stack:    # a sub-table over a group of members, its first axis
+        t, group, key = stack.pop()
+        if t.ndim == 1:
+            for m, cell in zip(group.tolist(), t.tolist()):
+                results[m] = MapResult(dict(zip(path, key)), math.ldexp(cell, shift),
+                                       1 + 2 * len(path), len(path))
+            continue
+        u = t.max(axis=tuple(range(2, t.ndim)))
+        one = u[:, 1] > u[:, 0] * (1.0 + PRUNE_TOL)
+        for s, sel in ((0, ~one), (1, one)):
+            if sel.all():
+                stack.append((t[:, s], group, key + (s,)))
+            elif sel.any():
+                stack.append((t[sel, s], group[sel], key + (s,)))
+    return results
+
+
 def max_errors(net: ErrorModelNet, tree: BinaryJoinTree,
                prune: bool = True, joint: bool = False) -> list[ErrorReport]:
     """Worst-case output error reports, one per member of ``net`` (see
-    ``max_error``); every member is searched in the same batched
-    passes."""
-    map_prop = Propagator(tree, net, map_vars=net.input_vars)
+    ``max_error``); every member is served by the same reads (or
+    batched searches)."""
+    prop = Propagator(tree, net)
+    map_prop = None
     rows: list[list[OutputReport]] = [[] for _ in range(math.prod(net.batch))]
     names = list(net.circuit.outputs)
     if joint:
@@ -134,13 +185,20 @@ def max_errors(net: ErrorModelNet, tree: BinaryJoinTree,
 
     for name, evid in queries:
         cone = _cone_inputs(net, evid)
-        fixed = {v: 0 for v in net.input_vars if v not in cone}
-        results = search(MapQuery(net, tree, {**evid, **fixed}), prune=prune, prop=map_prop)
+        cid = _holder(tree, cone)
+        if prune and cid is not None:
+            prop.set_evidence(evid)
+            results = _descents(prop, cid, cone)
+        else:
+            if map_prop is None:
+                map_prop = Propagator(tree, net, map_vars=net.input_vars)
+            fixed = {v: 0 for v in net.input_vars if v not in cone}
+            results = search(MapQuery(net, tree, {**evid, **fixed}), prune=prune, prop=map_prop)
         for m, res in enumerate(results):
-            assign = {**fixed, **res.assignment}
             reached = res.p_map > 0.0
+            vector = [res.assignment.get(v, 0) for v in net.input_vars]
             rows[m].append(OutputReport(
-                name, vector_string([assign[v] for v in net.input_vars]) if reached else None,
+                name, vector_string(vector) if reached else None,
                 math.ldexp(res.p_map, len(net.input_vars)), not reached,
                 res.nodes_expanded, res.nodes_pruned))
     return [_report(net, r) for r in rows]
@@ -159,21 +217,28 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
               prune: bool = True, joint: bool = False) -> ErrorReport:
     """Worst-case output error report of a network at one eps.
 
-    Per output: search for the input vector maximizing P(inputs, output
-    wrong); the error is 2^k times the search's exact P(inputs, output
-    wrong), as inputs are uniform (``model``).  The report's worst output
-    is the first whose error ties the largest (within a relative
-    ``PRUNE_TOL``, as in the search), so float noise among tied outputs
-    cannot change it.  With ``joint`` the search instead evidences every
-    comparator at once (all outputs wrong together).
-    An output no fault combination can flip is marked unreachable.
+    Per output: the input vector maximizing P(inputs, output wrong); the
+    error is P(output wrong | that vector), as inputs are uniform
+    (``model``).  The report's worst output is the first whose error
+    ties the largest (within a relative ``PRUNE_TOL``, as in the
+    search), so float noise among tied outputs cannot change it.  With
+    ``joint`` the query instead evidences every comparator at once (all
+    outputs wrong together).  An output no fault combination can flip is
+    marked unreachable.
 
-    The search branches only on the inputs in the query's fan-in cone
-    (the union of the cones in joint mode); the others cannot change
-    the error, are held at 0 and are reported as 0.  ``nodes_expanded``
-    and ``nodes_pruned`` count nodes over the cone inputs.  All searches
-    share one max-mode propagator and its cached messages; nothing is
-    read after a search.
+    Only the inputs in the query's fan-in cone (the union of the cones
+    in joint mode) are chosen; the others cannot change the error, are
+    reported as 0, and ``nodes_expanded`` and ``nodes_pruned`` count
+    nodes over the cone inputs.  A pruned query whose cone inputs one
+    cluster holds is served by one read of that cluster onto them, with
+    the comparator evidence set, on one sum-mode propagator shared by
+    every query: P(cone inputs, wrong).  The search's descent then runs
+    over that table (``_descents``), with its tie rule and node counts;
+    every bound of the search is exact on these trees (``mapsearch``),
+    so the vector is the search's.  The unpruned audit walk, and a joint
+    query whose union cone no cluster holds, run ``mapsearch.search``
+    instead, with the other inputs held at 0, on one shared max-mode
+    propagator.  Either way the error is 2^k times P(vector, wrong).
     """
     if net.batch:
         raise ValueError("max_error takes a network at one eps; max_errors takes an eps grid")
@@ -300,10 +365,9 @@ def spectrum(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT) -> Spectru
     table = np.empty((2,) * c.n_inputs + (len(net.comparators),))
     for j, comp in enumerate(net.comparators):
         cone = _cone_inputs(net, (comp,))
-        holders = [(len(s), cid) for cid, s in enumerate(tree.scopes) if cone <= s]
-        if not holders:
+        cid = _holder(tree, cone)
+        if cid is None:
             raise ValueError("no cluster holds the cone inputs of output " + c.outputs[j])
-        _, cid = min(holders)
         prop.set_evidence({comp: 1})
         wrong = prop.belief(cid, cone).table
         prop.set_evidence({comp: 0})

@@ -57,9 +57,11 @@ class MapQuery:
     """One worst-vector query.
 
     The search branches only on the inputs not in ``evid_o``; an input
-    given there is held at its state.  ``max_error`` uses that to fix
-    every input outside an output's fan-in cone at 0, so node counts
-    cover the cone inputs alone.
+    given there is held at its state.  ``max_error`` uses that, on the
+    queries it searches rather than reads from a cone table (unpruned
+    walks, and joint cones no cluster holds), to fix every input outside
+    the query's fan-in cone at 0, so node counts cover the cone inputs
+    alone.
     """
     net: ErrorModelNet
     tree: BinaryJoinTree

@@ -65,7 +65,8 @@ indicator's exact zeros.  Plans sum one axis at a time, highest first
 (``valuation.sum_axes``), so summing ``u`` adds an exact zero to each
 cell, and x + 0 = x = max(x, 0): both modes do the same adds in the
 same order.  So a search's value at a complete assignment is the exact
-P(vector, evidence) that ``analysis.max_errors`` scales to its error.
+P(vector, evidence), which ``analysis.max_errors`` scales to its error
+on the queries it searches.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from maxerr import analysis
 from maxerr.analysis import (MAX_SPECTRUM_INPUTS, avg_error, cond_error, max_error,
                              prepare, spectrum, sweep)
 from maxerr.circuit import (Circuit, all_input_vectors, index_vector, parse_bench,
-                            vector_index)
+                            vector_index, vector_string)
 from maxerr.mapsearch import MapQuery, solve
 from maxerr.oracle import FaultEnumerator, random_circuit
 from maxerr.propagate import Propagator
@@ -60,10 +60,16 @@ def test_search_counters_surface_in_report(c17):
         assert row.nodes_pruned == 0
 
 
+def _queries(net, joint):
+    """Each report row's comparator variables, in row order."""
+    return [net.comparators] if joint else [[comp] for comp in net.comparators]
+
+
 def test_max_error_builds_one_propagator(c17, corpus, monkeypatch):
-    # every output's search shares one max-mode propagator, and each
-    # worst vector's error comes from the search's own value: evidence
-    # is set once per search bound and never after the search
+    # every query whose cone inputs one cluster holds is served by one
+    # read of one shared sum-mode propagator, after one evidence setting;
+    # the others (corpus[4]'s joint query here) share one max-mode
+    # propagator for their searches, one evidence setting per bound
     calls = {"init": 0, "evidence": 0}
     init, set_evidence = Propagator.__init__, Propagator.set_evidence
 
@@ -77,14 +83,20 @@ def test_max_error_builds_one_propagator(c17, corpus, monkeypatch):
 
     monkeypatch.setattr(Propagator, "__init__", counted_init)
     monkeypatch.setattr(Propagator, "set_evidence", counted_evidence)
+    searched = 0
     for circuit in [c17] + corpus[:8]:
         net, tree = prepare(circuit, 0.05)
         for joint in (False, True):
             calls.update(init=0, evidence=0)
             rep = max_error(net, tree, joint=joint)
-            assert calls["init"] == 1
-            # the root is expanded without a bound
-            assert calls["evidence"] == sum(r.nodes_expanded - 1 for r in rep.per_output)
+            served = [analysis._holder(tree, analysis._cone_inputs(net, evid)) is not None
+                      for evid in _queries(net, joint)]
+            assert calls["init"] == 1 + (not all(served))
+            # the search expands the root without a bound
+            assert calls["evidence"] == sum(1 if s else r.nodes_expanded - 1
+                                            for s, r in zip(served, rep.per_output))
+            searched += served.count(False)
+    assert searched == 1
 
 
 def _answer_rule_cases(c17, corpus):
@@ -98,27 +110,47 @@ def _answer_rule_cases(c17, corpus):
             yield c, eps
 
 
-def test_p_error_is_the_search_value_scaled_by_the_input_prior(c17, corpus):
-    # inputs are uniform, so P(wrong | vector) = 2^k P(vector, wrong), and
-    # the search ends holding P(vector, wrong) exactly; dividing by
-    # P(vector) read on a sum-mode propagator agrees to within rounding
+def _search_row(net, tree, evid, prune=True):
+    """The search's answer to one query as (vector, p_error, unreachable,
+    nodes_expanded, nodes_pruned): inputs outside the cone held at 0,
+    and the error 2^k times the search's P(vector, wrong)."""
+    cone = analysis._cone_inputs(net, evid)
+    fixed = {v: 0 for v in net.input_vars if v not in cone}
+    res = solve(MapQuery(net, tree, {**{v: 1 for v in evid}, **fixed}), prune=prune)
+    assign = {**fixed, **res.assignment}
+    reached = res.p_map > 0.0
+    return (vector_string([assign[v] for v in net.input_vars]) if reached else None,
+            math.ldexp(res.p_map, len(net.input_vars)), not reached,
+            res.nodes_expanded, res.nodes_pruned)
+
+
+def test_cone_table_descent_matches_search(c17, corpus):
+    # the descent over one read of the cone's table takes the search's
+    # path: the same vector, flag and node counts, and an error that
+    # differs from the search's 2^k P(vector, wrong) only by rounding
     for c, eps in _answer_rule_cases(c17, corpus):
         net, tree = prepare(c, eps)
-        k = len(net.input_vars)
         for joint in (False, True):
             rep = max_error(net, tree, joint=joint)
-            comps = [net.comparators] if joint else [[comp] for comp in net.comparators]
-            for row, evid in zip(rep.per_output, comps):
-                if row.unreachable:
-                    continue
-                cone = analysis._cone_inputs(net, evid)
-                fixed = {v: 0 for v in net.input_vars if v not in cone}
-                res = solve(MapQuery(net, tree, {**{v: 1 for v in evid}, **fixed}))
-                assert row.p_error == math.ldexp(res.p_map, k)
-                prop = Propagator(tree, net)
-                prop.set_evidence({v: int(b) for v, b in zip(net.input_vars, row.vector)})
-                assert row.p_error == pytest.approx(res.p_map / prop.query(net.input_vars[0]),
-                                                    rel=1e-15, abs=0.0)
+            for row, evid in zip(rep.per_output, _queries(net, joint)):
+                vector, p_error, unreachable, expanded, pruned = _search_row(net, tree, evid)
+                assert (row.vector, row.unreachable) == (vector, unreachable)
+                assert (row.nodes_expanded, row.nodes_pruned) == (expanded, pruned)
+                assert row.p_error == pytest.approx(p_error, rel=1e-15, abs=0.0)
+
+
+def test_search_serves_unpruned_walks_and_cones_no_cluster_holds(corpus):
+    # no cluster of corpus[4]'s tree holds the union of its output cones,
+    # so a joint query there runs the search; so does every unpruned
+    # walk.  Both report the search's own answer, bit for bit.
+    net, tree = prepare(corpus[4], 0.05)
+    assert analysis._holder(tree, analysis._cone_inputs(net, net.comparators)) is None
+    for joint, prune in ((True, True), (True, False), (False, False)):
+        rep = max_error(net, tree, prune=prune, joint=joint)
+        rows = [(r.vector, r.p_error, r.unreachable, r.nodes_expanded, r.nodes_pruned)
+                for r in rep.per_output]
+        assert rows == [_search_row(net, tree, evid, prune) for evid in _queries(net, joint)]
+        assert not any(r.unreachable for r in rep.per_output)
 
 
 def test_spectrum_sets_evidence_twice_per_output(c17, monkeypatch):
