@@ -1,11 +1,11 @@
 """Circuit-level reliability quantities.
 
 Per output: the worst-case error, the conditional error probability at
-the most error-prone input vector, found by a descent over one read of
-the output's fan-in cone (``max_error``); the error at every vector,
-read from the same cone (``spectrum``); and across an eps grid, the
-first eps where the worst case reaches 0.5 (``sweep``), run as batched
-passes over the whole grid.  A cone read happens at the smallest
+the most error-prone input vector, found by a walk over one read of
+the output's fan-in cone (``max_error``, ``mapsearch``); the error at
+every vector, read from the same cone (``spectrum``); and across an eps
+grid, the first eps where the worst case reaches 0.5 (``sweep``), run as
+batched passes over the whole grid.  A cone read happens at the smallest
 cluster holding the cone inputs (``_holder``).
 """
 
@@ -18,12 +18,12 @@ import numpy as np
 
 from .circuit import Circuit, index_vector, vector_string
 # perfbench/tracing.py wraps the imported layer functions by name in this
-# module, ``solve`` among them, though the reports here call ``search``
-# or read cone tables; so ``solve`` stays imported here, as do
-# ``mapsearch.seed`` and ``propagate``'s ``combine``, ``reduce_mixed`` and
-# ``reduce_all`` in their modules.
+# module, ``solve`` among them, though the reports here call ``search``;
+# so ``solve`` stays imported here, as do ``mapsearch.seed`` and
+# ``propagate``'s ``combine``, ``reduce_mixed`` and ``reduce_all`` in
+# their modules.
 from .jointree import BinaryJoinTree, build_tree, choose_order
-from .mapsearch import PRUNE_TOL, MapQuery, MapResult, search, solve, var_order_heuristic
+from .mapsearch import PRUNE_TOL, MapQuery, _cone_inputs, _holder, search, solve
 from .model import ErrorModelNet, build_error_model
 from .propagate import Propagator
 from .valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
@@ -102,80 +102,16 @@ def prepare(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT):
 def cond_error(prop: Propagator, comp_var: int):
     """P(comparator = 1 | the evidence set on ``prop``), via
     P(comparator, evidence) normalized: a float, or an array over the
-    members of an eps grid.  A max-mode ``prop`` must have evidence on
-    every max variable (``ValueError`` otherwise); the read then equals
-    the sum-mode one bit for bit (``propagate``)."""
-    if not prop.map_vars <= prop.evidence.keys():
-        raise ValueError("a max-mode read is a conditional probability only "
-                         "with evidence on every max variable")
+    members of an eps grid."""
     t = prop.var_belief(comp_var).table.T    # the comparator's states first
     return t[1] / (t[0] + t[1])
-
-
-def _cone_inputs(net: ErrorModelNet, roots) -> frozenset[int]:
-    """Primary inputs among the ancestors of ``roots``: their fan-in cone."""
-    seen: set[int] = set()
-    stack = list(roots)
-    while stack:
-        v = stack.pop()
-        if v not in seen:
-            seen.add(v)
-            stack.extend(p.id for p in net.cpts[v].parents)
-    return frozenset(seen.intersection(net.input_vars))
-
-
-def _holder(tree: BinaryJoinTree, cone: frozenset[int]) -> int | None:
-    """The smallest cluster holding every input of ``cone``, lowest id on
-    a tie; None when no cluster holds them all."""
-    return min(((len(s), cid) for cid, s in enumerate(tree.scopes) if cone <= s),
-               default=(0, None))[1]
-
-
-def _descents(prop: Propagator, cid: int, cone: frozenset[int]) -> list[MapResult]:
-    """Per member of ``prop.net``, what a pruned ``search`` returns for
-    the comparator evidence set on ``prop``, from one sum-mode read of
-    cluster ``cid`` onto ``cone``: P(cone inputs, evidence).  Along
-    ``var_order_heuristic`` over the cone, each step takes state 1 only
-    when the maximum of its half of the table beats state 0's by more
-    than a relative ``PRUNE_TOL``: the test the search applies to its
-    bounds, which are these maxima (``mapsearch``).  So the path, the
-    tie rule and the node counts are the search's.  Members that take
-    the same path descend together, on views of the read.  ``p_map`` is
-    the leaf's cell times the 1/2 prior of each input outside the cone:
-    P(vector, evidence) with those inputs at 0."""
-    net = prop.net
-    path = [v for v in var_order_heuristic(net) if v in cone]
-    ranked, lead = sorted(cone), len(net.batch)
-    # a read's axes follow its sorted scope, after the grid axis if any
-    t = np.broadcast_to(prop.belief(cid, cone).table, net.batch + (2,) * len(cone))
-    t = t.transpose(tuple(range(lead)) + tuple(lead + ranked.index(v) for v in path))
-    shift = len(path) - len(net.input_vars)
-    results: list[MapResult | None] = [None] * math.prod(net.batch)
-    stack = [(t if lead else t[None], np.arange(len(results)), ())]
-    while stack:    # a sub-table over a group of members, its first axis
-        t, group, key = stack.pop()
-        if t.ndim == 1:
-            for m, cell in zip(group.tolist(), t.tolist()):
-                results[m] = MapResult(dict(zip(path, key)), math.ldexp(cell, shift),
-                                       1 + 2 * len(path), len(path))
-            continue
-        u = t.max(axis=tuple(range(2, t.ndim)))
-        one = u[:, 1] > u[:, 0] * (1.0 + PRUNE_TOL)
-        for s, sel in ((0, ~one), (1, one)):
-            if sel.all():
-                stack.append((t[:, s], group, key + (s,)))
-            elif sel.any():
-                stack.append((t[sel, s], group[sel], key + (s,)))
-    return results
 
 
 def max_errors(net: ErrorModelNet, tree: BinaryJoinTree,
                prune: bool = True, joint: bool = False) -> list[ErrorReport]:
     """Worst-case output error reports, one per member of ``net`` (see
-    ``max_error``); every member is served by the same reads (or
-    batched searches)."""
+    ``max_error``); every member is served by the same reads and walk."""
     prop = Propagator(tree, net)
-    map_prop = None
     rows: list[list[OutputReport]] = [[] for _ in range(math.prod(net.batch))]
     names = list(net.circuit.outputs)
     if joint:
@@ -184,16 +120,9 @@ def max_errors(net: ErrorModelNet, tree: BinaryJoinTree,
         queries = [(names[j], {net.comparators[j]: 1}) for j in range(len(names))]
 
     for name, evid in queries:
-        cone = _cone_inputs(net, evid)
-        cid = _holder(tree, cone)
-        if prune and cid is not None:
-            prop.set_evidence(evid)
-            results = _descents(prop, cid, cone)
-        else:
-            if map_prop is None:
-                map_prop = Propagator(tree, net, map_vars=net.input_vars)
-            fixed = {v: 0 for v in net.input_vars if v not in cone}
-            results = search(MapQuery(net, tree, {**evid, **fixed}), prune=prune, prop=map_prop)
+        cone = _cone_inputs(tree, net, evid)
+        fixed = {v: 0 for v in net.input_vars if v not in cone}
+        results = search(MapQuery(net, tree, {**evid, **fixed}), prune, prop=prop)
         for m, res in enumerate(results):
             reached = res.p_map > 0.0
             vector = [res.assignment.get(v, 0) for v in net.input_vars]
@@ -229,16 +158,13 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     Only the inputs in the query's fan-in cone (the union of the cones
     in joint mode) are chosen; the others cannot change the error, are
     reported as 0, and ``nodes_expanded`` and ``nodes_pruned`` count
-    nodes over the cone inputs.  A pruned query whose cone inputs one
-    cluster holds is served by one read of that cluster onto them, with
-    the comparator evidence set, on one sum-mode propagator shared by
-    every query: P(cone inputs, wrong).  The search's descent then runs
-    over that table (``_descents``), with its tie rule and node counts;
-    every bound of the search is exact on these trees (``mapsearch``),
-    so the vector is the search's.  The unpruned audit walk, and a joint
-    query whose union cone no cluster holds, run ``mapsearch.search``
-    instead, with the other inputs held at 0, on one shared max-mode
-    propagator.  Either way the error is 2^k times P(vector, wrong).
+    nodes over the cone inputs.  Each query is one ``mapsearch.search``
+    with the other inputs held at 0, on one propagator shared by every
+    query: a walk over P(cone inputs, wrong), read from the smallest
+    cluster holding the cone, or for a joint query whose union cone no
+    cluster holds, built from the cones of its gate-disjoint groups of
+    outputs (``WidthLimitError`` past ``DEFAULT_WIDTH_LIMIT`` inputs).
+    The error is 2^k times P(vector, wrong).
     """
     if net.batch:
         raise ValueError("max_error takes a network at one eps; max_errors takes an eps grid")
@@ -364,7 +290,7 @@ def spectrum(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT) -> Spectru
     prop = Propagator(tree, net)
     table = np.empty((2,) * c.n_inputs + (len(net.comparators),))
     for j, comp in enumerate(net.comparators):
-        cone = _cone_inputs(net, (comp,))
+        cone = _cone_inputs(tree, net, (comp,))
         cid = _holder(tree, cone)
         if cid is None:
             raise ValueError("no cluster holds the cone inputs of output " + c.outputs[j])

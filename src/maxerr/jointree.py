@@ -36,7 +36,7 @@ class InvalidOrderError(ValueError):
 
 def check_order(net: ErrorModelNet, order: tuple[int, ...]) -> None:
     """Raise InvalidOrderError unless ``order`` is a permutation of the
-    variable ids ending in the maximized (input) variables."""
+    variable ids ending in the input variables."""
     if sorted(order) != list(range(net.n_vars)):
         raise InvalidOrderError("order is not a permutation of the %d variables"
                                 % net.n_vars)
@@ -85,9 +85,9 @@ def _min_fill_pass(adj: dict[int, set[int]], pool: set[int]) -> list[int]:
 def choose_order(net: ErrorModelNet) -> tuple[int, ...]:
     """Greedy min-fill order, restricted so inputs are eliminated last.
 
-    Delaying the maximized variables keeps the collect schedules rooted
-    at the inputs' prior clusters close to sum-before-max, which makes the
-    search bounds tight.  Ties break on the lowest variable id.
+    Eliminating every gate and comparator variable first makes the
+    inputs of each output's fan-in cone a clique, so one cluster holds
+    each cone (``mapsearch``).  Ties break on the lowest variable id.
     """
     adj = moral_graph(net)
     inputs = set(net.input_vars)
@@ -113,9 +113,11 @@ class BinaryJoinTree:
             nb.sort()
         self.width = max(map(len, scopes), default=0)
         # compiled lazily by propagators: the numbered directed edges, and
-        # per map_vars {edge id or (read cluster, kept variables): plan}
+        # per grid-axis prefix {edge id or (read cluster, kept variables): plan};
+        # by worst-vector walks: per tuple of evidenced variables, their cones
         self.schedule = None
         self.plans: dict = {}
+        self.cones: dict = {}
 
     @property
     def n_clusters(self) -> int:

@@ -1,42 +1,36 @@
-"""Worst input vector by one exact descent over the inputs.
+"""Worst input vector by one walk over a cone table.
 
-The search instantiates the primary inputs one at a time.  Each child
-node gets a bound on P(inputs, comparator evidence) over all
-completions from a max-mode collect rooted at the cluster holding the
-prior of the variable just assigned.  Any root gives an upper bound
-(moving a max inward only raises the value); on the trees
-``build_tree`` makes, the bound is exact.  ``check_order`` puts every
-input after every gate and comparator variable, so the clusters the
-fusion adds while eliminating inputs hold inputs only, and an input's
-prior cluster joins the tree at such a cluster or by a direct edge
-whose separator is that input.  On every edge toward it, the sending
-side then drops only gate and comparator variables, or the separator
-holds only inputs: every collect rooted there sums before it maxes.
-Each prior cluster is a strong root (Jensen, Jensen & Dittmer, UAI
-1994; Park & Darwiche, JAIR 21, 2004).
+A query evidences some variables (usually comparators at 1) and may
+hold inputs at given states.  Its fan-in cone is the inputs among the
+ancestors of its evidenced variables.  ``choose_order`` eliminates the
+inputs last, so one cluster holds each output's cone; the smallest
+(lowest id on a tie, ``_holder``), read with the evidence set and summed
+onto the cone, gives P(cone inputs, evidence), the query's cone table.
+A joint query whose union cone no cluster holds splits its evidence
+into groups whose cones share no gate.  Given the inputs the groups go
+wrong independently, so its table is 2^-|cone| times the product of
+each group's P(group | its cone inputs): the group's read with its
+evidence divided cellwise by the same read without.
 
-So a pruned search bounds both children of a node and enters only the
-better one, state 1 only when its bound beats state 0's by more than a
-relative hair; the other child is pruned.  Values within that hair tie
-and go to state 0, so the path ends at the smallest tied optimum along
-the branching order, and float noise among tied values (an XOR chain
-fails on an odd number of gate faults whatever its inputs) does not
-move it.  The hair is relative, so the path does not depend on the
-absolute size of the probabilities (every bound carries the input
-prior of all k inputs).  A complete instantiation makes the bound an
-exact read.  The larger bound at depth 1 bounds every vector, so a leaf
-that reaches it is certified optimal; a leaf below it means a bound was
-not exact (a tree from another order), and the search raises
-``RuntimeError`` rather than answer wrongly.  Inputs named in the query
-evidence are fixed, not searched.
+The walk instantiates the free inputs one at a time along
+``var_order``.  A child's bound, the maximum of P(vector, evidence) over
+its completions, is the maximum of its slice of the table: the value a
+max-mode collect returns on a tree that eliminates the inputs last
+(Park & Darwiche, JAIR 21, 2004).  A free input outside the cone is a
+broadcast axis, so its two children tie.  Held inputs are sliced, not
+searched, and each input outside the cone enters by its prior 1/2.
 
-Over an eps grid (``net.batch == (B,)``) one walk searches every member
-at once: each bound is one batched read, and a node is visited with
-the members that entered it, so each makes the path and node counts of
-a search of its eps alone.  ``use_seed`` starts each member's best leaf
-at the all-zero assignment, the one ties resolve toward, at its exact
-value (``seed``): one more bound per query, and the same answer and
-node counts.
+A pruned walk enters only the better child of each node, state 1 only
+when its bound beats state 0's by more than a relative hair.  Values
+within that hair tie and go to state 0, so the path ends at the
+smallest tied optimum along the branching order, and float noise among
+tied values (an XOR chain fails on an odd number of gate faults whatever
+its inputs) does not move it.  Every bound is exact, so the leaf is
+optimal.  An unpruned walk visits every node and keeps the best leaf by
+the same tie rule.  Over an eps grid (``net.batch == (B,)``) one walk
+serves every member: members that take the same path descend together
+on views of the table, so each gets the path and node counts of a walk
+at its eps alone.
 """
 
 from __future__ import annotations
@@ -45,9 +39,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .jointree import BinaryJoinTree
 from .model import ErrorModelNet
-from .propagate import Propagator, per_member
+from .propagate import Propagator
+from .valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
 
 PRUNE_TOL = 1e-12   # relative; closer values tie
 
@@ -56,12 +53,10 @@ PRUNE_TOL = 1e-12   # relative; closer values tie
 class MapQuery:
     """One worst-vector query.
 
-    The search branches only on the inputs not in ``evid_o``; an input
-    given there is held at its state.  ``max_error`` uses that, on the
-    queries it searches rather than reads from a cone table (unpruned
-    walks, and joint cones no cluster holds), to fix every input outside
-    the query's fan-in cone at 0, so node counts cover the cone inputs
-    alone.
+    The walk branches only on the inputs not in ``evid_o``; an input
+    given there is held at its state.  ``max_error`` holds every input
+    outside the query's fan-in cone at 0, so node counts cover the cone
+    inputs alone.
     """
     net: ErrorModelNet
     tree: BinaryJoinTree
@@ -99,40 +94,133 @@ def var_order_heuristic(net: ErrorModelNet) -> tuple[int, ...]:
     return tuple(sorted(counts, key=lambda v: (-counts[v], v)))
 
 
+def _cones(tree: BinaryJoinTree, net: ErrorModelNet,
+           roots) -> list[tuple[tuple[int, ...], frozenset[int]]]:
+    """``roots`` split into groups whose fan-in cones share no gate, each
+    with its cone inputs, in order of first root.  One walk over the
+    ancestors: where the walk from one root meets a variable another
+    root's walk reached, their groups join.  Kept on ``tree`` per tuple
+    of roots, as every network the tree takes has the same ancestors."""
+    roots = tuple(roots)
+    if roots in tree.cones:
+        return tree.cones[roots]
+    inputs = set(net.input_vars)
+    owner: dict[int, int] = {}       # each non-input reached: the first root reaching it
+    link = list(range(len(roots)))   # union-find over the roots
+    found: list[set[int]] = [set() for _ in roots]
+
+    def find(i: int) -> int:
+        while link[i] != i:
+            i = link[i]
+        return i
+
+    for i, root in enumerate(roots):
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            if v in inputs:
+                found[i].add(v)
+            elif v not in owner:
+                owner[v] = i
+                stack.extend(p.id for p in net.cpts[v].parents)
+            else:
+                a, b = find(i), find(owner[v])
+                link[max(a, b)] = min(a, b)
+    groups: dict[int, tuple[list[int], set[int]]] = {}
+    for i, root in enumerate(roots):
+        members, cone = groups.setdefault(find(i), ([], set()))
+        members.append(root)
+        cone |= found[i]
+    tree.cones[roots] = [(tuple(members), frozenset(cone)) for members, cone in groups.values()]
+    return tree.cones[roots]
+
+
+def _cone_inputs(tree: BinaryJoinTree, net: ErrorModelNet, roots) -> frozenset[int]:
+    """Primary inputs among the ancestors of ``roots``: their fan-in cone."""
+    return frozenset().union(*(cone for _, cone in _cones(tree, net, roots)))
+
+
+def _holder(tree: BinaryJoinTree, cone: frozenset[int]) -> int | None:
+    """The smallest cluster holding every input of ``cone``, lowest id on
+    a tie; None when no cluster holds them all."""
+    return min(((len(s), cid) for cid, s in enumerate(tree.scopes) if cone <= s),
+               default=(0, None))[1]
+
+
+def _cone_table(q: MapQuery, prop: Propagator):
+    """The query's cone table (see the module docstring), its axes the
+    cone inputs in id order after the grid axis if any, and the cone.
+    ``ValueError`` when no cluster holds the cone of a group of the
+    evidence; ``WidthLimitError`` when no cluster holds the union and it
+    has more than ``DEFAULT_WIDTH_LIMIT`` inputs."""
+    net, tree = q.net, q.tree
+    evid = {v: s for v, s in q.evid_o.items() if v not in net.input_vars}
+    groups = _cones(tree, net, evid)
+    cone = frozenset().union(*(part for _, part in groups))
+    cid = _holder(tree, cone)
+    if cid is not None:
+        prop.set_evidence(evid)
+        return prop.belief(cid, cone).table, cone
+    holders = [_holder(tree, part) for _, part in groups]
+    if None in holders:
+        raise ValueError("no cluster holds the cone inputs of the query")
+    if len(cone) > DEFAULT_WIDTH_LIMIT:
+        raise WidthLimitError(len(cone), DEFAULT_WIDTH_LIMIT, "union of a joint query's cones")
+    ranked = sorted(cone)
+    table = 1.0
+    for (roots, part), gid in zip(groups, holders):
+        prop.set_evidence({v: evid[v] for v in roots})
+        wrong = prop.belief(gid, part).table
+        prop.set_evidence({})
+        ratio = wrong / prop.belief(gid, part).table
+        table = table * ratio.reshape((-1,) + tuple(2 if v in part else 1 for v in ranked))
+    return np.ldexp(table, -len(cone)), cone
+
+
 class _Search:
     """The walk over every member of ``q.net`` at once (see the module
-    docstring); per member its best leaf, that leaf's key, node counts
-    and the larger bound at depth 1, which a pruned descent must reach."""
+    docstring): the cone table with a member axis first and an axis per
+    input of ``var_order`` after it, and per member the best leaf and its
+    key.  Cells are P(vector, evidence) times 2^-``shift``, the priors of
+    the inputs outside the cone."""
 
     def __init__(self, q: MapQuery, prune: bool,
                  on_bound: Callable[[dict, float | list[float]], None] | None,
                  prop: Propagator | None = None):
+        if prop is None:
+            prop = Propagator(q.tree, q.net)
+        elif prop.tree is not q.tree or prop.net is not q.net:
+            raise ValueError("propagator must be built on the query's tree and net")
         self.q = q
         self.prune = prune
         self.on_bound = on_bound
-        if prop is None:
-            prop = Propagator(q.tree, q.net, map_vars=q.net.input_vars)
-        elif prop.tree is not q.tree or prop.net is not q.net \
-                or prop.map_vars != frozenset(q.net.input_vars):
-            raise ValueError("propagator must be built on the query's tree and net "
-                             "with the net's inputs as max variables")
-        self.prop = prop
-        members = math.prod(q.net.batch)
+        net, evid = q.net, q.evid_o
+        t, cone = _cone_table(q, prop)
+        # a read's axes follow its sorted scope, and input ids ascend
+        t = t.reshape((-1,) + tuple(2 if v in cone else 1 for v in net.input_vars))
+        t = t[(slice(None),) + tuple(slice(None) if v not in evid else evid[v] if v in cone else 0
+                                     for v in net.input_vars)]
+        axis = {v: i for i, v in enumerate((v for v in net.input_vars if v not in evid), 1)}
+        members = math.prod(net.batch)
+        self.table = np.broadcast_to(t.transpose((0,) + tuple(axis[v] for v in q.var_order)),
+                                     (members,) + (2,) * len(q.var_order))
+        self.shift = len(cone) - len(net.input_vars)
         self.best = [-1.0] * members
         self.best_key: list[tuple[int, ...] | None] = [None] * members
-        self.expanded = [1] * members     # the root
-        self.pruned = [0] * members
-        self.top: list[float] = []        # set at the root
 
-    def bound(self, partial: dict[int, int], new_var: int):
-        """The bound at ``partial``: a float, or a list over members."""
-        ev = dict(self.q.evid_o)
-        ev.update(partial)
-        self.prop.set_evidence(ev)
-        u = self.prop.query(new_var)
-        if self.on_bound is not None:
-            self.on_bound(dict(partial), u)
-        return u
+    def scaled(self, cells: list[float]) -> float | list[float]:
+        """Cells as P(vector, evidence): a float, or a list over members."""
+        values = [math.ldexp(c, self.shift) for c in cells]
+        return values if self.q.net.batch else values[0]
+
+    def zero(self) -> list[float]:
+        """Each member's all-zero cell, the leaf ties resolve toward."""
+        return self.table[(slice(None),) + (0,) * len(self.q.var_order)].tolist()
+
+    def bound(self, t: np.ndarray) -> np.ndarray:
+        """The bounds of a node's two children for the members in ``t``
+        (its sub-table): the maxima of its two halves, shape (members, 2)."""
+        return t.max(axis=tuple(range(2, t.ndim)))
 
     def offer(self, m: int, key: tuple[int, ...], value: float) -> None:
         """Member ``m``'s complete assignment ``key`` (states along
@@ -143,90 +231,73 @@ class _Search:
             self.best[m] = value
             self.best_key[m] = key
 
-    def walk(self, partial: dict[int, int], head: tuple[int, ...], active: list[int]) -> None:
-        v = self.q.var_order[len(head)]
-        u = []
-        for s in (0, 1):
-            partial[v] = s
-            u.append(per_member(self.bound(partial, v)))
-        del partial[v]
-        if not head:
-            self.top = [max(u0, u1) for u0, u1 in zip(*u)]
-        zero_first, one_first = [], []    # ties go to state 0 first
-        for m in active:
-            self.expanded[m] += 2
-            self.pruned[m] += self.prune    # the worse child
-            (one_first if u[1][m] > u[0][m] * (1.0 + PRUNE_TOL) else zero_first).append(m)
-        # every member takes its better child; unpruned, then the other
-        visits = [(0, zero_first), (1, one_first)]
-        if not self.prune:
-            visits += [(1, zero_first), (0, one_first)]
-        complete = len(head) + 1 == len(self.q.var_order)
-        for s, group in visits:
-            if not group:
+    def walk(self) -> None:
+        order = self.q.var_order
+        stack = [(self.table, np.arange(len(self.best)), ())]
+        while stack:    # a node: its sub-table over the members that entered it
+            t, group, key = stack.pop()
+            if t.ndim == 1:    # a complete assignment: the cells are exact
+                for m, cell in zip(group.tolist(), t.tolist()):
+                    self.offer(m, key, cell)
                 continue
-            key = head + (s,)
-            if complete:    # the bound is exact
-                for m in group:
-                    if self.prune and u[s][m] < self.top[m] * (1.0 - PRUNE_TOL):
-                        raise RuntimeError("descent ended at %r, below the depth-1 bound "
-                                           "%r: the bounds are not exact" % (u[s][m], self.top[m]))
-                    self.offer(m, key, u[s][m])
-            else:
-                partial[v] = s
-                self.walk(partial, key, group)
-                del partial[v]
+            u = self.bound(t)
+            if self.on_bound is not None:
+                for s in (0, 1):
+                    self.on_bound(dict(zip(order, key + (s,))), self.scaled(u[:, s].tolist()))
+            one = u[:, 1] > u[:, 0] * (1.0 + PRUNE_TOL)
+            # every member takes its better child first, ties state 0;
+            # unpruned, then the other
+            visits = [(0, ~one), (1, one)]
+            if not self.prune:
+                visits += [(1, ~one), (0, one)]
+            for s, sel in reversed(visits):
+                if sel.all():
+                    stack.append((t[:, s], group, key + (s,)))
+                elif sel.any():
+                    stack.append((t[sel, s], group[sel], key + (s,)))
 
 
 def seed(q: MapQuery,
          prop: Propagator | None = None) -> tuple[dict[int, int], float | list[float]]:
-    """The all-zero assignment and its exact probability (a lower bound
-    on the optimum; one per member over an eps grid), collected at the
-    root the walk uses for complete nodes so the value is bit-identical
-    to the walk's.
-
-    ``prop`` lets the caller share its max-mode propagator, so the
-    messages cached here serve the search that follows."""
-    zero = {v: 0 for v in q.var_order}
-    s = _Search(q, prune=False, on_bound=None, prop=prop)
-    return zero, s.bound(zero, q.var_order[-1])
+    """The all-zero assignment and its exact probability, a lower bound
+    on the optimum (one per member over an eps grid): the all-zero cell
+    of the walk's table.  ``prop`` is shared as in ``search``."""
+    s = _Search(q, False, None, prop)
+    return {v: 0 for v in q.var_order}, s.scaled(s.zero())
 
 
 def search(q: MapQuery, prune: bool = True,
            on_bound: Callable[[dict, float | list[float]], None] | None = None,
            prop: Propagator | None = None, use_seed: bool = False) -> list[MapResult]:
-    """Exact worst-vector search, one result per member of ``q.net``
-    (one in all for a network at a single eps).
+    """Exact worst-vector walk, one result per member of ``q.net`` (one
+    in all for a network at a single eps).
 
     ``on_bound`` (assignment, bound) fires, for auditing, for both
-    children of every node the search enters (the root needs no bound),
-    not for the seed.  The bound is a float, or a list over members.  With
-    ``prune`` each member descends along one path (``RuntimeError`` if
-    its leaf falls below the bound at depth 1; see the module
-    docstring); without, the search visits the full binary tree over
-    the inputs not in ``q.evid_o``.  Ties (values within a relative
-    ``PRUNE_TOL``) resolve to the lexicographically smallest assignment
-    along ``q.var_order``, and ``p_map`` is that assignment's value.
+    children of every node the walk enters; the bound is a float, or a
+    list over the members that entered the node.  With ``prune`` each
+    member descends along one path: 1 + 2d nodes expanded and d pruned
+    over the d inputs not in ``q.evid_o``; without, the walk visits all
+    2^(d+1) - 1 nodes.  Ties (values within a relative ``PRUNE_TOL``)
+    resolve to the lexicographically smallest assignment along
+    ``q.var_order``, and ``p_map`` is that assignment's value.
 
-    ``prop`` shares a max-mode propagator over ``q.tree``, ``q.net`` and
-    the net's inputs between queries (``ValueError`` otherwise); the
-    answer does not change, since a cached message depends only on the
-    evidence on its sending side.  ``use_seed`` starts every member's
-    best leaf at the all-zero assignment (``seed``).
+    ``prop`` shares a propagator over ``q.tree`` and ``q.net`` between
+    queries (``ValueError`` otherwise); the answer does not change, since
+    a cached message depends only on the evidence on its sending side.
+    ``use_seed`` starts every member's best leaf at the all-zero
+    assignment (``seed``).
     """
-    if not q.var_order:
-        raise ValueError("no input variables to search over")
     s = _Search(q, prune, on_bound, prop)
-    seeds = [None] * len(s.best)
+    d = len(q.var_order)
+    seeds: list[float | None] = [None] * len(s.best)
     if use_seed:
-        _, value = seed(q, s.prop)
-        seeds = per_member(value)
-        s.best = list(seeds)
-        s.best_key = [(0,) * len(q.var_order)] * len(seeds)
-    s.walk({}, (), list(range(len(s.best))))
-    return [MapResult(dict(zip(q.var_order, key)), max(best, 0.0), expanded, pruned, sv)
-            for key, best, expanded, pruned, sv
-            in zip(s.best_key, s.best, s.expanded, s.pruned, seeds)]
+        seeds = s.zero()
+        s.best, s.best_key = list(seeds), [(0,) * d] * len(seeds)
+    s.walk()
+    expanded, pruned = (1 + 2 * d, d) if prune else ((2 << d) - 1, 0)
+    return [MapResult(dict(zip(q.var_order, key)), math.ldexp(best, s.shift), expanded, pruned,
+                      None if sv is None else math.ldexp(sv, s.shift))
+            for key, best, sv in zip(s.best_key, s.best, seeds)]
 
 
 def solve(q: MapQuery, use_seed: bool = False, prune: bool = True,

@@ -31,13 +31,13 @@ every tree and propagator on it, are never written.
 Messages and reads run from plans compiled on first use and kept on the
 tree, so every propagator, evidence change and eps value on that tree
 shares them: each operand's broadcast shape over their union scope, the
-axes summed, then the axes maxed, and the scope kept.  A plan keeps an
-edge's shared variables or any set of a read's cluster variables,
-summing the other chance variables and maxing the other max variables.
-Evidence never changes a factor's scope, so plans are keyed, per set of
-max variables and per grid axis (below) or none, by the edge id or by
-the read's cluster and kept variables alone.  Plans multiply and reduce
-exactly as ``combine`` and ``reduce_mixed`` would: bit-identical answers.
+axes summed, and the scope kept.  A plan keeps an edge's shared
+variables or any set of a read's cluster variables and sums the rest.
+Evidence never changes a factor's scope, so plans are keyed, per grid
+axis (below) or none, by the edge id or by the read's cluster and kept
+variables alone.  Plans sum one axis at a time, highest first
+(``valuation.sum_axes``), exactly as ``combine`` and ``reduce_mixed``
+would: bit-identical answers.
 
 A network over an eps grid of B values (``net.batch == (B,)``) is B
 networks of one structure at once.  Its eps-dependent potentials carry
@@ -45,28 +45,10 @@ a leading axis of length B, and so do the evidence-multiplied factors,
 the messages and the reads (a table without it broadcasts as length
 1); a network at one eps has no such axis, the single-member case.  A
 plan reshapes its operands to that axis followed by their variable
-axes, and counts the summed and maxed axes from the end, so one path
-through ``_apply`` serves both.  Each member's cells are multiplied and
-reduced as they would be in a network of their own, bit for bit.  A
-query returns a float, or a list of the B values.
-
-Marginalization is per variable: sum for chance variables, max for the
-variables being maximized (the primary inputs during a worst-vector
-search).  Rooting the collect at a cluster whose schedule sums before it
-maxes yields the exact maximum; any other root still yields a sound
-upper bound because moving a max inward can only increase the value.
-
-With evidence on every max variable, a max-mode read equals the
-sum-mode one bit for bit.  A max variable ``u`` is reduced out of a
-message only on an edge whose sending side holds cluster ``u`` (on the
-receiving side, the running intersection property would put ``u`` in
-the separator), so every table that reduces ``u`` carries the evidence
-indicator's exact zeros.  Plans sum one axis at a time, highest first
-(``valuation.sum_axes``), so summing ``u`` adds an exact zero to each
-cell, and x + 0 = x = max(x, 0): both modes do the same adds in the
-same order.  So a search's value at a complete assignment is the exact
-P(vector, evidence), which ``analysis.max_errors`` scales to its error
-on the queries it searches.
+axes, and counts the summed axes from the end, so one path through
+``_apply`` serves both.  Each member's cells are multiplied and summed
+as they would be in a network of their own, bit for bit.  A query
+returns a float, or a list of the B values.
 """
 
 from __future__ import annotations
@@ -106,24 +88,16 @@ def _schedule(tree: BinaryJoinTree):
     return tree.schedule
 
 
-def per_member(value) -> list[float]:
-    """A query's value, or a numpy result's ``tolist()``, as one float
-    per member; a network at one eps has one member."""
-    return value if isinstance(value, list) else [value]
-
-
 class Propagator:
-    """One query context: a tree, a network binding, optional max
-    variables and an evidence assignment.  ``messages`` counts the
-    messages computed, ``dropped`` the cached messages invalidated."""
+    """One query context: a tree, a network binding and an evidence
+    assignment.  ``messages`` counts the messages computed, ``dropped``
+    the cached messages invalidated."""
 
-    def __init__(self, tree: BinaryJoinTree, net: ErrorModelNet,
-                 map_vars=()):
+    def __init__(self, tree: BinaryJoinTree, net: ErrorModelNet):
         if tree.scopes[:net.n_vars] != [cpt.scope for cpt in net.cpts]:
             raise ValueError("tree was built for a different network structure")
         self.tree = tree
         self.net = net
-        self.map_vars = frozenset(map_vars)
         self.evidence: dict[int, int] = {}
         self.messages = 0
         self.dropped = 0
@@ -132,7 +106,7 @@ class Propagator:
         # per cluster, potential x evidence
         self._factor = net.potentials + [None] * (tree.n_clusters - net.n_vars)
         self._lead = (-1,) * len(net.batch)   # reshape prefix for the grid axis
-        self._plans = tree.plans.setdefault((self.map_vars, self._lead), {})
+        self._plans = tree.plans.setdefault(self._lead, {})
 
     # -- evidence --------------------------------------------------------
 
@@ -175,16 +149,13 @@ class Propagator:
     # -- messages and reads ------------------------------------------------
 
     def _compile(self, scopes: list[tuple[int, ...]], keep: frozenset[int]):
-        """Plan of the product of operands with ``scopes`` reduced onto
-        ``keep``: the other chance variables summed, then the other max
-        variables maxed, their axes counted from the end.  Every operand
+        """Plan of the product of operands with ``scopes`` summed onto
+        ``keep``, the summed axes counted from the end.  Every operand
         lies inside one cluster, so the union is within the tree's width."""
         union = tuple(sorted(set().union(*scopes)))
-        mid = tuple(v for v in union if v in keep or v in self.map_vars)
         return (tuple(self._lead + tuple(2 if v in s else 1 for v in union) for s in scopes),
-                tuple(i - len(union) for i, v in enumerate(union) if v not in mid),
-                tuple(i - len(mid) for i, v in enumerate(mid) if v not in keep),
-                tuple(v for v in mid if v in keep))
+                tuple(i - len(union) for i, v in enumerate(union) if v not in keep),
+                tuple(v for v in union if v in keep))
 
     def _apply(self, key, keep: frozenset[int], cid: int, ids) -> Valuation:
         """``reduce_mixed(combine(...))`` of the local factor at ``cid``
@@ -195,19 +166,17 @@ class Propagator:
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self._compile([p.scope for p in parts], keep)
-        shapes, summed, max_axes, kept = plan
+        shapes, summed, kept = plan
         if len(parts) == 1:
-            if not summed and not max_axes:
+            if not summed:
                 return parts[0]
             t = parts[0].table
         else:
             t = parts[0].table.reshape(shapes[0])
             for p, shape in zip(parts[1:], shapes[1:]):
                 t = t * p.table.reshape(shape)
-        t = sum_axes(t, summed)
-        if max_axes:
-            t = np.maximum.reduce(t, axis=max_axes)
-        return trusted(kept, np.asarray(t))   # reducing every axis gives a numpy scalar
+        # summing every axis gives a numpy scalar
+        return trusted(kept, np.asarray(sum_axes(t, summed)))
 
     def _read(self, cid: int, keep: frozenset[int]) -> Valuation:
         """Collect the messages into ``cid``, then reduce its local
@@ -225,8 +194,8 @@ class Propagator:
         return self._apply((cid, keep), keep, cid, inbound)
 
     def belief(self, cid: int, keep=None) -> Valuation:
-        """Local factor times incoming messages, sum- or max-reduced onto
-        the variables of ``keep`` the cluster holds (default all of them)."""
+        """Local factor times incoming messages, summed onto the
+        variables of ``keep`` the cluster holds (default all of them)."""
         return self._read(cid, self.tree.scopes[cid] if keep is None else frozenset(keep))
 
     def query(self, root_cluster: int):

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import DISCONNECTED, WIDE_AND, perfbench_circuits
-from maxerr import analysis
+from maxerr import analysis, mapsearch
 from maxerr.analysis import (MAX_SPECTRUM_INPUTS, avg_error, cond_error, max_error,
                              prepare, spectrum, sweep)
 from maxerr.circuit import (Circuit, all_input_vectors, index_vector, parse_bench,
-                            vector_index, vector_string)
-from maxerr.mapsearch import MapQuery, solve
+                            vector_index)
 from maxerr.oracle import FaultEnumerator, random_circuit
 from maxerr.propagate import Propagator
-from maxerr.valuation import WidthLimitError
+from maxerr.valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
 
 GRID = [round(0.005 * i, 3) for i in range(1, 41)]  # 0.005 .. 0.2
 
@@ -65,11 +64,72 @@ def _queries(net, joint):
     return [net.comparators] if joint else [[comp] for comp in net.comparators]
 
 
+def _answer_rule_cases(c17, corpus):
+    pb = perfbench_circuits()
+    for n in (3, 4):
+        c = pb.ripple_carry_adder(n)
+        for seed in (0, 1, 2):
+            yield c, pb.seeded_eps(c, seed)
+    for c in [c17] + corpus[:40]:
+        for eps in (0.01, 0.05, 0.2):
+            yield c, eps
+
+
+def test_cone_table_descent_matches_search(c17, corpus):
+    # max_error holds the inputs outside a query's cone at 0 and walks the
+    # cone inputs alone; a walk that branches on every input sees those
+    # as broadcast axes whose children tie toward 0, so it takes the same
+    # vector at the same value, over more nodes
+    for c, eps in _answer_rule_cases(c17, corpus):
+        net, tree = prepare(c, eps)
+        k = len(net.input_vars)
+        for joint in (False, True):
+            rep = max_error(net, tree, joint=joint)
+            for row, evid in zip(rep.per_output, _queries(net, joint)):
+                d = len(analysis._cone_inputs(tree, net, evid))
+                res = mapsearch.solve(mapsearch.MapQuery(net, tree, {v: 1 for v in evid}))
+                reached = res.p_map > 0.0
+                vector = "".join(str(res.assignment[v]) for v in net.input_vars)
+                assert (row.vector, row.unreachable) == (vector if reached else None, not reached)
+                assert row.p_error == math.ldexp(res.p_map, k)
+                assert (row.nodes_expanded, row.nodes_pruned) == (1 + 2 * d, d)
+                assert (res.nodes_expanded, res.nodes_pruned) == (1 + 2 * k, k)
+
+
+def test_search_serves_unpruned_walks_and_cones_no_cluster_holds(corpus):
+    # no cluster of corpus[4]'s tree holds the union of its output cones,
+    # so its joint table is the product of its groups' reads: every leaf
+    # of an unpruned walk over it is 2^-k times the enumerated error, and
+    # the pruned walk ends at the unpruned walk's leaf
+    eps = 0.05
+    c = corpus[4]
+    net, tree = prepare(c, eps)
+    assert analysis._holder(tree, analysis._cone_inputs(tree, net, net.comparators)) is None
+    assert len(mapsearch._cones(tree, net, net.comparators)) > 1
+    k = len(net.input_vars)
+    joint = _all_wrong(c, eps)
+    q = mapsearch.MapQuery(net, tree, {v: 1 for v in net.comparators})
+    leaves = {}
+
+    def seen(partial, u):
+        if len(partial) == k:
+            leaves[vector_index([partial[v] for v in net.input_vars])] = u
+
+    full = mapsearch.solve(q, prune=False, on_bound=seen)
+    assert sorted(leaves) == list(range(2 ** k))
+    for i, u in leaves.items():
+        assert u == pytest.approx(0.5 ** k * joint[i], rel=1e-12, abs=0.0)
+    cut = mapsearch.solve(q)
+    assert (cut.assignment, cut.p_map) == (full.assignment, full.p_map)
+    assert (full.nodes_expanded, full.nodes_pruned) == (2 ** (k + 1) - 1, 0)
+    assert (cut.nodes_expanded, cut.nodes_pruned) == (1 + 2 * k, k)
+
+
 def test_max_error_builds_one_propagator(c17, corpus, monkeypatch):
-    # every query whose cone inputs one cluster holds is served by one
-    # read of one shared sum-mode propagator, after one evidence setting;
-    # the others (corpus[4]'s joint query here) share one max-mode
-    # propagator for their searches, one evidence setting per bound
+    # every query is one walk on one shared propagator: one evidence
+    # setting when a cluster holds its cone, and otherwise (corpus[4]'s
+    # joint query here, pruned and unpruned) two per group of outputs
+    # whose cones share no gate
     calls = {"init": 0, "evidence": 0}
     init, set_evidence = Propagator.__init__, Propagator.set_evidence
 
@@ -83,74 +143,20 @@ def test_max_error_builds_one_propagator(c17, corpus, monkeypatch):
 
     monkeypatch.setattr(Propagator, "__init__", counted_init)
     monkeypatch.setattr(Propagator, "set_evidence", counted_evidence)
-    searched = 0
+    split = 0
     for circuit in [c17] + corpus[:8]:
         net, tree = prepare(circuit, 0.05)
         for joint in (False, True):
-            calls.update(init=0, evidence=0)
-            rep = max_error(net, tree, joint=joint)
-            served = [analysis._holder(tree, analysis._cone_inputs(net, evid)) is not None
-                      for evid in _queries(net, joint)]
-            assert calls["init"] == 1 + (not all(served))
-            # the search expands the root without a bound
-            assert calls["evidence"] == sum(1 if s else r.nodes_expanded - 1
-                                            for s, r in zip(served, rep.per_output))
-            searched += served.count(False)
-    assert searched == 1
-
-
-def _answer_rule_cases(c17, corpus):
-    pb = perfbench_circuits()
-    for n in (3, 4):
-        c = pb.ripple_carry_adder(n)
-        for seed in (0, 1, 2):
-            yield c, pb.seeded_eps(c, seed)
-    for c in [c17] + corpus[:40]:
-        for eps in (0.01, 0.05, 0.2):
-            yield c, eps
-
-
-def _search_row(net, tree, evid, prune=True):
-    """The search's answer to one query as (vector, p_error, unreachable,
-    nodes_expanded, nodes_pruned): inputs outside the cone held at 0,
-    and the error 2^k times the search's P(vector, wrong)."""
-    cone = analysis._cone_inputs(net, evid)
-    fixed = {v: 0 for v in net.input_vars if v not in cone}
-    res = solve(MapQuery(net, tree, {**{v: 1 for v in evid}, **fixed}), prune=prune)
-    assign = {**fixed, **res.assignment}
-    reached = res.p_map > 0.0
-    return (vector_string([assign[v] for v in net.input_vars]) if reached else None,
-            math.ldexp(res.p_map, len(net.input_vars)), not reached,
-            res.nodes_expanded, res.nodes_pruned)
-
-
-def test_cone_table_descent_matches_search(c17, corpus):
-    # the descent over one read of the cone's table takes the search's
-    # path: the same vector, flag and node counts, and an error that
-    # differs from the search's 2^k P(vector, wrong) only by rounding
-    for c, eps in _answer_rule_cases(c17, corpus):
-        net, tree = prepare(c, eps)
-        for joint in (False, True):
-            rep = max_error(net, tree, joint=joint)
-            for row, evid in zip(rep.per_output, _queries(net, joint)):
-                vector, p_error, unreachable, expanded, pruned = _search_row(net, tree, evid)
-                assert (row.vector, row.unreachable) == (vector, unreachable)
-                assert (row.nodes_expanded, row.nodes_pruned) == (expanded, pruned)
-                assert row.p_error == pytest.approx(p_error, rel=1e-15, abs=0.0)
-
-
-def test_search_serves_unpruned_walks_and_cones_no_cluster_holds(corpus):
-    # no cluster of corpus[4]'s tree holds the union of its output cones,
-    # so a joint query there runs the search; so does every unpruned
-    # walk.  Both report the search's own answer, bit for bit.
-    net, tree = prepare(corpus[4], 0.05)
-    assert analysis._holder(tree, analysis._cone_inputs(net, net.comparators)) is None
-    for joint, prune in ((True, True), (True, False), (False, False)):
-        rep = max_error(net, tree, prune=prune, joint=joint)
-        rows = [(r.vector, r.p_error, r.unreachable, r.nodes_expanded, r.nodes_pruned)
-                for r in rep.per_output]
-        assert rows == [_search_row(net, tree, evid, prune) for evid in _queries(net, joint)]
-        assert not any(r.unreachable for r in rep.per_output)
+            for prune in (True, False):
+                calls.update(init=0, evidence=0)
+                max_error(net, tree, prune=prune, joint=joint)
+                want = 0
+                for evid in _queries(net, joint):
+                    held = analysis._holder(tree, analysis._cone_inputs(tree, net, evid))
+                    want += 1 if held is not None else 2 * len(mapsearch._cones(tree, net, evid))
+                    split += held is None
+                assert calls == {"init": 1, "evidence": want}
+    assert split == 2
 
 
 def test_spectrum_sets_evidence_twice_per_output(c17, monkeypatch):
@@ -371,13 +377,14 @@ def test_every_output_cone_lies_in_one_cluster(c17, corpus):
     for c, eps in _spectrum_cases(c17, corpus):
         net, tree = prepare(c, eps)
         for comp in net.comparators:
-            cone = analysis._cone_inputs(net, (comp,))
+            cone = analysis._cone_inputs(tree, net, (comp,))
             assert any(cone <= scope for scope in tree.scopes)
 
 
 def test_spectrum_rejects_a_cone_no_cluster_holds(monkeypatch):
     # DISCONNECTED's two inputs sit in separate pieces of its tree
-    monkeypatch.setattr(analysis, "_cone_inputs", lambda net, roots: frozenset(net.input_vars))
+    monkeypatch.setattr(analysis, "_cone_inputs",
+                        lambda tree, net, roots: frozenset(net.input_vars))
     with pytest.raises(ValueError, match="no cluster holds the cone inputs of output x"):
         spectrum(DISCONNECTED, 0.05)
 
@@ -459,18 +466,62 @@ def test_cone_search_matches_enumeration_on_corpus(corpus):
     for c in corpus:
         net, tree = prepare(c, eps)
         cond = FaultEnumerator(c).cond_errors(eps)
-        for j, row in enumerate(max_error(net, tree).per_output):
-            if row.unreachable:
-                assert cond[:, j].max() == 0.0
-                continue
-            _check_cone_row(row, cond[:, j], _input_cone(c, [c.outputs[j]]))
-
-        (row,) = max_error(net, tree, joint=True).per_output
         joint = _all_wrong(c, eps)
-        if row.unreachable:
-            assert joint.max() == 0.0
-        else:
-            _check_cone_row(row, joint, _input_cone(c, c.outputs))
+        for prune in (True, False):
+            for j, row in enumerate(max_error(net, tree, prune=prune).per_output):
+                if row.unreachable:
+                    assert cond[:, j].max() == 0.0
+                    continue
+                _check_cone_row(row, cond[:, j], _input_cone(c, [c.outputs[j]]))
+
+            (row,) = max_error(net, tree, prune=prune, joint=True).per_output
+            if row.unreachable:
+                assert joint.max() == 0.0
+            else:
+                _check_cone_row(row, joint, _input_cone(c, c.outputs))
+
+
+def test_joint_cones_no_cluster_holds_match_enumeration(corpus):
+    # no cluster holds the union of the output cones of 46 corpus
+    # circuits; their joint tables multiply the groups' conditional reads
+    eps = 0.05
+    split = 0
+    for c in corpus:
+        net, tree = prepare(c, eps)
+        if analysis._holder(tree, analysis._cone_inputs(tree, net, net.comparators)) is not None:
+            continue
+        split += 1
+        joint = _all_wrong(c, eps)
+        for prune in (True, False):
+            rep = max_error(net, tree, prune=prune, joint=True)
+            assert not rep.per_output[0].unreachable
+            assert rep.max_error == pytest.approx(joint.max(), abs=1e-12)
+            assert joint[vector_index([int(ch) for ch in rep.worst_vector])] == \
+                pytest.approx(joint.max(), abs=1e-12)
+    assert split == 46
+
+
+def _and_chain(inputs, out):
+    lines, prev = [], inputs[0]
+    for i, name in enumerate(inputs[1:]):
+        gate = out if i == len(inputs) - 2 else "%s%d" % (out, i)
+        lines.append("%s = AND(%s, %s)" % (gate, prev, name))
+        prev = gate
+    return lines
+
+
+def test_joint_union_past_the_width_limit_raises():
+    # two gate-disjoint AND chains sharing one input: each cone has a
+    # cluster, the 26-input union has none and would not fit the limit
+    a = ["x"] + ["a%d" % i for i in range(13)]
+    b = ["x"] + ["b%d" % i for i in range(12)]
+    c = parse_bench("".join("INPUT(%s)\n" % n for n in a + b[1:]) + "OUTPUT(y)\nOUTPUT(z)\n"
+                    + "\n".join(_and_chain(a, "y") + _and_chain(b, "z")))
+    net, tree = prepare(c, 0.05)
+    assert len(analysis._cone_inputs(tree, net, net.comparators)) == 26 > DEFAULT_WIDTH_LIMIT
+    assert not any(r.unreachable for r in max_error(net, tree).per_output)
+    with pytest.raises(WidthLimitError):
+        max_error(net, tree, joint=True)
 
 
 def _with_unused_inputs(c, m):

@@ -10,8 +10,8 @@ from conftest import perfbench_circuits
 from maxerr import jointree
 from maxerr.circuit import all_input_vectors, index_vector, parse_bench, vector_index
 from maxerr.jointree import build_tree
-from maxerr.mapsearch import (MapQuery, MapResult, _Search, seed, solve,
-                              var_order_heuristic)
+from maxerr.mapsearch import (MapQuery, MapResult, _cones, _holder, _Search, seed,
+                              solve, var_order_heuristic)
 from maxerr.model import build_error_model, joint_prob
 from maxerr.oracle import FaultEnumerator, exact_map
 from maxerr.propagate import Propagator
@@ -113,13 +113,15 @@ def test_seed_is_a_lower_bound(corpus):
         assert r.seed_value <= r.p_map + 1e-15
 
 
-def test_search_issues_one_bound_per_node_plus_the_seed(c17, corpus, monkeypatch):
+def test_search_reads_one_bound_per_inner_node(c17, corpus, monkeypatch):
+    # a pruned walk enters d + 1 nodes over d inputs, the last a leaf;
+    # the seed is a cell of the same table and reads no bound
     calls = [0]
     bound = _Search.bound
 
-    def counted(self, partial, new_var):
+    def counted(self, t):
         calls[0] += 1
-        return bound(self, partial, new_var)
+        return bound(self, t)
 
     monkeypatch.setattr(_Search, "bound", counted)
     for circuit in [c17] + corpus[:8]:
@@ -128,7 +130,7 @@ def test_search_issues_one_bound_per_node_plus_the_seed(c17, corpus, monkeypatch
             for use_seed in (True, False):
                 calls[0] = 0
                 r = solve(q, use_seed=use_seed)
-                assert calls[0] == r.nodes_expanded - 1 + use_seed
+                assert calls[0] == r.nodes_pruned == (r.nodes_expanded - 1) // 2
 
 
 def test_pruning_reduces_work(c17):
@@ -168,6 +170,147 @@ def test_var_order_is_a_permutation_and_overridable():
            {v: base.assignment[v] for v in net.input_vars}
 
 
+def test_complete_assignment_bound_is_exact():
+    net = build_error_model(SMALL, EPS)
+    k = SMALL.n_inputs
+    cond = FaultEnumerator(SMALL).cond_errors(EPS)[:, 0]
+    seen = {}
+    solve(MapQuery(net, build_tree(net), {net.comparators[0]: 1}), prune=False,
+          on_bound=lambda a, u: seen.__setitem__(tuple(sorted(a.items())), u))
+    for bits in itertools.product((0, 1), repeat=k):
+        u = seen[tuple(sorted(zip(net.input_vars, bits)))]
+        assert u == pytest.approx(0.5 ** k * cond[vector_index(bits)], abs=1e-12)
+
+
+def test_partial_assignment_bound_dominates_completions():
+    net = build_error_model(SMALL, EPS)
+    k = SMALL.n_inputs
+    cond = FaultEnumerator(SMALL).cond_errors(EPS)[:, 0]
+    seen = []
+    solve(MapQuery(net, build_tree(net), {net.comparators[0]: 1}), prune=False,
+          on_bound=lambda a, u: seen.append((a, u)))
+    assert len(seen) == 2 ** (k + 1) - 2
+    for partial, u in seen:
+        best = max(0.5 ** k * cond[vector_index(bits)]
+                   for bits in itertools.product((0, 1), repeat=k)
+                   if all(bits[net.input_vars.index(v)] == s for v, s in partial.items()))
+        assert u >= best - 1e-12
+
+
+def test_held_inputs_bounds_equal_completion_maxima(c17, corpus):
+    # a query that holds some inputs, inside its cone or not, walks the
+    # rest: every bound is the exact maximum over the completions that
+    # agree with the held states
+    rng = np.random.default_rng(11)
+    for circuit in [SMALL, c17] + corpus[:30]:
+        k = circuit.n_inputs
+        cond = FaultEnumerator(circuit).cond_errors(EPS)
+        rows = all_input_vectors(k)
+        net = build_error_model(circuit, EPS)
+        tree = build_tree(net)
+        column = {v: rows[:, i] for i, v in enumerate(net.input_vars)}
+        for j, comp in enumerate(net.comparators):
+            held = {v: int(rng.integers(2)) for v in net.input_vars if rng.random() < 0.4}
+            q = MapQuery(net, tree, {comp: 1, **held})
+            seen = []
+            r = solve(q, prune=False, on_bound=lambda a, u: seen.append((a, u)))
+            assert len(seen) == 2 ** (k - len(held) + 1) - 2
+            for partial, u in seen + [({}, r.p_map)]:
+                under = np.ones(len(rows), dtype=bool)
+                for v, s in {**held, **partial}.items():
+                    under &= column[v] == s
+                best = 0.5 ** k * cond[under, j].max()
+                assert abs(u - best) <= 1e-12 * best
+
+
+def test_leaf_values_match_sum_mode_reads_under_full_input_evidence(c17):
+    # a complete assignment's value is the cone-table cell; the same
+    # probability read with every input evidenced agrees to rounding
+    rca4 = perfbench_circuits().ripple_carry_adder(4)
+    rng = np.random.default_rng(5)
+    for circuit in (SMALL, c17, rca4):
+        for eps in (0.01, EPS, 0.3):
+            net = build_error_model(circuit, eps)
+            tree = build_tree(net)
+            k = len(net.input_vars)
+            for comp in net.comparators:
+                q = MapQuery(net, tree, {comp: 1})
+                leaves = {}
+                solve(q, prune=False, on_bound=lambda a, u: leaves.__setitem__(
+                    tuple(sorted(a.items())), u) if len(a) == k else None)
+                assert len(leaves) == 2 ** k
+                prop = Propagator(tree, net)
+                for bits in [[0] * k, [1] * k] + rng.integers(0, 2, size=(6, k)).tolist():
+                    inputs = dict(zip(net.input_vars, bits))
+                    prop.set_evidence({**inputs, comp: 1})
+                    want = prop.query(comp)
+                    assert leaves[tuple(sorted(inputs.items()))] == \
+                        pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_cones_split_roots_into_gate_disjoint_groups(c17, corpus):
+    # groups are the connected components of "shares a non-input
+    # ancestor", in order of first root; the cone is the inputs reached
+    for circuit in [c17, TWO_OUT] + corpus[:60]:
+        net = build_error_model(circuit, EPS)
+        tree = build_tree(net)
+        inputs = set(net.input_vars)
+        above = {}
+        for root in net.comparators:
+            seen, stack = set(), [root]
+            while stack:
+                v = stack.pop()
+                if v not in seen:
+                    seen.add(v)
+                    if v not in inputs:
+                        stack.extend(p.id for p in net.cpts[v].parents)
+            above[root] = seen
+        groups = _cones(tree, net, net.comparators)
+        order = list(net.comparators).index
+        flat = [r for members, _ in groups for r in members]
+        assert sorted(flat, key=order) == list(net.comparators)
+        for run in [[members[0] for members, _ in groups]] + [list(m) for m, _ in groups]:
+            assert run == sorted(run, key=order)
+        for a, (ma, ca) in enumerate(groups):
+            gates = set().union(*(above[r] for r in ma)) - inputs
+            assert ca == frozenset(set().union(*(above[r] for r in ma)) & inputs)
+            reached = {ma[0]}
+            while True:    # the roots joined to the first through shared gates
+                more = {r for r in ma if (above[r] - inputs) &
+                        set().union(*(above[x] for x in reached))} - reached
+                if not more:
+                    break
+                reached |= more
+            assert reached == set(ma)
+            for mb, _ in groups[a + 1:]:
+                assert not gates & set().union(*(above[r] for r in mb))
+        assert _cones(tree, net, net.comparators) is groups
+        for root in net.comparators:
+            ((members, cone),) = _cones(tree, net, (root,))
+            assert members == (root,) and cone == frozenset(above[root] & inputs)
+
+
+def test_holder_is_the_smallest_cluster_lowest_id_on_a_tie(c17, corpus):
+    # the order eliminates inputs last, so some cluster holds each
+    # output's cone; a union cone may have no holder
+    missing = 0
+    for circuit in [c17, TWO_OUT] + corpus[:60]:
+        net = build_error_model(circuit, EPS)
+        tree = build_tree(net)
+        cones = [_cones(tree, net, (comp,))[0][1] for comp in net.comparators]
+        union = frozenset().union(*cones)
+        for cone in cones + [union]:
+            fits = [cid for cid, scope in enumerate(tree.scopes) if cone <= scope]
+            if not fits:
+                assert cone == union and _holder(tree, cone) is None
+                missing += 1
+                continue
+            size = min(len(tree.scopes[cid]) for cid in fits)
+            assert _holder(tree, cone) == min(cid for cid in fits
+                                               if len(tree.scopes[cid]) == size)
+    assert missing > 0
+
+
 def test_bad_var_order_rejected():
     net = build_error_model(SMALL, EPS)
     tree = build_tree(net)
@@ -202,29 +345,30 @@ def test_bound_audit_equals_completion_maxima(c17, corpus):
                         assert abs(u - best) <= 1e-12 * best
 
 
-def test_descent_on_inexact_bounds_raises_or_is_exact(corpus, monkeypatch):
+def test_walk_on_a_loose_tree_is_exact_or_raises(corpus, monkeypatch):
     # an unconstrained min-fill order can eliminate an input before a
-    # gate, so bounds are only upper bounds: a descent may then end below
-    # the optimum, and must raise rather than return such a leaf
+    # gate; a cluster holding the cone is then read exactly all the same,
+    # and a cone no cluster holds raises
     monkeypatch.setattr(jointree, "check_order", lambda net, order: None)
     pb = perfbench_circuits()
-    raised = 0
+    exact = raised = 0
     for circuit in [pb.ripple_carry_adder(3), pb.ripple_carry_adder(4)] + corpus[:120]:
         net = build_error_model(circuit, EPS)
         tree = build_tree(net)
         loose = build_tree(net, tuple(jointree._min_fill_pass(jointree.moral_graph(net),
                                                                set(range(net.n_vars)))))
         for comp in net.comparators:
-            # the full walk's best leaf is an exact read; enumeration
-            # cannot reach rca4
-            best = solve(MapQuery(net, tree, {comp: 1}), prune=False).p_map
+            want = solve(MapQuery(net, tree, {comp: 1}))
             try:
-                r = solve(MapQuery(net, loose, {comp: 1}))
-            except RuntimeError:
+                got = solve(MapQuery(net, loose, {comp: 1}))
+            except ValueError as exc:
+                assert "no cluster holds" in str(exc)
                 raised += 1
                 continue
-            assert abs(r.p_map - best) <= 1e-12 * best
-    assert raised
+            assert got.assignment == want.assignment
+            assert got.p_map == pytest.approx(want.p_map, rel=1e-15, abs=0.0)
+            exact += 1
+    assert exact and raised
 
 
 def test_joint_evidence_over_all_comparators():
@@ -281,7 +425,7 @@ def test_seed_shares_the_search_propagator_silently(c17):
     assert len(seen) == r.nodes_expanded - 1   # nor are the root's and the seed's
 
     # a propagator left with other evidence gives the seed bit for bit
-    prop = Propagator(q.tree, q.net, map_vars=q.net.input_vars)
+    prop = Propagator(q.tree, q.net)
     prop.set_evidence({v: 1 for v in q.net.input_vars})
     prop.query(q.net.input_vars[0])
     assert seed(q, prop) == seed(q)
@@ -296,7 +440,7 @@ def test_shared_propagator_gives_fresh_answers(c17, corpus):
         tree = build_tree(net)
         queries = [MapQuery(net, tree, {cv: 1}) for cv in net.comparators]
         fresh = [solve(q) for q in queries]
-        shared = Propagator(tree, net, map_vars=net.input_vars)
+        shared = Propagator(tree, net)
         for j in list(range(len(queries))) + list(reversed(range(len(queries)))):
             assert solve(queries[j], prop=shared) == fresh[j]
 
@@ -304,9 +448,7 @@ def test_shared_propagator_gives_fresh_answers(c17, corpus):
 def test_foreign_propagator_rejected(c17):
     q = _query(c17)
     other = build_error_model(c17, EPS)
-    for prop in (Propagator(q.tree, q.net),
-                 Propagator(q.tree, other, map_vars=other.input_vars),
-                 Propagator(build_tree(q.net), q.net, map_vars=q.net.input_vars)):
+    for prop in (Propagator(q.tree, other), Propagator(build_tree(q.net), q.net)):
         with pytest.raises(ValueError):
             solve(q, prop=prop)
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Message passing: totals, cache deltas, bounds, root choices."""
+"""Message passing: totals, cache deltas, root choices."""
 
 import collections
 import itertools
@@ -6,13 +6,10 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import DISCONNECTED, perfbench_circuits
-from maxerr.analysis import cond_error
-from maxerr.circuit import parse_bench, vector_index
+from conftest import DISCONNECTED
+from maxerr.circuit import parse_bench
 from maxerr.jointree import BinaryJoinTree, build_tree
-from maxerr.mapsearch import MapQuery, _Search
 from maxerr.model import VarClass, build_error_model, joint_prob
-from maxerr.oracle import FaultEnumerator
 from maxerr.propagate import Propagator, prob_evidence
 from maxerr.valuation import combine, indicator, reduce_all, reduce_mixed
 
@@ -27,6 +24,7 @@ z = NAND(e, a)
 """)
 
 EPS = 0.05
+GRID = [0.01, 0.05, 0.1, 0.2, 0.3]
 
 
 def _net_tree(circuit, eps=EPS):
@@ -149,15 +147,14 @@ def _sending_side(tree, b, c):
     return side
 
 
-@pytest.mark.parametrize("max_mode", [False, True])
-def test_flip_drops_exactly_the_messages_that_saw_it(c17, corpus, max_mode):
+@pytest.mark.parametrize("eps", [EPS, GRID], ids=["point", "grid"])
+def test_flip_drops_exactly_the_messages_that_saw_it(c17, corpus, eps):
     for circuit in [c17] + corpus[:5]:
-        net, tree = _net_tree(circuit)
+        net, tree = _net_tree(circuit, eps)
         ev = {v: 0 for v in net.input_vars}
         ev[net.comparators[0]] = 1
         roots = sorted(ev)
-        map_vars = net.input_vars if max_mode else ()
-        p = Propagator(tree, net, map_vars=map_vars)
+        p = Propagator(tree, net)
         p.set_evidence(ev)
         for r in roots:
             p.query(r)
@@ -167,7 +164,7 @@ def test_flip_drops_exactly_the_messages_that_saw_it(c17, corpus, max_mode):
             p.set_evidence(ev)
             assert set(_cached(p)) == {(b, c) for b, c in before
                                        if var not in _sending_side(tree, b, c)}
-            fresh = Propagator(tree, net, map_vars=map_vars)
+            fresh = Propagator(tree, net)
             fresh.set_evidence(ev)
             for r in roots:
                 assert p.query(r) == pytest.approx(fresh.query(r), abs=1e-12)
@@ -181,61 +178,13 @@ def test_propagate_belief_cells_are_joint_probs():
     assert bel.table[1] == pytest.approx(_enum_prob(net, {cmp_var: 1}), abs=1e-12)
 
 
-def test_mixed_query_bounds_exact_max():
-    net, tree = _net_tree(SMALL)
-    cmp_var = net.comparator_of("z")
-    k = SMALL.n_inputs
-    enum = FaultEnumerator(SMALL)
-    cond = enum.cond_errors(EPS)[:, 0]
-    exact = 0.5 ** k * cond.max()
-
-    p = Propagator(tree, net, map_vars=net.input_vars)
-    p.set_evidence({cmp_var: 1})
-    for cid in range(tree.n_clusters):
-        assert p.query(cid) >= exact - 1e-12
-    # the search roots its bounds at the clusters of the input priors
-    for v in net.input_vars:
-        assert p.query(v) == pytest.approx(exact, abs=1e-12)
-
-
-def test_complete_assignment_bound_is_exact():
-    net, tree = _net_tree(SMALL)
-    cmp_var = net.comparator_of("z")
-    k = SMALL.n_inputs
-    enum = FaultEnumerator(SMALL)
-    cond = enum.cond_errors(EPS)[:, 0]
-    search = _Search(MapQuery(net, tree, {cmp_var: 1}), prune=False, on_bound=None)
-    for bits in itertools.product((0, 1), repeat=k):
-        partial = dict(zip(net.input_vars, bits))
-        u = search.bound(partial, net.input_vars[-1])
-        want = 0.5 ** k * cond[vector_index(bits)]
-        assert u == pytest.approx(want, abs=1e-12)
-
-
-def test_partial_assignment_bound_dominates_completions():
-    net, tree = _net_tree(SMALL)
-    cmp_var = net.comparator_of("z")
-    k = SMALL.n_inputs
-    enum = FaultEnumerator(SMALL)
-    cond = enum.cond_errors(EPS)[:, 0]
-    search = _Search(MapQuery(net, tree, {cmp_var: 1}), prune=False, on_bound=None)
-    for pattern in itertools.product((None, 0, 1), repeat=k):
-        partial = {net.input_vars[j]: b for j, b in enumerate(pattern) if b is not None}
-        best = max(0.5 ** k * cond[vector_index(bits)]
-                   for bits in itertools.product((0, 1), repeat=k)
-                   if all(bits[j] == b for j, b in enumerate(pattern) if b is not None))
-        u = search.bound(partial, max(partial, default=net.input_vars[0]))
-        assert u >= best - 1e-12
-
-
 def test_potentials_built_once_per_net_and_shared_by_every_tree(c17):
     net, tree = _net_tree(c17)
     pots = net.potentials
     for v, cpt in enumerate(net.cpts):
         want = cpt.to_valuation()
         assert pots[v].scope == want.scope and np.array_equal(pots[v].table, want.table)
-    for p in (Propagator(tree, net), Propagator(tree, net, map_vars=net.input_vars),
-              Propagator(build_tree(net), net)):
+    for p in (Propagator(tree, net), Propagator(build_tree(net), net)):
         assert p.net.potentials is pots
         assert all(f is pot for f, pot in zip(p._factor, pots))
         assert p._factor[net.n_vars:] == [None] * (p.tree.n_clusters - net.n_vars)
@@ -303,7 +252,7 @@ def test_message_counter(c17, corpus):
             p.query(root)
             assert p.messages == full
         root = net.comparators[0]
-        p = Propagator(tree, net, map_vars=net.input_vars)
+        p = Propagator(tree, net)
         p.set_evidence(ev)
         p.query(root)
         for var in net.input_vars:
@@ -315,13 +264,13 @@ def test_message_counter(c17, corpus):
             assert p.messages - done == dropped
 
 
-@pytest.mark.parametrize("max_mode", [False, True])
-def test_dropped_counter(c17, corpus, max_mode):
+@pytest.mark.parametrize("eps", [EPS, GRID], ids=["point", "grid"])
+def test_dropped_counter(c17, corpus, eps):
     for circuit in [c17] + corpus[:8]:
-        net, tree = _net_tree(circuit)
+        net, tree = _net_tree(circuit, eps)
         ev = {v: 0 for v in net.input_vars}
         root = net.comparators[0]
-        p = Propagator(tree, net, map_vars=net.input_vars if max_mode else ())
+        p = Propagator(tree, net)
         p.set_evidence(ev)
         p.query(root)
         assert p.dropped == 0
@@ -363,19 +312,19 @@ def _random_change(rng, ev, inputs, comparators):
         ev[v] = 1 - ev[v] if kind == 1 and v in ev else int(rng.integers(2))
 
 
-@pytest.mark.parametrize("max_mode", [False, True])
-def test_collect_computes_exactly_the_missing_edges(c17, corpus, max_mode):
+@pytest.mark.parametrize("with_comparators", [False, True], ids=["inputs", "comparators"])
+def test_collect_computes_exactly_the_missing_edges(c17, corpus, with_comparators):
     """Random evidence changes and beliefs at random clusters: every
     belief is bit-identical to a fresh propagator's, and each collect
     computes exactly the edges toward its root that were not cached."""
     rng = np.random.default_rng(2026)
     for circuit in [c17] + corpus[:20]:
         net, tree = _net_tree(circuit)
-        map_vars = net.input_vars if max_mode else ()
-        p = Propagator(tree, net, map_vars=map_vars)
+        p = Propagator(tree, net)
         ev: dict[int, int] = {}
         for _ in range(12):
-            _random_change(rng, ev, net.input_vars, net.comparators if max_mode else ())
+            _random_change(rng, ev, net.input_vars,
+                           net.comparators if with_comparators else ())
             p.set_evidence(ev)
             for r in rng.choice(tree.n_clusters, size=3):
                 r = int(r)
@@ -384,7 +333,7 @@ def test_collect_computes_exactly_the_missing_edges(c17, corpus, max_mode):
                 missing = _toward(tree, r) - before
                 assert set(_cached(p)) == before | missing
                 assert p.messages - done == len(missing)
-                fresh = Propagator(tree, net, map_vars=map_vars)
+                fresh = Propagator(tree, net)
                 fresh.set_evidence(ev)
                 want = fresh.belief(r)
                 assert got.scope == want.scope
@@ -411,11 +360,10 @@ def _reference_message(p, b, c):
     for q in parts[1:]:
         val = combine(val, q)
     drop = (p.tree.scopes[b] - p.tree.scopes[c]) & set(val.scope)
-    return reduce_mixed(val, drop - p.map_vars, drop & p.map_vars)
+    return reduce_mixed(val, drop, ())
 
 
-@pytest.mark.parametrize("max_mode", [False, True])
-def test_compiled_messages_equal_combine_then_reduce(c17, corpus, max_mode):
+def test_compiled_messages_equal_combine_then_reduce(c17, corpus):
     for circuit in [c17] + corpus[:20]:
         net, tree = _net_tree(circuit)
         inputs = net.input_vars
@@ -423,7 +371,7 @@ def test_compiled_messages_equal_combine_then_reduce(c17, corpus, max_mode):
         for ev in ({}, {v: j % 2 for j, v in enumerate(inputs[::2])},
                    {v: j % 2 for j, v in enumerate(inputs)},
                    {v: j % 2 for j, v in enumerate(gates[::3] + list(net.comparators))}):
-            p = Propagator(tree, net, map_vars=inputs if max_mode else ())
+            p = Propagator(tree, net)
             p.set_evidence(ev)
             beliefs = [p.belief(cid) for cid in range(tree.n_clusters)]
             cached = _cached(p)
@@ -441,12 +389,12 @@ def test_compiled_messages_equal_combine_then_reduce(c17, corpus, max_mode):
                     want = combine(want, q)
                 assert bel.scope == want.scope
                 assert np.array_equal(bel.table, want.table)
-                assert p.query(cid) == reduce_all(want, p.map_vars)
+                assert p.query(cid) == reduce_all(want)
                 want_beliefs.append(want)
             for c in net.comparators:
                 want = want_beliefs[c]
                 drop = set(want.scope) - {c}
-                want = reduce_mixed(want, drop - p.map_vars, drop & p.map_vars)
+                want = reduce_mixed(want, drop, ())
                 got = p.var_belief(c)
                 assert got.scope == want.scope == (c,)
                 assert np.array_equal(got.table, want.table)
@@ -484,46 +432,3 @@ def test_evidence_on_one_propagator_leaves_another_alone(c17, corpus):
             for q in (other, Propagator(tree, net)):
                 for cid, want in enumerate(before):
                     assert np.array_equal(q.belief(cid).table, want)
-
-
-def test_max_mode_reads_match_sum_mode_reads_under_full_input_evidence(c17, corpus):
-    # a max variable is reduced only on edges whose sending side holds
-    # its evidenced cluster, so every reduction over it meets exact zeros;
-    # axes are summed one at a time, so sum mode adds those zeros in the
-    # order max mode maxes them away, and x + 0 = x = max(x, 0) bit for bit
-    rng = np.random.default_rng(7)
-    adder = perfbench_circuits().ripple_carry_adder(4)
-    for circuit in [c17, adder] + corpus[:20]:
-        for eps in (EPS, [0.01, 0.05, 0.1, 0.2, 0.3]):
-            net, tree = _net_tree(circuit, eps)
-            summed = Propagator(tree, net)
-            maxed = Propagator(tree, net, map_vars=net.input_vars)
-            k = len(net.input_vars)
-            vectors = [[0] * k, [1] * k] + rng.integers(0, 2, size=(3, k)).tolist()
-            for bits in vectors:
-                inputs = dict(zip(net.input_vars, bits))
-                for ev in (inputs, {**inputs, net.comparators[-1]: 1}):
-                    summed.set_evidence(ev)
-                    maxed.set_evidence(ev)
-                    for comp in net.comparators:
-                        assert np.array_equal(maxed.var_belief(comp).table,
-                                              summed.var_belief(comp).table)
-                    for cid in range(tree.n_clusters):
-                        assert maxed.query(cid) == summed.query(cid)
-
-
-def test_cond_error_needs_evidence_on_every_max_variable(c17):
-    net, tree = _net_tree(c17)
-    maxed = Propagator(tree, net, map_vars=net.input_vars)
-    summed = Propagator(tree, net)
-    comp = net.comparators[0]
-    for ev in ({}, {v: 1 for v in net.input_vars[1:]}):
-        maxed.set_evidence(ev)
-        with pytest.raises(ValueError, match="every max variable"):
-            cond_error(maxed, comp)
-    ev = {v: 1 for v in net.input_vars}
-    maxed.set_evidence(ev)
-    summed.set_evidence(ev)
-    assert cond_error(maxed, comp) == cond_error(summed, comp)
-    summed.set_evidence({})
-    assert 0.0 < cond_error(summed, comp) < 1.0
