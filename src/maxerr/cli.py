@@ -26,7 +26,6 @@ import time
 
 from .analysis import max_error, prepare, spectrum, sweep
 from .circuit import BenchParseError, index_vector, load_circuit, vector_string
-from .jointree import choose_order
 from .model import eps_by_net_name
 from .oracle import FaultEnumerator, McConfig, monte_carlo
 from .valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
@@ -113,7 +112,7 @@ def _emit(args, text: str) -> None:
 
 
 def _explain(net, tree) -> None:
-    print("elimination order: %s" % (choose_order(net),), file=sys.stderr)
+    print("elimination order: %s" % (tree.order,), file=sys.stderr)
     print("join tree: %d clusters, width Z = %d"
           % (tree.n_clusters, tree.width), file=sys.stderr)
     print(tree.describe(net), file=sys.stderr)

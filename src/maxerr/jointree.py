@@ -14,16 +14,23 @@ Independent cones of a circuit end up as separate pieces, which are
 bridged by edges carrying scalar messages.  The tree satisfies the
 running intersection property.
 
+``choose_order`` is greedy min-fill on the moral graph.  Each candidate's
+fill count is counted once and then kept up to date as variables are
+eliminated, so a step costs work in the eliminated variable's
+neighbourhood and its fill edges, not a recount of every candidate.
+
 An elimination order is a plain tuple of variable ids (``choose_order``,
 checked by ``check_order``), and a tree is plain data: ``tree.scopes``
-holds each cluster's variables by cluster id and ``tree.edges`` the
-edges as id pairs.  Cluster ``v`` holds the CPT of variable ``v``, over
-that CPT's scope, for ``v < net.n_vars``; the clusters from
-``net.n_vars`` up are the ones the fusion adds, and hold no CPT.
+holds each cluster's variables by cluster id, ``tree.edges`` the edges
+as id pairs and ``tree.order`` the order it was built with.  Cluster
+``v`` holds the CPT of variable ``v``, over that CPT's scope, for
+``v < net.n_vars``; the clusters from ``net.n_vars`` up are the ones the
+fusion adds, and hold no CPT.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .model import ErrorModelNet
@@ -73,12 +80,44 @@ def _eliminate(adj: dict[int, set[int]], v: int) -> int:
 
 
 def _min_fill_pass(adj: dict[int, set[int]], pool: set[int]) -> list[int]:
+    """Eliminate every variable of ``pool`` from ``adj``, fewest fill
+    edges first and the lowest id on a tie, and return them in that
+    order; ``pool`` is left empty.
+
+    Each pool variable's fill count is kept, with a heap on (fill, id)
+    whose stale entries are skipped; see ``choose_order`` for the
+    update rule."""
+    fill = {u: _count_fillin(adj, u) for u in pool}
+    heap = [(f, u) for u, f in fill.items()]
+    heapify(heap)
     out = []
     while pool:
-        v = min(pool, key=lambda u: (_count_fillin(adj, u), u))
-        _eliminate(adj, v)
+        f, v = heappop(heap)
+        if v not in pool or f != fill[v]:
+            continue
         pool.discard(v)
         out.append(v)
+        nb = adj.pop(v)
+        for a in nb:
+            adj[a].discard(v)
+            if a in pool:       # a's unjoined pairs with v are gone
+                fill[a] -= len(adj[a] - nb)
+        # each fill edge moves the counts on the graph as it stands
+        # before that edge is added
+        for a, b in combinations(nb, 2):
+            if b in adj[a]:
+                continue
+            for u in adj[a] & adj[b] & pool:
+                fill[u] -= 1
+                heappush(heap, (fill[u], u))
+            if a in pool:
+                fill[a] += len(adj[a] - adj[b])
+            if b in pool:
+                fill[b] += len(adj[b] - adj[a])
+            adj[a].add(b)
+            adj[b].add(a)
+        for u in nb & pool:
+            heappush(heap, (fill[u], u))
     return out
 
 
@@ -88,6 +127,16 @@ def choose_order(net: ErrorModelNet) -> tuple[int, ...]:
     Eliminating every gate and comparator variable first makes the
     inputs of each output's fan-in cone a clique, so one cluster holds
     each cone (``mapsearch``).  Ties break on the lowest variable id.
+
+    A candidate's fill is the number of pairs of its neighbours that are
+    not adjacent.  Each is counted once per pass and kept in a heap on
+    (fill, id) whose stale entries are skipped.  Eliminating v moves a
+    count only through v's edges and its fill edges: each neighbour of v
+    loses its pairs with v that had no edge, and each fill edge (a, b)
+    takes one from every common neighbour of a and b and adds to a the
+    neighbours of a not adjacent to b (and to b likewise).  So a step
+    costs O((deg(v) + fill(v)) * deg) set work plus a heap push per
+    count it moves, where recounting every candidate costs O(n * deg^2).
     """
     adj = moral_graph(net)
     inputs = set(net.input_vars)
@@ -112,6 +161,7 @@ class BinaryJoinTree:
         for nb in self.neighbors:
             nb.sort()
         self.width = max(map(len, scopes), default=0)
+        self.order = None           # the elimination order, set by build_tree
         # compiled lazily by propagators: the numbered directed edges, and
         # per grid-axis prefix {edge id or (read cluster, kept variables): plan};
         # by worst-vector walks: per tuple of evidenced variables, their cones
@@ -184,6 +234,7 @@ def build_tree(net: ErrorModelNet, order: tuple[int, ...] | None = None,
                 active.discard(top)
 
     tree = _assemble(scopes, edges)
+    tree.order = order
     if tree.width > width_limit:
         raise WidthLimitError(tree.width, width_limit, "largest cluster in the tree")
     return tree

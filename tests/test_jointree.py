@@ -1,11 +1,16 @@
+from itertools import combinations
+
+import numpy as np
 import pytest
 
 from conftest import DISCONNECTED, perfbench_circuits
+from maxerr import jointree
 from maxerr.circuit import parse_bench
 from maxerr.jointree import (BinaryJoinTree, InvalidOrderError, build_tree,
                              check_order, choose_order, moral_graph,
                              order_width, validate_tree)
 from maxerr.model import VarClass, build_error_model
+from maxerr.oracle import random_circuit
 from maxerr.valuation import WidthLimitError
 
 
@@ -15,6 +20,49 @@ def test_choose_order_places_inputs_last(c17):
     check_order(net, order)
     tail = set(order[-5:])
     assert tail == set(net.input_vars)
+
+
+def _recount_min_fill(adj, pool):
+    # the reference: every candidate's fill recounted at every step
+    out = []
+    while pool:
+        v = min(pool, key=lambda u: (sum(b not in adj[a] for a, b in combinations(adj[u], 2)), u))
+        jointree._eliminate(adj, v)
+        pool.discard(v)
+        out.append(v)
+    return out
+
+
+def test_min_fill_matches_full_recount(c17, corpus):
+    pb = perfbench_circuits()
+    circuits = ([c17] + [pb.ripple_carry_adder(n) for n in range(3, 9)] + corpus
+                + [random_circuit(np.random.default_rng(s), 16, 60) for s in range(3)])
+    for c in circuits:
+        net = build_error_model(c, 0.05)
+        inputs = set(net.input_vars)
+        rest = set(range(net.n_vars)) - inputs
+        got, want = moral_graph(net), moral_graph(net)
+        order = jointree._min_fill_pass(got, set(rest))
+        assert order == _recount_min_fill(want, set(rest))
+        assert got == want
+        assert choose_order(net) == tuple(order + _recount_min_fill(want, inputs))
+        got, want = moral_graph(net), moral_graph(net)
+        assert (jointree._min_fill_pass(got, set(range(net.n_vars)))
+                == _recount_min_fill(want, set(range(net.n_vars))))
+        assert got == want == {}
+
+
+def test_min_fill_ties_break_on_lowest_id():
+    # a star 0-{1,2,3} with a tail 3-4-5, and a 4-cycle 6-8-7-9-6
+    adj = {v: set() for v in range(10)}
+    for a, b in [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (6, 8), (8, 7), (7, 9), (9, 6)]:
+        adj[a].add(b)
+        adj[b].add(a)
+    pool = set(adj)
+    # 1, 2 and 5 tie on no fill; then 0 and 5; the cycle's four tie on
+    # one, and eliminating 6 joins 8 and 9
+    assert jointree._min_fill_pass(adj, pool) == [1, 2, 0, 3, 4, 5, 6, 7, 8, 9]
+    assert pool == set() and adj == {}
 
 
 def test_order_validation_rejects_bad_orders(c17):
