@@ -23,7 +23,8 @@ from .circuit import Circuit, index_vector, vector_string
 # ``propagate``'s ``combine``, ``reduce_mixed`` and ``reduce_all`` in
 # their modules.
 from .jointree import BinaryJoinTree, build_tree, choose_order
-from .mapsearch import PRUNE_TOL, MapQuery, _cone_inputs, _holder, search, solve
+from .mapsearch import (PRUNE_TOL, MapQuery, _cone_inputs, _holder, search, solve,
+                        var_order_heuristic)
 from .model import ErrorModelNet, build_error_model
 from .propagate import Propagator
 from .valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
@@ -103,15 +104,19 @@ def cond_error(prop: Propagator, comp_var: int):
     """P(comparator = 1 | the evidence set on ``prop``), via
     P(comparator, evidence) normalized: a float, or an array over the
     members of an eps grid."""
-    t = prop.var_belief(comp_var).table.T    # the comparator's states first
+    t = prop.var_belief(comp_var).table    # the comparator's states first
     return t[1] / (t[0] + t[1])
 
 
-def max_errors(net: ErrorModelNet, tree: BinaryJoinTree,
-               prune: bool = True, joint: bool = False) -> list[ErrorReport]:
+def max_errors(net: ErrorModelNet, tree: BinaryJoinTree, prune: bool = True,
+               joint: bool = False, prop: Propagator | None = None) -> list[ErrorReport]:
     """Worst-case output error reports, one per member of ``net`` (see
-    ``max_error``); every member is served by the same reads and walk."""
-    prop = Propagator(tree, net)
+    ``max_error``); every member is served by the same reads and walk.
+    ``prop`` shares a propagator over ``tree`` and ``net``, as in
+    ``mapsearch.search``; by default the queries share a fresh one."""
+    if prop is None:
+        prop = Propagator(tree, net)
+    order = var_order_heuristic(net)
     rows: list[list[OutputReport]] = [[] for _ in range(math.prod(net.batch))]
     names = list(net.circuit.outputs)
     if joint:
@@ -122,7 +127,8 @@ def max_errors(net: ErrorModelNet, tree: BinaryJoinTree,
     for name, evid in queries:
         cone = _cone_inputs(tree, net, evid)
         fixed = {v: 0 for v in net.input_vars if v not in cone}
-        results = search(MapQuery(net, tree, {**evid, **fixed}), prune, prop=prop)
+        q = MapQuery(net, tree, {**evid, **fixed}, tuple(v for v in order if v in cone))
+        results = search(q, prune, prop=prop)
         for m, res in enumerate(results):
             reached = res.p_map > 0.0
             vector = [res.assignment.get(v, 0) for v in net.input_vars]
@@ -171,19 +177,25 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     return max_errors(net, tree, prune, joint)[0]
 
 
-def avg_error(net: ErrorModelNet, tree: BinaryJoinTree):
+def avg_error(net: ErrorModelNet, tree: BinaryJoinTree, prop: Propagator | None = None):
     """Max over outputs of P(output wrong) with no input evidence, i.e.
     the error rate averaged over uniformly weighted input vectors: a
     float, or an array over the members of an eps grid, from one read
-    per comparator."""
-    prop = Propagator(tree, net)
+    per comparator.  ``prop``, a propagator over ``tree`` and ``net``,
+    has its evidence cleared and serves the reads from the messages it
+    keeps, which a fresh propagator would compute bit for bit alike."""
+    if prop is None:
+        prop = Propagator(tree, net)
+    else:
+        prop.set_evidence({})
     return np.maximum.reduce([cond_error(prop, comp) for comp in net.comparators])
 
 
 # Cells per batched table past which a larger batch stops paying: the
-# members' walks diverge, and every bound reads every member.  Sweeps
-# of rca4-rca6 ran fastest near this size.
-BATCH_CELLS_LOG2 = 17
+# members' walks diverge, and every bound reads every member.  Refined
+# sweeps of rca4-rca6, with the members on the innermost axis, ran
+# fastest near this size (BENCH_member_axis_last.json).
+BATCH_CELLS_LOG2 = 19
 
 
 def _chunk_size(tree: BinaryJoinTree, width_limit: int) -> int:
@@ -197,9 +209,11 @@ def sweep(c: Circuit, grid, refine: bool = False,
           width_limit: int = DEFAULT_WIDTH_LIMIT) -> SweepCurve:
     """Max/avg error across a gate error probability grid.
 
-    The whole grid is one network with a leading eps axis
-    (``build_error_model`` over the grid), searched and read in batched
-    passes on one join tree, in chunks of ``_chunk_size`` values.
+    The whole grid is one network whose tables end in an eps axis
+    (``build_error_model`` over the grid, ``propagate``), searched and
+    read in batched passes on one join tree, in chunks of
+    ``_chunk_size`` values; each pass's average reads on the propagator
+    its search filled.
     ``refine`` bisects the first 0.5 crossing of max_error down to
     +-1e-4 in eps on the same tree (``_bisect``).  The grid must
     be non-empty, strictly increasing and inside [0, 0.5]; every value
@@ -222,8 +236,9 @@ def sweep(c: Circuit, grid, refine: bool = False,
     for lo in range(0, len(grid), size):
         part = grid[lo:lo + size]
         part_net = net if len(part) == len(grid) else build_error_model(c, part)
-        reports = max_errors(part_net, tree)
-        avg = avg_error(part_net, tree).tolist()
+        prop = Propagator(tree, part_net)
+        reports = max_errors(part_net, tree, prop=prop)
+        avg = avg_error(part_net, tree, prop).tolist()
         points += [SweepPoint(eps, rep.max_error, a, rep.worst_vector, rep.worst_output)
                    for eps, rep, a in zip(part, reports, avg)]
 

@@ -30,7 +30,8 @@ optimal.  An unpruned walk visits every node and keeps the best leaf by
 the same tie rule.  Over an eps grid (``net.batch == (B,)``) one walk
 serves every member: members that take the same path descend together
 on views of the table, so each gets the path and node counts of a walk
-at its eps alone.
+at its eps alone.  The walk keeps the members on the table's last axis,
+as the reads lay them out (``propagate``).
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def _holder(tree: BinaryJoinTree, cone: frozenset[int]) -> int | None:
 
 def _cone_table(q: MapQuery, prop: Propagator):
     """The query's cone table (see the module docstring), its axes the
-    cone inputs in id order after the grid axis if any, and the cone.
+    cone inputs in id order followed by the grid axis if any, and the cone.
     ``ValueError`` when no cluster holds the cone of a group of the
     evidence; ``WidthLimitError`` when no cluster holds the union and it
     has more than ``DEFAULT_WIDTH_LIMIT`` inputs."""
@@ -173,16 +174,16 @@ def _cone_table(q: MapQuery, prop: Propagator):
         wrong = prop.belief(gid, part).table
         prop.set_evidence({})
         ratio = wrong / prop.belief(gid, part).table
-        table = table * ratio.reshape((-1,) + tuple(2 if v in part else 1 for v in ranked))
+        table = table * ratio.reshape(tuple(2 if v in part else 1 for v in ranked) + (-1,))
     return np.ldexp(table, -len(cone)), cone
 
 
 class _Search:
     """The walk over every member of ``q.net`` at once (see the module
-    docstring): the cone table with a member axis first and an axis per
-    input of ``var_order`` after it, and per member the best leaf and its
-    key.  Cells are P(vector, evidence) times 2^-``shift``, the priors of
-    the inputs outside the cone."""
+    docstring): the cone table with an axis per input of ``var_order``
+    and the member axis last, and per member the best leaf and its key.
+    Cells are P(vector, evidence) times 2^-``shift``, the priors of the
+    inputs outside the cone."""
 
     def __init__(self, q: MapQuery, prune: bool,
                  on_bound: Callable[[dict, float | list[float]], None] | None,
@@ -197,13 +198,14 @@ class _Search:
         net, evid = q.net, q.evid_o
         t, cone = _cone_table(q, prop)
         # a read's axes follow its sorted scope, and input ids ascend
-        t = t.reshape((-1,) + tuple(2 if v in cone else 1 for v in net.input_vars))
-        t = t[(slice(None),) + tuple(slice(None) if v not in evid else evid[v] if v in cone else 0
-                                     for v in net.input_vars)]
-        axis = {v: i for i, v in enumerate((v for v in net.input_vars if v not in evid), 1)}
+        t = t.reshape(tuple(2 if v in cone else 1 for v in net.input_vars) + (-1,))
+        t = t[tuple(slice(None) if v not in evid else evid[v] if v in cone else 0
+                    for v in net.input_vars)]
+        axis = {v: i for i, v in enumerate(v for v in net.input_vars if v not in evid)}
         members = math.prod(net.batch)
-        self.table = np.broadcast_to(t.transpose((0,) + tuple(axis[v] for v in q.var_order)),
-                                     (members,) + (2,) * len(q.var_order))
+        d = len(q.var_order)
+        self.table = np.broadcast_to(t.transpose(tuple(axis[v] for v in q.var_order) + (d,)),
+                                     (2,) * d + (members,))
         self.shift = len(cone) - len(net.input_vars)
         self.best = [-1.0] * members
         self.best_key: list[tuple[int, ...] | None] = [None] * members
@@ -215,12 +217,12 @@ class _Search:
 
     def zero(self) -> list[float]:
         """Each member's all-zero cell, the leaf ties resolve toward."""
-        return self.table[(slice(None),) + (0,) * len(self.q.var_order)].tolist()
+        return self.table[(0,) * len(self.q.var_order)].tolist()
 
     def bound(self, t: np.ndarray) -> np.ndarray:
         """The bounds of a node's two children for the members in ``t``
-        (its sub-table): the maxima of its two halves, shape (members, 2)."""
-        return t.max(axis=tuple(range(2, t.ndim)))
+        (its sub-table): the maxima of its two halves, shape (2, members)."""
+        return t.max(axis=tuple(range(1, t.ndim - 1)))
 
     def offer(self, m: int, key: tuple[int, ...], value: float) -> None:
         """Member ``m``'s complete assignment ``key`` (states along
@@ -243,8 +245,8 @@ class _Search:
             u = self.bound(t)
             if self.on_bound is not None:
                 for s in (0, 1):
-                    self.on_bound(dict(zip(order, key + (s,))), self.scaled(u[:, s].tolist()))
-            one = u[:, 1] > u[:, 0] * (1.0 + PRUNE_TOL)
+                    self.on_bound(dict(zip(order, key + (s,))), self.scaled(u[s].tolist()))
+            one = u[1] > u[0] * (1.0 + PRUNE_TOL)
             # every member takes its better child first, ties state 0;
             # unpruned, then the other
             visits = [(0, ~one), (1, one)]
@@ -252,9 +254,9 @@ class _Search:
                 visits += [(1, ~one), (0, one)]
             for s, sel in reversed(visits):
                 if sel.all():
-                    stack.append((t[:, s], group, key + (s,)))
+                    stack.append((t[s], group, key + (s,)))
                 elif sel.any():
-                    stack.append((t[sel, s], group[sel], key + (s,)))
+                    stack.append((t[s][..., sel], group[sel], key + (s,)))
 
 
 def seed(q: MapQuery,

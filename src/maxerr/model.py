@@ -57,7 +57,8 @@ class Cpt:
     ``table`` axis 0 is the child state, following axes the parents in
     declared order; every column over the child states sums to 1.  In a
     network over an eps grid, error-prone gate and comparator tables
-    carry one more, leading axis: one table per grid value.
+    carry one more, leading axis: one table per grid value.  Their
+    valuations (``to_valuation``) put that axis last.
     """
 
     def __init__(self, child: Var, parents: tuple[Var, ...], table: np.ndarray):
@@ -77,12 +78,14 @@ class Cpt:
 
     def to_valuation(self) -> Valuation:
         """The table as a valuation, its variable axes permuted into
-        canonical order behind the grid axis, if any."""
+        canonical order and followed by the grid axis, if any, which is
+        then laid out contiguously: every message and read runs over the
+        grid members in its innermost loop."""
         order = (self.child.id,) + tuple(p.id for p in self.parents)
         perm = sorted(range(len(order)), key=order.__getitem__)
         lead = self.table.ndim - len(order)
-        return trusted(tuple(order[i] for i in perm),
-                       self.table.transpose(tuple(range(lead)) + tuple(lead + i for i in perm)))
+        t = self.table.transpose(tuple(lead + i for i in perm) + tuple(range(lead)))
+        return trusted(tuple(order[i] for i in perm), np.ascontiguousarray(t) if lead else t)
 
     def prob(self, child_state: int, parent_states: Sequence[int]) -> float:
         return float(self.table[(child_state,) + tuple(parent_states)])
@@ -114,7 +117,7 @@ def cpt_for_gate(func: GateFunc, fan_in: int, eps, faulty: bool,
     2*eps in every parent row (and the correct output with 1 - 2*eps).
     ``eps`` may be a 1-d array of rates: an error-prone table then gets
     a leading axis with one table per rate, each cell computed as for
-    that rate alone.
+    that rate alone (its valuation moves that axis last).
     """
     truth = _truth(func, fan_in)
     if not faulty:
@@ -145,10 +148,10 @@ class ErrorModelNet:
     """The assembled network, its circuit and its comparator variables.
 
     A network built over an eps grid of B values is B networks of one
-    structure at once (its members): ``batch`` is ``(B,)``, and the
+    structure at once (its members): ``batch`` is ``(B,)``, the
     error-prone gate and comparator CPTs carry a leading axis of length
-    B.  A network at one
-    eps or eps map has ``batch == ()``, the single-member case.
+    B, and their potentials a trailing one.  A network at one eps or eps
+    map has ``batch == ()``, the single-member case.
     """
 
     def __init__(self, circuit: Circuit, vars: list[Var], cpts: list[Cpt],

@@ -41,14 +41,16 @@ would: bit-identical answers.
 
 A network over an eps grid of B values (``net.batch == (B,)``) is B
 networks of one structure at once.  Its eps-dependent potentials carry
-a leading axis of length B, and so do the evidence-multiplied factors,
-the messages and the reads (a table without it broadcasts as length
-1); a network at one eps has no such axis, the single-member case.  A
-plan reshapes its operands to that axis followed by their variable
-axes, and counts the summed axes from the end, so one path through
-``_apply`` serves both.  Each member's cells are multiplied and summed
-as they would be in a network of their own, bit for bit.  A query
-returns a float, or a list of the B values.
+a trailing axis of length B behind their variable axes, and so do the
+evidence-multiplied factors, the messages and the reads (a table
+without it broadcasts as length 1); a network at one eps has no such
+axis, the single-member case.  A plan reshapes its operands to their
+variable axes followed by that axis, and counts the summed axes from
+the front, so one path through ``_apply`` serves both.  With the
+members innermost, every product and every length-2 sum runs over B
+contiguous cells at a time.  Each member's cells are multiplied and
+summed as they would be in a network of their own, bit for bit.  A
+query returns a float, or a list of the B values.
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ class Propagator:
         self._msg: list[Valuation | None] = [None] * (2 * len(tree.edges))
         # per cluster, potential x evidence
         self._factor = net.potentials + [None] * (tree.n_clusters - net.n_vars)
-        self._lead = (-1,) * len(net.batch)   # reshape prefix for the grid axis
-        self._plans = tree.plans.setdefault(self._lead, {})
+        self._grid = (-1,) * len(net.batch)   # reshape suffix for the grid axis
+        self._plans = tree.plans.setdefault(self._grid, {})
 
     # -- evidence --------------------------------------------------------
 
@@ -128,7 +130,9 @@ class Propagator:
             self._invalidate(v)
             pot = self.net.potentials[v]
             if v in new:
-                ind = _INDICATOR[new[v]].reshape([2 if u == v else 1 for u in pot.scope])
+                # a trailing 1 lines the indicator up with a grid axis
+                grid = [1] * (pot.table.ndim - len(pot.scope))
+                ind = _INDICATOR[new[v]].reshape([2 if u == v else 1 for u in pot.scope] + grid)
                 self._factor[v] = trusted(pot.scope, pot.table * ind)
             else:
                 self._factor[v] = pot
@@ -150,11 +154,11 @@ class Propagator:
 
     def _compile(self, scopes: list[tuple[int, ...]], keep: frozenset[int]):
         """Plan of the product of operands with ``scopes`` summed onto
-        ``keep``, the summed axes counted from the end.  Every operand
+        ``keep``, the summed axes counted from the front.  Every operand
         lies inside one cluster, so the union is within the tree's width."""
         union = tuple(sorted(set().union(*scopes)))
-        return (tuple(self._lead + tuple(2 if v in s else 1 for v in union) for s in scopes),
-                tuple(i - len(union) for i, v in enumerate(union) if v not in keep),
+        return (tuple(tuple(2 if v in s else 1 for v in union) + self._grid for s in scopes),
+                tuple(i for i, v in enumerate(union) if v not in keep),
                 tuple(v for v in union if v in keep))
 
     def _apply(self, key, keep: frozenset[int], cid: int, ids) -> Valuation:

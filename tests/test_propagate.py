@@ -432,3 +432,39 @@ def test_evidence_on_one_propagator_leaves_another_alone(c17, corpus):
             for q in (other, Propagator(tree, net)):
                 for cid, want in enumerate(before):
                     assert np.array_equal(q.belief(cid).table, want)
+
+
+def _layout_evidence(net):
+    """No evidence; an input, whose potential has no grid axis; an
+    error-prone gate and a comparator, whose potentials have one."""
+    faulty = [v for v in range(net.n_vars) if v not in net.comparators
+              and net.potentials[v].table.ndim > len(net.cpts[v].scope)]
+    cases = [{}, {net.input_vars[0]: 1}, {net.comparators[0]: 1}]
+    if faulty:
+        cases.append({faulty[0]: 0, net.comparators[-1]: 1})
+    return cases
+
+
+def test_grid_member_axis_is_last_and_each_slice_is_that_members_read(c17, corpus):
+    # every read over a 3-eps grid ends in the member axis, and its slice m
+    # is bit for bit the read on member m's network alone
+    grid = [0.01, 0.05, 0.2]
+    for circuit in [c17] + corpus[:20]:
+        net = build_error_model(circuit, grid)
+        tree = build_tree(net)
+        alone = [build_error_model(circuit, eps) for eps in grid]
+        for ev in _layout_evidence(net):
+            p = Propagator(tree, net)
+            p.set_evidence(ev)
+            members = [Propagator(tree, a) for a in alone]
+            for q in members:
+                q.set_evidence(ev)
+            reads = [lambda r, cid=cid: r.belief(cid) for cid in range(tree.n_clusters)]
+            reads += [lambda r, v=v: r.var_belief(v) for v in range(net.n_vars)]
+            for read in reads:
+                got = read(p)
+                assert got.table.shape == (2,) * len(got.scope) + (len(grid),)
+                for m, q in enumerate(members):
+                    want = read(q)
+                    assert got.scope == want.scope
+                    assert np.array_equal(got.table[..., m], want.table)

@@ -4,15 +4,18 @@ a time, its grid checks, and c17's coin-flip eps in closed form."""
 import math
 import re
 
+import numpy as np
 import pytest
 
 import maxerr.analysis as analysis
+import maxerr.mapsearch as mapsearch
 from conftest import DISCONNECTED, perfbench_circuits
 from maxerr.analysis import avg_error, max_error, max_errors, prepare, spectrum, sweep
 from maxerr.circuit import parse_bench
 from maxerr.mapsearch import MapQuery, solve
 from maxerr.model import build_error_model
 from maxerr.oracle import FaultEnumerator
+from maxerr.propagate import Propagator
 
 # the unreachable eps 0, gates that are fair coins (0.25) and inverters (0.5)
 GRID12 = [0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.45, 0.5]
@@ -70,6 +73,38 @@ def test_batched_search_matches_each_member_alone(c17, corpus, joint):
         assert len(reports) == len(GRID12)
         for eps, rep in zip(GRID12, reports):
             assert rep == max_error(build_error_model(c, eps), tree, joint=joint)
+
+
+@pytest.mark.parametrize("joint", [False, True])
+def test_average_on_the_searched_propagator_equals_a_fresh_one(c17, corpus, joint):
+    # the sweep reads its average on the propagator its search filled:
+    # clearing the evidence keeps only messages no evidence reached
+    for c in _circuits(c17, corpus):
+        net, tree = prepare(c, GRID12)
+        prop = Propagator(tree, net)
+        max_errors(net, tree, joint=joint, prop=prop)
+        done = prop.messages
+        shared = avg_error(net, tree, prop)
+        fresh = Propagator(tree, net)
+        assert np.array_equal(shared, avg_error(net, tree, fresh))
+        assert prop.evidence == {}
+        assert prop.messages - done <= fresh.messages
+
+
+def test_max_errors_orders_the_inputs_once_per_call(c17, monkeypatch):
+    # every query branches along the one order, restricted to its cone
+    calls = []
+    for owner in (analysis, mapsearch):
+        def counted(net, _fn=owner.var_order_heuristic):
+            calls.append(net)
+            return _fn(net)
+        monkeypatch.setattr(owner, "var_order_heuristic", counted)
+    for c in (c17, perfbench_circuits().ripple_carry_adder(3)):
+        for eps in (0.05, GRID12):
+            net, tree = prepare(c, eps)
+            calls.clear()
+            max_errors(net, tree)
+            assert calls == [net]
 
 
 def test_batched_model_cells_equal_the_scalar_model(c17):
