@@ -5,8 +5,8 @@ the most error-prone input vector, found by a walk over one read of
 the output's fan-in cone (``max_error``, ``mapsearch``); the error at
 every vector, read from the same cone (``spectrum``); and across an eps
 grid, the first eps where the worst case reaches 0.5 (``sweep``), run as
-batched passes over the whole grid.  A cone read happens at the smallest
-cluster holding the cone inputs (``_holder``).
+batched passes over the whole grid.  Every cone read is
+``mapsearch.cone_table``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .circuit import Circuit, index_vector, vector_string
 # ``propagate``'s ``combine``, ``reduce_mixed`` and ``reduce_all`` in
 # their modules.
 from .jointree import BinaryJoinTree, build_tree, choose_order
-from .mapsearch import (PRUNE_TOL, MapQuery, _cone_inputs, _holder, search, solve,
-                        var_order_heuristic)
+from .mapsearch import (PRUNE_TOL, MapQuery, _cone_inputs, check_propagator, cone_table,
+                        search, solve, var_order_heuristic)
 from .model import ErrorModelNet, build_error_model
 from .propagate import Propagator
 from .valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
@@ -130,11 +130,11 @@ def max_errors(net: ErrorModelNet, tree: BinaryJoinTree, prune: bool = True,
         q = MapQuery(net, tree, {**evid, **fixed}, tuple(v for v in order if v in cone))
         results = search(q, prune, prop=prop)
         for m, res in enumerate(results):
-            reached = res.p_map > 0.0
+            reached = res.p_cone > 0.0
             vector = [res.assignment.get(v, 0) for v in net.input_vars]
             rows[m].append(OutputReport(
                 name, vector_string(vector) if reached else None,
-                math.ldexp(res.p_map, len(net.input_vars)), not reached,
+                math.ldexp(res.p_cone, len(cone)), not reached,
                 res.nodes_expanded, res.nodes_pruned))
     return [_report(net, r) for r in rows]
 
@@ -166,11 +166,10 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     reported as 0, and ``nodes_expanded`` and ``nodes_pruned`` count
     nodes over the cone inputs.  Each query is one ``mapsearch.search``
     with the other inputs held at 0, on one propagator shared by every
-    query: a walk over P(cone inputs, wrong), read from the smallest
-    cluster holding the cone, or for a joint query whose union cone no
-    cluster holds, built from the cones of its gate-disjoint groups of
-    outputs (``WidthLimitError`` past ``DEFAULT_WIDTH_LIMIT`` inputs).
-    The error is 2^k times P(vector, wrong).
+    query: a walk over its cone table P(cone inputs, wrong)
+    (``mapsearch.cone_table``).  The error is 2^|cone| times the cell the
+    walk ends at: 2^k P(vector, wrong) without the 2^-k prior, which
+    underflows on many inputs.
     """
     if net.batch:
         raise ValueError("max_error takes a network at one eps; max_errors takes an eps grid")
@@ -183,11 +182,12 @@ def avg_error(net: ErrorModelNet, tree: BinaryJoinTree, prop: Propagator | None 
     float, or an array over the members of an eps grid, from one read
     per comparator.  ``prop``, a propagator over ``tree`` and ``net``,
     has its evidence cleared and serves the reads from the messages it
-    keeps, which a fresh propagator would compute bit for bit alike."""
+    keeps, which a fresh propagator would compute bit for bit alike
+    (``ValueError`` if it is built on another tree or net)."""
     if prop is None:
         prop = Propagator(tree, net)
     else:
-        prop.set_evidence({})
+        check_propagator(prop, tree, net).set_evidence({})
     return np.maximum.reduce([cond_error(prop, comp) for comp in net.comparators])
 
 
@@ -289,12 +289,11 @@ MAX_SPECTRUM_INPUTS = 20
 def spectrum(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT) -> Spectrum:
     """Exact per-vector worst-output error over all 2**k input vectors.
 
-    Per output, the cone inputs lie in one cluster, as ``choose_order``
-    eliminates every other variable first (``ValueError`` otherwise).  The
-    smallest such cluster, lowest id on a tie, is read with the comparator
-    at 1 and at 0, onto those inputs: P(cone, wrong) / P(cone), broadcast
-    over the other inputs.  Capped at 20 inputs, as the result has 2**k
-    rows.  One eps or eps map; a grid is rejected.
+    Per output, two cone tables (``mapsearch.cone_table``), with the
+    comparator at 1 and at 0, give P(cone, wrong) / P(cone), broadcast
+    over the other inputs; ``ValueError`` if no cluster holds the cone.
+    Capped at 20 inputs, as the result has 2**k rows.  One eps or eps
+    map; a grid is rejected.
     """
     if np.ndim(eps):
         raise ValueError("spectrum takes one eps or an eps map, not an eps grid")
@@ -305,14 +304,8 @@ def spectrum(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT) -> Spectru
     prop = Propagator(tree, net)
     table = np.empty((2,) * c.n_inputs + (len(net.comparators),))
     for j, comp in enumerate(net.comparators):
-        cone = _cone_inputs(tree, net, (comp,))
-        cid = _holder(tree, cone)
-        if cid is None:
-            raise ValueError("no cluster holds the cone inputs of output " + c.outputs[j])
-        prop.set_evidence({comp: 1})
-        wrong = prop.belief(cid, cone).table
-        prop.set_evidence({comp: 0})
-        right = prop.belief(cid, cone).table
+        wrong, cone = cone_table(prop, {comp: 1})
+        right, _ = cone_table(prop, {comp: 0})
         # a read's axes follow its sorted scope, and input ids ascend
         table[..., j] = (wrong / (right + wrong)).reshape(
             [2 if v in cone else 1 for v in net.input_vars])

@@ -5,7 +5,8 @@ hold inputs at given states.  Its fan-in cone is the inputs among the
 ancestors of its evidenced variables.  ``choose_order`` eliminates the
 inputs last, so one cluster holds each output's cone; the smallest
 (lowest id on a tie, ``_holder``), read with the evidence set and summed
-onto the cone, gives P(cone inputs, evidence), the query's cone table.
+onto the cone, gives P(cone inputs, evidence), the query's cone table
+(``cone_table``): one axis per cone input, none for the others.
 A joint query whose union cone no cluster holds splits its evidence
 into groups whose cones share no gate.  Given the inputs the groups go
 wrong independently, so its table is 2^-|cone| times the product of
@@ -16,9 +17,11 @@ The walk instantiates the free inputs one at a time along
 ``var_order``.  A child's bound, the maximum of P(vector, evidence) over
 its completions, is the maximum of its slice of the table: the value a
 max-mode collect returns on a tree that eliminates the inputs last
-(Park & Darwiche, JAIR 21, 2004).  A free input outside the cone is a
-broadcast axis, so its two children tie.  Held inputs are sliced, not
-searched, and each input outside the cone enters by its prior 1/2.
+(Park & Darwiche, JAIR 21, 2004).  A free input outside the cone (a
+barren variable, Darwiche 2009, ch. 6) is a tie level, whose two
+children share the node's table and tie; it costs the table no axis.
+Held inputs are sliced, not searched, and each input outside the cone
+enters by its prior 1/2.
 
 A pruned walk enters only the better child of each node, state 1 only
 when its bound beats state 0's by more than a relative hair.  Values
@@ -78,6 +81,7 @@ class MapQuery:
 class MapResult:
     assignment: dict[int, int]
     p_map: float                           # P(assignment, evid_o)
+    p_cone: float                          # the leaf cell, P(assignment on the cone, evid_o)
     nodes_expanded: int
     nodes_pruned: int
     seed_value: float | None = None
@@ -148,14 +152,14 @@ def _holder(tree: BinaryJoinTree, cone: frozenset[int]) -> int | None:
                default=(0, None))[1]
 
 
-def _cone_table(q: MapQuery, prop: Propagator):
-    """The query's cone table (see the module docstring), its axes the
-    cone inputs in id order followed by the grid axis if any, and the cone.
-    ``ValueError`` when no cluster holds the cone of a group of the
-    evidence; ``WidthLimitError`` when no cluster holds the union and it
-    has more than ``DEFAULT_WIDTH_LIMIT`` inputs."""
-    net, tree = q.net, q.tree
-    evid = {v: s for v, s in q.evid_o.items() if v not in net.input_vars}
+def cone_table(prop: Propagator, evid: dict[int, int]) -> tuple[np.ndarray, frozenset[int]]:
+    """The cone table of non-input evidence ``evid`` (see the module
+    docstring), P(cone inputs, evid) with an axis per cone input in id
+    order followed by the grid axis if any, and the cone.  ``ValueError``
+    when no cluster holds the cone of a group of the evidence;
+    ``WidthLimitError`` when no cluster holds the union and it has more
+    than ``DEFAULT_WIDTH_LIMIT`` inputs."""
+    net, tree = prop.net, prop.tree
     groups = _cones(tree, net, evid)
     cone = frozenset().union(*(part for _, part in groups))
     cid = _holder(tree, cone)
@@ -163,8 +167,10 @@ def _cone_table(q: MapQuery, prop: Propagator):
         prop.set_evidence(evid)
         return prop.belief(cid, cone).table, cone
     holders = [_holder(tree, part) for _, part in groups]
-    if None in holders:
-        raise ValueError("no cluster holds the cone inputs of the query")
+    for (roots, _), gid in zip(groups, holders):
+        if gid is None:
+            raise ValueError("no cluster holds the cone inputs of "
+                             + ", ".join(net.vars[v].name for v in roots))
     if len(cone) > DEFAULT_WIDTH_LIMIT:
         raise WidthLimitError(len(cone), DEFAULT_WIDTH_LIMIT, "union of a joint query's cones")
     ranked = sorted(cone)
@@ -174,41 +180,39 @@ def _cone_table(q: MapQuery, prop: Propagator):
         wrong = prop.belief(gid, part).table
         prop.set_evidence({})
         ratio = wrong / prop.belief(gid, part).table
-        table = table * ratio.reshape(tuple(2 if v in part else 1 for v in ranked) + (-1,))
+        table = table * ratio.reshape(tuple(2 if v in part else 1 for v in ranked) + net.batch)
     return np.ldexp(table, -len(cone)), cone
+
+
+def check_propagator(prop: Propagator, tree: BinaryJoinTree, net: ErrorModelNet) -> Propagator:
+    """``prop`` if it is built on ``tree`` and ``net``; ``ValueError`` otherwise."""
+    if prop.tree is not tree or prop.net is not net:
+        raise ValueError("propagator must be built on the query's tree and net")
+    return prop
 
 
 class _Search:
     """The walk over every member of ``q.net`` at once (see the module
-    docstring): the cone table with an axis per input of ``var_order``
-    and the member axis last, and per member the best leaf and its key.
-    Cells are P(vector, evidence) times 2^-``shift``, the priors of the
-    inputs outside the cone."""
+    docstring): the cone table with an axis per free cone input along
+    ``var_order`` and the member axis last, the tie levels, and per
+    member the best leaf and its key.  Cells are P(vector, evidence)
+    times 2^-``shift``, the priors of the inputs outside the cone."""
 
     def __init__(self, q: MapQuery, prune: bool,
                  on_bound: Callable[[dict, float | list[float]], None] | None,
                  prop: Propagator | None = None):
-        if prop is None:
-            prop = Propagator(q.tree, q.net)
-        elif prop.tree is not q.tree or prop.net is not q.net:
-            raise ValueError("propagator must be built on the query's tree and net")
-        self.q = q
-        self.prune = prune
-        self.on_bound = on_bound
         net, evid = q.net, q.evid_o
-        t, cone = _cone_table(q, prop)
-        # a read's axes follow its sorted scope, and input ids ascend
-        t = t.reshape(tuple(2 if v in cone else 1 for v in net.input_vars) + (-1,))
-        t = t[tuple(slice(None) if v not in evid else evid[v] if v in cone else 0
-                    for v in net.input_vars)]
-        axis = {v: i for i, v in enumerate(v for v in net.input_vars if v not in evid)}
-        members = math.prod(net.batch)
-        d = len(q.var_order)
-        self.table = np.broadcast_to(t.transpose(tuple(axis[v] for v in q.var_order) + (d,)),
-                                     (2,) * d + (members,))
+        prop = Propagator(q.tree, net) if prop is None else check_propagator(prop, q.tree, net)
+        self.q, self.prune, self.on_bound = q, prune, on_bound
+        t, cone = cone_table(prop, {v: s for v, s in evid.items() if v not in net.input_vars})
+        ranked = sorted(cone)
+        t = t.reshape((2,) * len(ranked) + (-1,))[tuple(evid.get(v, slice(None)) for v in ranked)]
+        free = [v for v in ranked if v not in evid]
+        self.table = t.transpose([free.index(v) for v in q.var_order if v in cone] + [len(free)])
+        self.tie = [v not in cone for v in q.var_order]
         self.shift = len(cone) - len(net.input_vars)
-        self.best = [-1.0] * members
-        self.best_key: list[tuple[int, ...] | None] = [None] * members
+        self.best = [-1.0] * math.prod(net.batch)    # per member
+        self.best_key: list[tuple[int, ...] | None] = [None] * len(self.best)
 
     def scaled(self, cells: list[float]) -> float | list[float]:
         """Cells as P(vector, evidence): a float, or a list over members."""
@@ -217,7 +221,7 @@ class _Search:
 
     def zero(self) -> list[float]:
         """Each member's all-zero cell, the leaf ties resolve toward."""
-        return self.table[(0,) * len(self.q.var_order)].tolist()
+        return self.table[(0,) * (self.table.ndim - 1)].tolist()
 
     def bound(self, t: np.ndarray) -> np.ndarray:
         """The bounds of a node's two children for the members in ``t``
@@ -238,11 +242,12 @@ class _Search:
         stack = [(self.table, np.arange(len(self.best)), ())]
         while stack:    # a node: its sub-table over the members that entered it
             t, group, key = stack.pop()
-            if t.ndim == 1:    # a complete assignment: the cells are exact
+            if len(key) == len(order):    # a complete assignment: the cells are exact
                 for m, cell in zip(group.tolist(), t.tolist()):
                     self.offer(m, key, cell)
                 continue
-            u = self.bound(t)
+            tie = self.tie[len(key)]    # both children share the node's table
+            u = self.bound(np.broadcast_to(t, (2,) + t.shape) if tie else t)
             if self.on_bound is not None:
                 for s in (0, 1):
                     self.on_bound(dict(zip(order, key + (s,))), self.scaled(u[s].tolist()))
@@ -253,10 +258,11 @@ class _Search:
             if not self.prune:
                 visits += [(1, ~one), (0, one)]
             for s, sel in reversed(visits):
+                child = t if tie else t[s]
                 if sel.all():
-                    stack.append((t[s], group, key + (s,)))
+                    stack.append((child, group, key + (s,)))
                 elif sel.any():
-                    stack.append((t[s][..., sel], group[sel], key + (s,)))
+                    stack.append((child[..., sel], group[sel], key + (s,)))
 
 
 def seed(q: MapQuery,
@@ -297,8 +303,8 @@ def search(q: MapQuery, prune: bool = True,
         s.best, s.best_key = list(seeds), [(0,) * d] * len(seeds)
     s.walk()
     expanded, pruned = (1 + 2 * d, d) if prune else ((2 << d) - 1, 0)
-    return [MapResult(dict(zip(q.var_order, key)), math.ldexp(best, s.shift), expanded, pruned,
-                      None if sv is None else math.ldexp(sv, s.shift))
+    return [MapResult(dict(zip(q.var_order, key)), math.ldexp(best, s.shift), best, expanded,
+                      pruned, None if sv is None else math.ldexp(sv, s.shift))
             for key, best, sv in zip(s.best_key, s.best, seeds)]
 
 

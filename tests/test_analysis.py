@@ -78,7 +78,7 @@ def _answer_rule_cases(c17, corpus):
 def test_cone_table_descent_matches_search(c17, corpus):
     # max_error holds the inputs outside a query's cone at 0 and walks the
     # cone inputs alone; a walk that branches on every input sees those
-    # as broadcast axes whose children tie toward 0, so it takes the same
+    # as tie levels whose children tie toward 0, so it takes the same
     # vector at the same value, over more nodes
     for c, eps in _answer_rule_cases(c17, corpus):
         net, tree = prepare(c, eps)
@@ -86,7 +86,7 @@ def test_cone_table_descent_matches_search(c17, corpus):
         for joint in (False, True):
             rep = max_error(net, tree, joint=joint)
             for row, evid in zip(rep.per_output, _queries(net, joint)):
-                d = len(analysis._cone_inputs(tree, net, evid))
+                d = len(mapsearch._cone_inputs(tree, net, evid))
                 res = mapsearch.solve(mapsearch.MapQuery(net, tree, {v: 1 for v in evid}))
                 reached = res.p_map > 0.0
                 vector = "".join(str(res.assignment[v]) for v in net.input_vars)
@@ -104,7 +104,7 @@ def test_search_serves_unpruned_walks_and_cones_no_cluster_holds(corpus):
     eps = 0.05
     c = corpus[4]
     net, tree = prepare(c, eps)
-    assert analysis._holder(tree, analysis._cone_inputs(tree, net, net.comparators)) is None
+    assert mapsearch._holder(tree, mapsearch._cone_inputs(tree, net, net.comparators)) is None
     assert len(mapsearch._cones(tree, net, net.comparators)) > 1
     k = len(net.input_vars)
     joint = _all_wrong(c, eps)
@@ -152,7 +152,7 @@ def test_max_error_builds_one_propagator(c17, corpus, monkeypatch):
                 max_error(net, tree, prune=prune, joint=joint)
                 want = 0
                 for evid in _queries(net, joint):
-                    held = analysis._holder(tree, analysis._cone_inputs(tree, net, evid))
+                    held = mapsearch._holder(tree, mapsearch._cone_inputs(tree, net, evid))
                     want += 1 if held is not None else 2 * len(mapsearch._cones(tree, net, evid))
                     split += held is None
                 assert calls == {"init": 1, "evidence": want}
@@ -377,15 +377,15 @@ def test_every_output_cone_lies_in_one_cluster(c17, corpus):
     for c, eps in _spectrum_cases(c17, corpus):
         net, tree = prepare(c, eps)
         for comp in net.comparators:
-            cone = analysis._cone_inputs(tree, net, (comp,))
+            cone = mapsearch._cone_inputs(tree, net, (comp,))
             assert any(cone <= scope for scope in tree.scopes)
 
 
 def test_spectrum_rejects_a_cone_no_cluster_holds(monkeypatch):
     # DISCONNECTED's two inputs sit in separate pieces of its tree
-    monkeypatch.setattr(analysis, "_cone_inputs",
-                        lambda tree, net, roots: frozenset(net.input_vars))
-    with pytest.raises(ValueError, match="no cluster holds the cone inputs of output x"):
+    monkeypatch.setattr(mapsearch, "_cones", lambda tree, net, roots:
+                        [(tuple(roots), frozenset(net.input_vars))])
+    with pytest.raises(ValueError, match="no cluster holds the cone inputs of err:x$"):
         spectrum(DISCONNECTED, 0.05)
 
 
@@ -488,7 +488,7 @@ def test_joint_cones_no_cluster_holds_match_enumeration(corpus):
     split = 0
     for c in corpus:
         net, tree = prepare(c, eps)
-        if analysis._holder(tree, analysis._cone_inputs(tree, net, net.comparators)) is not None:
+        if mapsearch._holder(tree, mapsearch._cone_inputs(tree, net, net.comparators)) is not None:
             continue
         split += 1
         joint = _all_wrong(c, eps)
@@ -518,7 +518,7 @@ def test_joint_union_past_the_width_limit_raises():
     c = parse_bench("".join("INPUT(%s)\n" % n for n in a + b[1:]) + "OUTPUT(y)\nOUTPUT(z)\n"
                     + "\n".join(_and_chain(a, "y") + _and_chain(b, "z")))
     net, tree = prepare(c, 0.05)
-    assert len(analysis._cone_inputs(tree, net, net.comparators)) == 26 > DEFAULT_WIDTH_LIMIT
+    assert len(mapsearch._cone_inputs(tree, net, net.comparators)) == 26 > DEFAULT_WIDTH_LIMIT
     assert not any(r.unreachable for r in max_error(net, tree).per_output)
     with pytest.raises(WidthLimitError):
         max_error(net, tree, joint=True)
@@ -538,13 +538,35 @@ def _counts(c):
 
 
 def test_unused_inputs_do_not_grow_the_search(c17):
+    # an input outside every cone is a tie level of the walk, never an
+    # axis of its table, so past numpy's 64 dimensions, and past the
+    # 2^-1074 at which a 2^-k prior underflows, c17's answers stay put
     base = _counts(c17)
-    for m in (4, 10):
+    for m in (4, 10, 59, 100, 1100):
         got = _counts(_with_unused_inputs(c17, m))
         assert [g[3:] for g in got] == [b[3:] for b in base]
         assert [g[:2] for g in got] == [b[:2] for b in base]
         for g, b in zip(got, base):
             assert g[2] == pytest.approx(b[2], abs=1e-12)
+    m = 100
+    net, tree = prepare(_with_unused_inputs(c17, m), 0.05)
+    (row,), (want,) = (max_error(*nt, joint=True).per_output
+                       for nt in ((net, tree), prepare(c17, 0.05)))
+    assert (row.vector, row.nodes_expanded, row.nodes_pruned) == \
+        (want.vector + "0" * m, want.nodes_expanded, want.nodes_pruned)
+    assert row.p_error == pytest.approx(want.p_error, abs=1e-12)
+    grid = [0.05, 0.1, 0.15]
+    padded, plain = sweep(_with_unused_inputs(c17, m), grid, True), sweep(c17, grid, True)
+    assert (padded.error_bound, padded.refined_bound) == (plain.error_bound, plain.refined_bound)
+    for p, w in zip(padded.points, plain.points):
+        assert (p.worst_vector, p.worst_output) == (w.worst_vector + "0" * m, w.worst_output)
+        assert (p.max_error, p.avg_error) == pytest.approx((w.max_error, w.avg_error), abs=1e-12)
+    # an all-free walk branches on every input, c17's and the unused
+    k = len(net.input_vars)
+    res = mapsearch.solve(mapsearch.MapQuery(net, tree, {net.comparator_of("23"): 1}))
+    assert (res.nodes_expanded, res.nodes_pruned) == (1 + 2 * k, k)
+    assert "".join(str(res.assignment[v]) for v in net.input_vars) == "01111" + "0" * m
+    assert math.ldexp(res.p_map, k) == pytest.approx(0.3160, abs=1e-12)
 
 
 def test_pruning_is_independent_of_prior_scale(c17):

@@ -12,6 +12,7 @@ import maxerr.mapsearch as mapsearch
 from conftest import DISCONNECTED, perfbench_circuits
 from maxerr.analysis import avg_error, max_error, max_errors, prepare, spectrum, sweep
 from maxerr.circuit import parse_bench
+from maxerr.jointree import build_tree
 from maxerr.mapsearch import MapQuery, solve
 from maxerr.model import build_error_model
 from maxerr.oracle import FaultEnumerator
@@ -89,6 +90,12 @@ def test_average_on_the_searched_propagator_equals_a_fresh_one(c17, corpus, join
         assert np.array_equal(shared, avg_error(net, tree, fresh))
         assert prop.evidence == {}
         assert prop.messages - done <= fresh.messages
+    # a propagator over another network would answer for that network:
+    # c17 at eps 0.05 read on the eps-0.2 net's propagator gives 0.4888
+    net, tree = prepare(c17, 0.05)
+    for prop in (Propagator(tree, build_error_model(c17, 0.2)), Propagator(build_tree(net), net)):
+        with pytest.raises(ValueError, match="propagator must be built on"):
+            avg_error(net, tree, prop)
 
 
 def test_max_errors_orders_the_inputs_once_per_call(c17, monkeypatch):
