@@ -10,9 +10,12 @@ leaves the live scope of the one left.  The last pair of a merge that
 nothing merges with again (the only two active clusters, or a pair with
 no other live variable) is joined by a direct edge instead.  So every
 cluster the fusion adds has three neighbors and every leaf holds a CPT.
-Independent cones of a circuit end up as separate pieces, which are
-bridged by edges carrying scalar messages.  The tree satisfies the
-running intersection property.
+Independent cones of a circuit end up as separate pieces.  A piece is
+finished when its top cluster's live scope empties or its last pair is
+joined directly, and the fusion records the piece's lowest cluster id
+then; the pieces are chained in the order of those ids, by edges that
+join clusters sharing no variable and carry scalar messages.  The tree
+satisfies the running intersection property.
 
 ``choose_order`` is greedy min-fill on the moral graph.  Each candidate's
 fill count is counted once and then kept up to date as variables are
@@ -193,9 +196,12 @@ def build_tree(net: ErrorModelNet, order: tuple[int, ...] | None = None,
     Cluster ``v`` is CPT ``v``'s, over its scope, and variable ``v``'s
     queries root at, and its evidence enters at, that cluster.  The
     fusion adds a cluster only to merge two others, so every leaf holds a
-    CPT and every cluster without one has three neighbors.  Raises
-    WidthLimitError when the largest cluster would exceed ``width_limit``
-    variables.
+    CPT and every cluster without one has three neighbors.  The pieces
+    (independent cones) are chained in ascending order of their lowest
+    cluster ids.  A piece's lowest cluster is a CPT's, with at most one
+    fusion edge, so the chain keeps every degree at three or less.
+    Raises WidthLimitError when the largest cluster would exceed
+    ``width_limit`` variables.
     """
     if order is None:
         order = choose_order(net)
@@ -203,8 +209,10 @@ def build_tree(net: ErrorModelNet, order: tuple[int, ...] | None = None,
 
     scopes = [cpt.scope for cpt in net.cpts]
     live = list(scopes)      # each cluster's scope minus the eliminated variables
+    low = list(range(len(scopes)))   # each cluster's piece's lowest cluster id
     active = set(range(len(scopes)))
     edges: list[tuple[int, int]] = []
+    reps: list[int] = []     # the lowest cluster id of each finished piece
 
     for y in order:
         gamma = sorted(n for n in active if y in live[n])
@@ -215,6 +223,7 @@ def build_tree(net: ErrorModelNet, order: tuple[int, ...] | None = None,
             if len(gamma) == 2 and (len(active) == 2 or u == {y}):
                 # nothing merges with this pair again: join it directly
                 edges.append((a, b))
+                reps.append(min(low[a], low[b]))
                 active -= {a, b}
                 gamma = []
                 break
@@ -224,6 +233,7 @@ def build_tree(net: ErrorModelNet, order: tuple[int, ...] | None = None,
             k = len(scopes)
             scopes.append(u)
             live.append(u)
+            low.append(min(low[a], low[b]))
             edges += [(a, k), (b, k)]
             active -= {a, b}
             active.add(k)
@@ -232,50 +242,15 @@ def build_tree(net: ErrorModelNet, order: tuple[int, ...] | None = None,
             live[top] = live[top] - {y}
             if not live[top]:
                 active.discard(top)
+                reps.append(low[top])
 
-    tree = _assemble(scopes, edges)
+    reps.sort()
+    edges += zip(reps, reps[1:])
+    tree = BinaryJoinTree(scopes, sorted(edges))
     tree.order = order
     if tree.width > width_limit:
         raise WidthLimitError(tree.width, width_limit, "largest cluster in the tree")
     return tree
-
-
-def _assemble(scopes, edges) -> BinaryJoinTree:
-    n = len(scopes)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-
-    # Bridge disconnected pieces (a circuit can fall into independent
-    # cones).  An edge between scope-disjoint clusters carries a scalar
-    # message and cannot break the running intersection property; hook
-    # each further piece by its lowest-degree cluster to the lowest-degree
-    # cluster of the pieces before it.
-    comp = [-1] * n
-    reps: list[int] = []
-    for s in range(n):
-        if comp[s] >= 0:
-            continue
-        reps.append(s)
-        stack = [s]
-        comp[s] = s
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if comp[w] < 0:
-                    comp[w] = s
-                    stack.append(w)
-    for rep in reps[1:]:
-        a = min((u for u in range(n) if comp[u] < rep and len(adj[u]) < 3),
-                key=lambda u: (len(adj[u]), u))
-        b = min((u for u in range(n) if comp[u] == rep and len(adj[u]) < 3),
-                key=lambda u: (len(adj[u]), u))
-        adj[a].add(b)
-        adj[b].add(a)
-        edges.append((a, b))
-
-    return BinaryJoinTree(scopes, sorted((min(e), max(e)) for e in edges))
 
 
 def validate_tree(tree: BinaryJoinTree, net: ErrorModelNet) -> list[str]:

@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .jointree import BinaryJoinTree
-from .model import ErrorModelNet
+from .model import ErrorModelNet, VarClass
 from .propagate import Propagator
 from .valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
 
@@ -204,7 +204,8 @@ class _Search:
         net, evid = q.net, q.evid_o
         prop = Propagator(q.tree, net) if prop is None else check_propagator(prop, q.tree, net)
         self.q, self.prune, self.on_bound = q, prune, on_bound
-        t, cone = cone_table(prop, {v: s for v, s in evid.items() if v not in net.input_vars})
+        t, cone = cone_table(prop, {v: s for v, s in evid.items()
+                                        if net.vars[v].klass is not VarClass.INPUT})
         ranked = sorted(cone)
         t = t.reshape((2,) * len(ranked) + (-1,))[tuple(evid.get(v, slice(None)) for v in ranked)]
         free = [v for v in ranked if v not in evid]

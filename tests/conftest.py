@@ -14,7 +14,7 @@ CORPUS_SEED = 20250814
 CORPUS_SIZE = 200
 CORPUS_EPS = (0.01, 0.05, 0.1, 0.2)
 
-# two independent cones, so the join tree has to be bridged
+# two independent cones, so the join tree's pieces have to be chained
 DISCONNECTED = parse_bench(
     "INPUT(a)\nINPUT(b)\nOUTPUT(x)\nOUTPUT(y)\nx = NOT(a)\ny = NOT(b)\n")
 

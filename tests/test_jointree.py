@@ -5,7 +5,7 @@ import pytest
 
 from conftest import DISCONNECTED, perfbench_circuits
 from maxerr import jointree
-from maxerr.circuit import parse_bench
+from maxerr.circuit import Circuit, parse_bench
 from maxerr.jointree import (BinaryJoinTree, InvalidOrderError, build_tree,
                              check_order, choose_order, moral_graph,
                              order_width, validate_tree)
@@ -250,6 +250,35 @@ def test_every_cptless_cluster_has_three_neighbors(c17, corpus):
         tree = build_tree(net)
         assert [u for u in range(net.n_vars, tree.n_clusters)
                 if len(tree.neighbors[u]) != 3] == []
+
+
+def test_pieces_are_chained_by_their_lowest_clusters(c17, corpus):
+    # the fusion joins only clusters sharing a variable; the links between
+    # its pieces share none and run from each piece's lowest cluster id to
+    # the next one up
+    padded = [Circuit(c17.inputs + tuple("u%d" % i for i in range(m)), c17.gates,
+                      c17.outputs) for m in (59, 1100)]
+    for c in [DISCONNECTED] + padded + corpus:
+        net = build_error_model(c, 0.05)
+        tree = build_tree(net)
+        piece = list(range(tree.n_clusters))
+
+        def find(u):
+            while piece[u] != u:
+                u = piece[u]
+            return u
+
+        links = []
+        for a, b in tree.edges:
+            if tree.scopes[a] & tree.scopes[b]:
+                ra, rb = find(a), find(b)
+                piece[max(ra, rb)] = min(ra, rb)
+            else:
+                links.append((a, b))
+        lows = sorted({find(u) for u in range(tree.n_clusters)})
+        assert links == list(zip(lows, lows[1:]))
+        assert all(u < net.n_vars for u in lows)
+        assert validate_tree(tree, net) == []
 
 
 def test_input_only_outputs_still_build():
