@@ -23,18 +23,18 @@ children share the node's table and tie; it costs the table no axis.
 Held inputs are sliced, not searched, and each input outside the cone
 enters by its prior 1/2.
 
-A pruned walk enters only the better child of each node, state 1 only
-when its bound beats state 0's by more than a relative hair.  Values
-within that hair tie and go to state 0, so the path ends at the
-smallest tied optimum along the branching order, and float noise among
-tied values (an XOR chain fails on an odd number of gate faults whatever
-its inputs) does not move it.  Every bound is exact, so the leaf is
-optimal.  An unpruned walk visits every node and keeps the best leaf by
-the same tie rule.  Over an eps grid (``net.batch == (B,)``) one walk
-serves every member: members that take the same path descend together
-on views of the table, so each gets the path and node counts of a walk
-at its eps alone.  The walk keeps the members on the table's last axis,
-as the reads lay them out (``propagate``).
+The walk enters only the better child of each node, state 1 only when
+its bound beats state 0's by more than a relative hair.  Values within
+that hair tie and go to state 0, so the path ends at the smallest tied
+optimum along the branching order, and float noise among tied values
+(an XOR chain fails on an odd number of gate faults whatever its
+inputs) does not move it.  Every bound is exact, so the leaf is optimal;
+unpruned, it is checked against every cell of the table.  Over an eps
+grid (``net.batch == (B,)``) one walk serves every member: members that
+take the same path descend together on views of the table, so each gets
+the path and node counts of a walk at its eps alone.  The walk keeps the
+members on the table's last axis, as the reads lay them out
+(``propagate``).
 """
 
 from __future__ import annotations
@@ -198,14 +198,12 @@ class _Search:
     member the best leaf and its key.  Cells are P(vector, evidence)
     times 2^-``shift``, the priors of the inputs outside the cone."""
 
-    def __init__(self, q: MapQuery, prune: bool,
-                 on_bound: Callable[[dict, float | list[float]], None] | None,
-                 prop: Propagator | None = None):
+    def __init__(self, q: MapQuery, prop: Propagator | None = None):
         net, evid = q.net, q.evid_o
         prop = Propagator(q.tree, net) if prop is None else check_propagator(prop, q.tree, net)
-        self.q, self.prune, self.on_bound = q, prune, on_bound
-        t, cone = cone_table(prop, {v: s for v, s in evid.items()
-                                        if net.vars[v].klass is not VarClass.INPUT})
+        self.q, self.evid = q, {v: s for v, s in evid.items()
+                                if net.vars[v].klass is not VarClass.INPUT}
+        t, cone = cone_table(prop, self.evid)
         ranked = sorted(cone)
         t = t.reshape((2,) * len(ranked) + (-1,))[tuple(evid.get(v, slice(None)) for v in ranked)]
         free = [v for v in ranked if v not in evid]
@@ -229,41 +227,45 @@ class _Search:
         (its sub-table): the maxima of its two halves, shape (2, members)."""
         return t.max(axis=tuple(range(1, t.ndim - 1)))
 
-    def offer(self, m: int, key: tuple[int, ...], value: float) -> None:
-        """Member ``m``'s complete assignment ``key`` (states along
-        ``var_order``) at its exact value."""
-        best = self.best[m]
-        if value > best * (1.0 + PRUNE_TOL) or \
-                (value >= best * (1.0 - PRUNE_TOL) and key < self.best_key[m]):
-            self.best[m] = value
-            self.best_key[m] = key
-
-    def walk(self) -> None:
+    def walk(self, on_bound: Callable[[dict, float | list[float]], None] | None) -> None:
         order = self.q.var_order
         stack = [(self.table, np.arange(len(self.best)), ())]
         while stack:    # a node: its sub-table over the members that entered it
             t, group, key = stack.pop()
-            if len(key) == len(order):    # a complete assignment: the cells are exact
+            if len(key) == len(order):    # the members' one leaf: its cells are exact
                 for m, cell in zip(group.tolist(), t.tolist()):
-                    self.offer(m, key, cell)
+                    if cell > self.best[m] * (1.0 + PRUNE_TOL):
+                        self.best[m], self.best_key[m] = cell, key
                 continue
             tie = self.tie[len(key)]    # both children share the node's table
             u = self.bound(np.broadcast_to(t, (2,) + t.shape) if tie else t)
-            if self.on_bound is not None:
+            if on_bound is not None:
                 for s in (0, 1):
-                    self.on_bound(dict(zip(order, key + (s,))), self.scaled(u[s].tolist()))
-            one = u[1] > u[0] * (1.0 + PRUNE_TOL)
-            # every member takes its better child first, ties state 0;
-            # unpruned, then the other
-            visits = [(0, ~one), (1, one)]
-            if not self.prune:
-                visits += [(1, ~one), (0, one)]
-            for s, sel in reversed(visits):
+                    on_bound(dict(zip(order, key + (s,))), self.scaled(u[s].tolist()))
+            one = u[1] > u[0] * (1.0 + PRUNE_TOL)    # ties take state 0
+            for s, sel in ((1, one), (0, ~one)):
                 child = t if tie else t[s]
                 if sel.all():
                     stack.append((child, group, key + (s,)))
                 elif sel.any():
                     stack.append((child[..., sel], group[sel], key + (s,)))
+
+    def audit(self, on_bound: Callable[[dict, float | list[float]], None] | None) -> None:
+        """``RuntimeError`` if a member's table maximum beats its best leaf by
+        over a ``PRUNE_TOL`` per table axis; ``on_bound`` gets every node's bound."""
+        peaks = [self.table]    # peaks[n]: maxima over all but the first n axes, the bounds
+        for axis in reversed(range(self.table.ndim - 1)):
+            peaks.insert(0, peaks[0].max(axis=axis))
+        for m, (top, leaf) in enumerate(zip(peaks[0].tolist(), self.best)):
+            if top > leaf * (1.0 + PRUNE_TOL) ** (len(peaks) - 1):
+                raise RuntimeError("a cone cell beats the descent on %s%s" % (
+                    ", ".join(self.q.net.vars[v].name for v in self.evid),
+                    " (member %d)" % m if self.q.net.batch else ""))
+        for level in range(len(self.tie) if on_bound is not None else 0):
+            axes = [i for i in range(level + 1) if not self.tie[i]]
+            for key in np.ndindex((2,) * (level + 1)):
+                u = peaks[len(axes)][tuple(key[i] for i in axes)]
+                on_bound(dict(zip(self.q.var_order, key)), self.scaled(u.tolist()))
 
 
 def seed(q: MapQuery,
@@ -271,7 +273,7 @@ def seed(q: MapQuery,
     """The all-zero assignment and its exact probability, a lower bound
     on the optimum (one per member over an eps grid): the all-zero cell
     of the walk's table.  ``prop`` is shared as in ``search``."""
-    s = _Search(q, False, None, prop)
+    s = _Search(q, prop)
     return {v: 0 for v in q.var_order}, s.scaled(s.zero())
 
 
@@ -281,14 +283,15 @@ def search(q: MapQuery, prune: bool = True,
     """Exact worst-vector walk, one result per member of ``q.net`` (one
     in all for a network at a single eps).
 
-    ``on_bound`` (assignment, bound) fires, for auditing, for both
-    children of every node the walk enters; the bound is a float, or a
-    list over the members that entered the node.  With ``prune`` each
-    member descends along one path: 1 + 2d nodes expanded and d pruned
-    over the d inputs not in ``q.evid_o``; without, the walk visits all
-    2^(d+1) - 1 nodes.  Ties (values within a relative ``PRUNE_TOL``)
-    resolve to the lexicographically smallest assignment along
-    ``q.var_order``, and ``p_map`` is that assignment's value.
+    Each member descends along one path: 1 + 2d nodes expanded and d
+    pruned over the d inputs not in ``q.evid_o``; unpruned, its leaf is
+    checked against the whole cone table and the counts are the full
+    tree's, 2^(d+1) - 1 and 0.  ``on_bound`` (assignment, bound) fires,
+    for auditing, for both children of every node the walk enters, or
+    unpruned of every node, a level at a time over every member; the
+    bound is a float, or a list over the members.  Ties (values within a
+    relative ``PRUNE_TOL``) resolve to the lexicographically smallest
+    assignment along ``q.var_order``, and ``p_map`` is its value.
 
     ``prop`` shares a propagator over ``q.tree`` and ``q.net`` between
     queries (``ValueError`` otherwise); the answer does not change, since
@@ -296,13 +299,15 @@ def search(q: MapQuery, prune: bool = True,
     ``use_seed`` starts every member's best leaf at the all-zero
     assignment (``seed``).
     """
-    s = _Search(q, prune, on_bound, prop)
+    s = _Search(q, prop)
     d = len(q.var_order)
     seeds: list[float | None] = [None] * len(s.best)
     if use_seed:
         seeds = s.zero()
         s.best, s.best_key = list(seeds), [(0,) * d] * len(seeds)
-    s.walk()
+    s.walk(on_bound if prune else None)
+    if not prune:
+        s.audit(on_bound)
     expanded, pruned = (1 + 2 * d, d) if prune else ((2 << d) - 1, 0)
     return [MapResult(dict(zip(q.var_order, key)), math.ldexp(best, s.shift), best, expanded,
                       pruned, None if sv is None else math.ldexp(sv, s.shift))

@@ -1,5 +1,5 @@
-"""Worst-vector search (one exact descent, or the full walk) against the
-enumeration oracle."""
+"""Worst-vector search (one exact descent, audited against its whole
+table or not) against the enumeration oracle."""
 
 import itertools
 
@@ -10,8 +10,8 @@ from conftest import perfbench_circuits
 from maxerr import jointree
 from maxerr.circuit import all_input_vectors, index_vector, parse_bench, vector_index
 from maxerr.jointree import build_tree
-from maxerr.mapsearch import (MapQuery, MapResult, _cones, _holder, _Search, seed,
-                              solve, var_order_heuristic)
+from maxerr.mapsearch import (MapQuery, MapResult, _cones, _holder, _Search, search,
+                              seed, solve, var_order_heuristic)
 from maxerr.model import build_error_model, joint_prob
 from maxerr.oracle import FaultEnumerator, exact_map
 from maxerr.propagate import Propagator
@@ -90,8 +90,12 @@ def test_no_prune_visits_full_tree(c17):
 
 
 def test_pruning_and_seeding_do_not_change_answer(corpus):
-    for circuit in [SMALL] + corpus[:8]:
-        q = _query(circuit)
+    pb = perfbench_circuits()
+    rca8 = pb.ripple_carry_adder(8)
+    queries = [_query(circuit) for circuit in [SMALL] + corpus[:8]]
+    # seeded rca8 at cout, whose cone is all 17 inputs
+    queries.append(_query(rca8, rca8.n_outputs - 1, pb.seeded_eps(rca8, 0)))
+    for q in queries:
         runs = [solve(q, use_seed=s, prune=p)
                 for s in (True, False) for p in (True, False)]
         vectors = {_vector_of(q, r) for r in runs}
@@ -131,6 +135,23 @@ def test_search_reads_one_bound_per_inner_node(c17, corpus, monkeypatch):
                 calls[0] = 0
                 r = solve(q, use_seed=use_seed)
                 assert calls[0] == r.nodes_pruned == (r.nodes_expanded - 1) // 2
+
+
+def test_unpruned_audit_catches_a_wrong_descent(c17, monkeypatch):
+    # the audit takes its maxima from the table, not through ``bound``:
+    # with each node's halves swapped the descent takes the worse child,
+    # the pruned answer drops, and the unpruned search raises, naming the
+    # query and, over an eps grid, the member
+    q = _query(c17)
+    grid = _query(c17, eps=[0.02, EPS])
+    right = solve(q)
+    bound = _Search.bound
+    monkeypatch.setattr(_Search, "bound", lambda self, t: bound(self, t)[::-1])
+    assert solve(q).p_map < right.p_map
+    with pytest.raises(RuntimeError, match=r"descent on err:22$"):
+        solve(q, prune=False)
+    with pytest.raises(RuntimeError, match=r"descent on err:22 \(member 0\)$"):
+        search(grid, prune=False)
 
 
 def test_pruning_reduces_work(c17):
