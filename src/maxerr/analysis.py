@@ -209,13 +209,13 @@ def sweep(c: Circuit, grid, refine: bool = False,
           width_limit: int = DEFAULT_WIDTH_LIMIT) -> SweepCurve:
     """Max/avg error across a gate error probability grid.
 
-    The whole grid is one network whose tables end in an eps axis
-    (``build_error_model`` over the grid, ``propagate``), searched and
-    read in batched passes on one join tree, in chunks of
-    ``_chunk_size`` values; each pass's average reads on the propagator
-    its search filled.
+    One model and join tree are built, at the grid's first value
+    (``prepare``).  Each chunk of ``_chunk_size`` values runs on ``net.at``
+    the chunk, whose eps-dependent tables end in an eps axis
+    (``propagate``): one batched search, then the average read on the
+    propagator the search filled.
     ``refine`` bisects the first 0.5 crossing of max_error down to
-    +-1e-4 in eps on the same tree (``_bisect``).  The grid must
+    +-1e-4 in eps on the same model and tree (``_bisect``).  The grid must
     be non-empty, strictly increasing and inside [0, 0.5]; every value
     is checked before anything is built (``ValueError`` otherwise), so
     the first crossing is the lowest eps on it and brackets the
@@ -229,13 +229,13 @@ def sweep(c: Circuit, grid, refine: bool = False,
         raise ValueError("eps grid value %r outside [0, 0.5]" % bad[0])
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("eps grid must be strictly increasing")
-    net, tree = prepare(c, grid, width_limit)
+    net, tree = prepare(c, grid[0], width_limit)
     size = _chunk_size(tree, width_limit)
 
     points: list[SweepPoint] = []
     for lo in range(0, len(grid), size):
         part = grid[lo:lo + size]
-        part_net = net if len(part) == len(grid) else build_error_model(c, part)
+        part_net = net.at(part)
         prop = Propagator(tree, part_net)
         reports = max_errors(part_net, tree, prop=prop)
         avg = avg_error(part_net, tree, prop).tolist()
@@ -248,19 +248,19 @@ def sweep(c: Circuit, grid, refine: bool = False,
         curve.error_bound = points[crossing].epsilon
         if refine:
             lo = points[crossing - 1].epsilon if crossing else 0.0
-            curve.refined_bound = _bisect(c, tree, lo, points[crossing].epsilon, size)
+            curve.refined_bound = _bisect(net, tree, lo, points[crossing].epsilon, size)
     return curve
 
 
 REFINE_LEVELS = 5   # bisection steps batched into one pass (31 points)
 
 
-def _bisect(c: Circuit, tree: BinaryJoinTree, lo: float, hi: float, size: int) -> float:
+def _bisect(net: ErrorModelNet, tree: BinaryJoinTree, lo: float, hi: float, size: int) -> float:
     """Bisect [lo, hi] down to +-1e-4 around the first eps whose
     max_error reaches 0.5.  The midpoints the next ``REFINE_LEVELS``
     steps could visit (at most ``size`` of them) are computed as the
-    steps compute them and run in one batched pass; the steps then read
-    their answers from it."""
+    steps compute them and run in one batched pass, on ``net.at`` those
+    midpoints; the steps then read their answers from it."""
     levels = min(REFINE_LEVELS, (size + 1).bit_length() - 1)
     while hi - lo > 2e-4:
         mids, stack = [], [(lo, hi, levels)]
@@ -271,7 +271,7 @@ def _bisect(c: Circuit, tree: BinaryJoinTree, lo: float, hi: float, size: int) -
                 mids.append(mid)
                 stack += [(a, mid, depth - 1), (mid, b, depth - 1)]
         crossed = {mid: rep.max_error >= 0.5
-                   for mid, rep in zip(mids, max_errors(build_error_model(c, mids), tree))}
+                   for mid, rep in zip(mids, max_errors(net.at(mids), tree))}
         for _ in range(levels):
             if hi - lo <= 2e-4:
                 break

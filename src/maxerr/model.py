@@ -10,8 +10,8 @@ outputs.
 One id names a variable and everything kept for it: ``net.cpts[v]`` is
 variable ``v``'s CPT, ``net.potentials[v]`` that CPT as a valuation, and
 a join tree holds it in cluster ``v`` (``jointree``).  The potentials are
-built once per network and shared, never written, by every tree and
-propagator on it.
+shared, never written, by every tree and propagator on the network, and
+``net.at(eps)`` shares all but the eps-dependent ones, which it builds.
 
 A gate with error rate eps emits the complement of its correct output
 with probability 2*eps, so eps = 0.25 makes the gate a fair coin and
@@ -26,6 +26,7 @@ P(output wrong | inputs) = 2^k P(inputs, output wrong), ``p_error``.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 from enum import Enum
@@ -144,6 +145,14 @@ def _xor_cpt(child: Var, parents: tuple[Var, ...], batch: tuple[int, ...]) -> Cp
     return Cpt(child, parents, np.broadcast_to(table, batch + table.shape) if batch else table)
 
 
+def _eps_cpts(c: Circuit, heads, eps_map: dict, batch: tuple[int, ...]) -> list[Cpt]:
+    """The CPTs that depend on eps: the G error-prone gates', then the n
+    comparators', from each one's (child, parents) in ``heads``."""
+    return ([cpt_for_gate(g.func, len(g.fanin), eps_map[gi], True, *heads[gi])
+             for gi, g in enumerate(c.gates)]
+            + [_xor_cpt(child, parents, batch) for child, parents in heads[c.n_gates:]])
+
+
 class ErrorModelNet:
     """The assembled network, its circuit and its comparator variables.
 
@@ -151,7 +160,8 @@ class ErrorModelNet:
     structure at once (its members): ``batch`` is ``(B,)``, the
     error-prone gate and comparator CPTs carry a leading axis of length
     B, and their potentials a trailing one.  A network at one eps or eps
-    map has ``batch == ()``, the single-member case.
+    map has ``batch == ()``, the single-member case.  ``at`` gives the
+    same structure at another eps and shares every potential but those.
     """
 
     def __init__(self, circuit: Circuit, vars: list[Var], cpts: list[Cpt],
@@ -174,6 +184,19 @@ class ErrorModelNet:
 
     def comparator_of(self, output_name: str) -> int:
         return self.comparators[self.circuit.outputs.index(output_name)]
+
+    def at(self, eps) -> ErrorModelNet:
+        """This network at another eps, in any form ``build_error_model``
+        takes: only the error-prone gate and comparator CPTs are built;
+        ``vars``, the other CPTs and their potentials are this network's."""
+        eps_map, batch = _normalize_eps(self.circuit, eps)
+        fixed = self.circuit.n_inputs + self.circuit.n_gates
+        built = _eps_cpts(self.circuit, [(cpt.child, cpt.parents) for cpt in self.cpts[fixed:]],
+                          eps_map, batch)
+        net = copy.copy(self)
+        net.batch, net.cpts = batch, self.cpts[:fixed] + tuple(built)
+        net.potentials = self.potentials[:fixed] + [cpt.to_valuation() for cpt in built]
+        return net
 
 
 def _normalize_eps(c: Circuit, eps) -> tuple[dict, tuple[int, ...]]:
@@ -251,21 +274,16 @@ def build_error_model(c: Circuit, eps) -> ErrorModelNet:
     for gi, g in enumerate(c.gates):
         parents = tuple(vars[ideal_of[n]] for n in g.fanin)
         cpts.append(cpt_for_gate(g.func, len(g.fanin), 0.0, False, vars[k + gi], parents))
-    for gi, g in enumerate(c.gates):
-        parents = tuple(vars[faulty_of[n]] for n in g.fanin)
-        cpts.append(cpt_for_gate(g.func, len(g.fanin), eps_map[gi], True,
-                                 vars[k + G + gi], parents))
-    comparators = []
+    heads = [(vars[k + G + gi], tuple(vars[faulty_of[n]] for n in g.fanin))
+             for gi, g in enumerate(c.gates)]
     for oi, name in enumerate(c.outputs):
-        child = vars[k + 2 * G + oi]
         a, b = ideal_of[name], faulty_of[name]
         # An output fed straight from a primary input has identical twins;
         # the comparator is then the constant 0.
-        parents = (vars[a],) if a == b else (vars[a], vars[b])
-        cpts.append(_xor_cpt(child, parents, batch))
-        comparators.append(child.id)
-
-    return ErrorModelNet(c, vars, cpts, tuple(comparators), batch)
+        heads.append((vars[k + 2 * G + oi], (vars[a],) if a == b else (vars[a], vars[b])))
+    cpts += _eps_cpts(c, heads, eps_map, batch)
+    comparators = tuple(range(k + 2 * G, len(vars)))
+    return ErrorModelNet(c, vars, cpts, comparators, batch)
 
 
 def joint_prob(net: ErrorModelNet, assignment: Sequence[int]) -> float:

@@ -22,11 +22,11 @@ factor is the network's potential ``v`` times the indicator of the
 evidence on ``v``; the clusters from ``net.n_vars`` up have none.  A
 propagator checks that cluster ``v`` has CPT ``v``'s scope for every
 variable, and so takes any tree built on a network of the same circuit,
-at any eps.  Setting evidence on a variable walks from its cluster,
-dropping the cached messages whose sending side holds that cluster (the
-walk follows edge ids and stops at uncached edges), then replaces that
-cluster's factor; the potentials, built once per network and shared by
-every tree and propagator on it, are never written.
+at any eps (``net.at``).  Setting evidence on a variable walks from its
+cluster, dropping the cached messages whose sending side holds that
+cluster (the walk follows edge ids and stops at uncached edges), then
+replaces that cluster's factor; the potentials, built once per network
+and shared by every tree and propagator on it, are never written.
 
 Messages and reads run from plans compiled on first use and kept on the
 tree, so every propagator, evidence change and eps value on that tree

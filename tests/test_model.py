@@ -60,13 +60,19 @@ def test_eps_validation():
 
 @pytest.mark.parametrize("eps", [-3.0, float("nan"), 0.7])
 def test_eps_is_checked_without_any_gate(eps):
-    # no gate CPT is built here, so the model itself must reject the eps
+    # no gate CPT is built here, so the model itself must reject the eps,
+    # built or derived with ``at``, and leave the net ``at`` is called on as it was
     wire = parse_bench("INPUT(a)\nOUTPUT(a)\n")
-    for form in (eps, [0.05, eps]):
+    wire_net, and_net = build_error_model(wire, 0.05), build_error_model(AND2, 0.05)
+    nets = (wire_net, and_net)
+    before = [(net.batch, net.cpts, list(net.potentials)) for net in nets]
+    calls = [(lambda e: build_error_model(wire, e), form) for form in (eps, [0.05, eps])]
+    calls += [(wire_net.at, form) for form in (eps, [0.05, eps])]
+    calls += [(lambda e: build_error_model(AND2, e), {0: eps}), (and_net.at, {0: eps})]
+    for build, form in calls:
         with pytest.raises(ValueError, match="gate error probability .* outside"):
-            build_error_model(wire, form)
-    with pytest.raises(ValueError, match="gate error probability .* outside"):
-        build_error_model(AND2, {0: eps})
+            build(form)
+    assert [(net.batch, net.cpts, net.potentials) for net in nets] == before
 
 
 def test_cpt_column_tolerance_is_allclose_default():

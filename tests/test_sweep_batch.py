@@ -123,6 +123,45 @@ def test_batched_model_cells_equal_the_scalar_model(c17):
             table = a.table[m] if a.table.ndim > b.table.ndim else a.table
             assert table.tobytes() == b.table.tobytes()
 
+    # ``at`` builds the eps-dependent tables as build_error_model does and
+    # shares the rest, potentials included, with the network it derives from
+    adders = perfbench_circuits()
+    rca4 = adders.ripple_carry_adder(4)
+    for c, was, eps in [(rca4, GRID12, 0.05), (rca4, 0.05, GRID12),
+                        (rca4, GRID12[:3], adders.seeded_eps(rca4, 0)),
+                        (GATE_FREE, GRID12, 0.05), (GATE_FREE, 0.05, GRID12)]:
+        net = build_error_model(c, was)
+        at, built = net.at(eps), build_error_model(c, eps)
+        assert (at.batch, at.comparators) == (built.batch, built.comparators)
+        assert len(at.cpts) == len(built.cpts) == len(at.potentials) == len(built.potentials)
+        for a, b in zip(at.cpts, built.cpts):
+            assert a.table.shape == b.table.shape and a.table.tobytes() == b.table.tobytes()
+        for a, b in zip(at.potentials, built.potentials):
+            assert a.scope == b.scope and a.table.tobytes() == b.table.tobytes()
+        assert at.vars is net.vars
+        for v in range(c.n_inputs + c.n_gates):    # inputs and the error-free copy
+            assert at.cpts[v] is net.cpts[v] and at.potentials[v] is net.potentials[v]
+
+
+def test_sweep_builds_the_model_once(c17, monkeypatch):
+    # every chunk and bisection pass runs on ``net.at`` of the one model
+    calls = [0]
+    build = analysis.build_error_model
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "build_error_model", counted)
+    assert sweep(c17, GRID12, refine=True).refined_bound is not None
+    assert calls[0] == 1
+    # 4 chunks of 3 and bisection passes of 3 midpoints
+    monkeypatch.setattr(analysis, "_chunk_size", lambda tree, limit: 3)
+    calls[0] = 0
+    rca4 = perfbench_circuits().ripple_carry_adder(4)
+    assert sweep(rca4, GRID12, refine=True).refined_bound is not None
+    assert calls[0] == 1
+
 
 @pytest.mark.parametrize("grid, bad", [([0.1, 0.6], "0.6"),
                                        ([0.01, 0.02, float("nan")], "nan"),
