@@ -198,11 +198,10 @@ def avg_error(net: ErrorModelNet, tree: BinaryJoinTree, prop: Propagator | None 
 BATCH_CELLS_LOG2 = 19
 
 
-def _chunk_size(tree: BinaryJoinTree, width_limit: int) -> int:
+def _chunk_size(tree: BinaryJoinTree) -> int:
     """Grid values per batched pass: B x 2^width cells stay within
-    2^BATCH_CELLS_LOG2 and within the 2^width_limit that the width
-    limit allows one cluster, but B is at least 1."""
-    return 1 << max(0, min(BATCH_CELLS_LOG2, width_limit) - tree.width)
+    2^BATCH_CELLS_LOG2 and within 2^tree.width_limit, but B is at least 1."""
+    return 1 << max(0, min(BATCH_CELLS_LOG2, tree.width_limit) - tree.width)
 
 
 def sweep(c: Circuit, grid, refine: bool = False,
@@ -230,7 +229,7 @@ def sweep(c: Circuit, grid, refine: bool = False,
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("eps grid must be strictly increasing")
     net, tree = prepare(c, grid[0], width_limit)
-    size = _chunk_size(tree, width_limit)
+    size = _chunk_size(tree)
 
     points: list[SweepPoint] = []
     for lo in range(0, len(grid), size):
@@ -248,20 +247,20 @@ def sweep(c: Circuit, grid, refine: bool = False,
         curve.error_bound = points[crossing].epsilon
         if refine:
             lo = points[crossing - 1].epsilon if crossing else 0.0
-            curve.refined_bound = _bisect(net, tree, lo, points[crossing].epsilon, size)
+            curve.refined_bound = _bisect(net, tree, lo, points[crossing].epsilon)
     return curve
 
 
 REFINE_LEVELS = 5   # bisection steps batched into one pass (31 points)
 
 
-def _bisect(net: ErrorModelNet, tree: BinaryJoinTree, lo: float, hi: float, size: int) -> float:
+def _bisect(net: ErrorModelNet, tree: BinaryJoinTree, lo: float, hi: float) -> float:
     """Bisect [lo, hi] down to +-1e-4 around the first eps whose
     max_error reaches 0.5.  The midpoints the next ``REFINE_LEVELS``
-    steps could visit (at most ``size`` of them) are computed as the
-    steps compute them and run in one batched pass, on ``net.at`` those
-    midpoints; the steps then read their answers from it."""
-    levels = min(REFINE_LEVELS, (size + 1).bit_length() - 1)
+    steps could visit (at most ``_chunk_size`` of them) are computed as
+    the steps compute them and run in one batched pass, on ``net.at``
+    those midpoints; the steps then read their answers from it."""
+    levels = min(REFINE_LEVELS, (_chunk_size(tree) + 1).bit_length() - 1)
     while hi - lo > 2e-4:
         mids, stack = [], [(lo, hi, levels)]
         while stack:
@@ -305,6 +304,7 @@ def spectrum(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT) -> Spectru
     table = np.empty((2,) * c.n_inputs + (len(net.comparators),))
     for j, comp in enumerate(net.comparators):
         wrong, cone = cone_table(prop, {comp: 1})
+        # right + wrong, not 2^-|cone|: two reads that round alike give the nearer ratio
         right, _ = cone_table(prop, {comp: 0})
         # a read's axes follow its sorted scope, and input ids ascend
         table[..., j] = (wrong / (right + wrong)).reshape(

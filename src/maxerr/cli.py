@@ -9,9 +9,9 @@ timing and diagnostics go to stderr so repeated runs with the same
 arguments produce byte-identical files.
 
 Exit codes: 0 success, 1 circuit parse error or an input file that
-cannot be read, 2 usage, resource limit (join tree width, enumeration
-caps) or an ``--output`` file that cannot be written, 3 evidence
-unreachable on every output.
+cannot be read, 2 usage, resource limit (a cluster or joint cone past
+``--width-limit``, enumeration caps) or an ``--output`` file that
+cannot be written, 3 evidence unreachable on every output.
 """
 
 from __future__ import annotations
@@ -322,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write here instead of stdout")
         if tree:
             p.add_argument("--width-limit", type=int, default=DEFAULT_WIDTH_LIMIT,
-                           help="abort if a join tree cluster exceeds this many variables")
+                           help="abort if a tree cluster or joint cone holds more variables")
         if explain:
             p.add_argument("--explain", action="store_true",
                            help="dump elimination order, tree and node counts to stderr")

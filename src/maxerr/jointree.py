@@ -164,7 +164,7 @@ class BinaryJoinTree:
         for nb in self.neighbors:
             nb.sort()
         self.width = max(map(len, scopes), default=0)
-        self.order = None           # the elimination order, set by build_tree
+        self.order, self.width_limit = None, DEFAULT_WIDTH_LIMIT    # set by build_tree
         # compiled lazily by propagators: the numbered directed edges, and
         # per grid-axis prefix {edge id or (read cluster, kept variables): plan};
         # by worst-vector walks: per tuple of evidenced variables, their cones
@@ -200,8 +200,8 @@ def build_tree(net: ErrorModelNet, order: tuple[int, ...] | None = None,
     (independent cones) are chained in ascending order of their lowest
     cluster ids.  A piece's lowest cluster is a CPT's, with at most one
     fusion edge, so the chain keeps every degree at three or less.
-    Raises WidthLimitError when the largest cluster would exceed
-    ``width_limit`` variables.
+    Raises WidthLimitError when a cluster would exceed ``width_limit``
+    variables, which ``tree.width_limit`` keeps for every table built on it.
     """
     if order is None:
         order = choose_order(net)
@@ -247,7 +247,7 @@ def build_tree(net: ErrorModelNet, order: tuple[int, ...] | None = None,
     reps.sort()
     edges += zip(reps, reps[1:])
     tree = BinaryJoinTree(scopes, sorted(edges))
-    tree.order = order
+    tree.order, tree.width_limit = order, width_limit
     if tree.width > width_limit:
         raise WidthLimitError(tree.width, width_limit, "largest cluster in the tree")
     return tree

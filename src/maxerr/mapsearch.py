@@ -48,7 +48,7 @@ import numpy as np
 from .jointree import BinaryJoinTree
 from .model import ErrorModelNet, VarClass
 from .propagate import Propagator
-from .valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
+from .valuation import WidthLimitError
 
 PRUNE_TOL = 1e-12   # relative; closer values tie
 
@@ -158,7 +158,7 @@ def cone_table(prop: Propagator, evid: dict[int, int]) -> tuple[np.ndarray, froz
     order followed by the grid axis if any, and the cone.  ``ValueError``
     when no cluster holds the cone of a group of the evidence;
     ``WidthLimitError`` when no cluster holds the union and it has more
-    than ``DEFAULT_WIDTH_LIMIT`` inputs."""
+    inputs than the tree's ``width_limit``."""
     net, tree = prop.net, prop.tree
     groups = _cones(tree, net, evid)
     cone = frozenset().union(*(part for _, part in groups))
@@ -171,14 +171,15 @@ def cone_table(prop: Propagator, evid: dict[int, int]) -> tuple[np.ndarray, froz
         if gid is None:
             raise ValueError("no cluster holds the cone inputs of "
                              + ", ".join(net.vars[v].name for v in roots))
-    if len(cone) > DEFAULT_WIDTH_LIMIT:
-        raise WidthLimitError(len(cone), DEFAULT_WIDTH_LIMIT, "union of a joint query's cones")
+    if len(cone) > tree.width_limit:
+        raise WidthLimitError(len(cone), tree.width_limit, "union of a joint query's cones")
     ranked = sorted(cone)
     table = 1.0
     for (roots, part), gid in zip(groups, holders):
         prop.set_evidence({v: evid[v] for v in roots})
         wrong = prop.belief(gid, part).table
         prop.set_evidence({})
+        # read P(part) too, not 2^-|part|: two reads that round alike give the nearer ratio
         ratio = wrong / prop.belief(gid, part).table
         table = table * ratio.reshape(tuple(2 if v in part else 1 for v in ranked) + net.batch)
     return np.ldexp(table, -len(cone)), cone
@@ -268,12 +269,11 @@ class _Search:
                 on_bound(dict(zip(self.q.var_order, key)), self.scaled(u.tolist()))
 
 
-def seed(q: MapQuery,
-         prop: Propagator | None = None) -> tuple[dict[int, int], float | list[float]]:
+def seed(q: MapQuery) -> tuple[dict[int, int], float | list[float]]:
     """The all-zero assignment and its exact probability, a lower bound
     on the optimum (one per member over an eps grid): the all-zero cell
-    of the walk's table.  ``prop`` is shared as in ``search``."""
-    s = _Search(q, prop)
+    of the walk's table, on a fresh propagator."""
+    s = _Search(q)
     return {v: 0 for v in q.var_order}, s.scaled(s.zero())
 
 
@@ -294,8 +294,9 @@ def search(q: MapQuery, prune: bool = True,
     assignment along ``q.var_order``, and ``p_map`` is its value.
 
     ``prop`` shares a propagator over ``q.tree`` and ``q.net`` between
-    queries (``ValueError`` otherwise); the answer does not change, since
-    a cached message depends only on the evidence on its sending side.
+    queries, as ``max_errors`` does (``ValueError`` otherwise); the
+    answer does not change, since a cached message depends only on the
+    evidence on its sending side.
     ``use_seed`` starts every member's best leaf at the all-zero
     assignment (``seed``).
     """
@@ -315,9 +316,8 @@ def search(q: MapQuery, prune: bool = True,
 
 
 def solve(q: MapQuery, use_seed: bool = False, prune: bool = True,
-          on_bound: Callable[[dict, float], None] | None = None,
-          prop: Propagator | None = None) -> MapResult:
-    """``search`` on a network at a single eps: its one result."""
+          on_bound: Callable[[dict, float], None] | None = None) -> MapResult:
+    """``search`` on a network at one eps, on a fresh propagator: its one result."""
     if q.net.batch:
         raise ValueError("solve takes a network at one eps; search takes an eps grid")
-    return search(q, prune, on_bound, prop, use_seed)[0]
+    return search(q, prune, on_bound, use_seed=use_seed)[0]

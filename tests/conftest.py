@@ -23,6 +23,26 @@ WIDE_AND = ("".join("INPUT(a%d)\n" % i for i in range(20))
             + "OUTPUT(z)\nz = AND(%s)\n" % ", ".join("a%d" % i for i in range(20)))
 
 
+def and_chains(n_a, n_b):
+    """.bench text of two gate-disjoint AND chains sharing input x: x and
+    a0..a{n_a - 1} into output y, x and b0..b{n_b - 1} into output z.
+    Each cone has a cluster; their union of 1 + n_a + n_b inputs has none."""
+    lines, names = [], []
+    for src, out, n in (("a", "y", n_a), ("b", "z", n_b)):
+        prev = "x"
+        for i in range(n):
+            names.append("%s%d" % (src, i))
+            gate = out if i == n - 1 else "%s%d" % (out, i)
+            lines.append("%s = AND(%s, %s)" % (gate, prev, names[-1]))
+            prev = gate
+    return ("".join("INPUT(%s)\n" % v for v in ["x"] + names)
+            + "OUTPUT(y)\nOUTPUT(z)\n" + "\n".join(lines) + "\n")
+
+
+# the 9-input pair: tree width 7, union cone 9
+CHAINS = and_chains(4, 4)
+
+
 @pytest.fixture(scope="session")
 def c17():
     return load_circuit(C17_PATH)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DISCONNECTED, WIDE_AND, perfbench_circuits
+from conftest import CHAINS, DISCONNECTED, WIDE_AND, and_chains, perfbench_circuits
 from maxerr import analysis, mapsearch
 from maxerr.analysis import (MAX_SPECTRUM_INPUTS, avg_error, cond_error, max_error,
                              prepare, spectrum, sweep)
@@ -392,6 +392,11 @@ def test_spectrum_rejects_a_cone_no_cluster_holds(monkeypatch):
 def test_prepare_forwards_width_limit(c17):
     with pytest.raises(WidthLimitError):
         prepare(c17, 0.05, width_limit=2)
+    # the tree keeps its limit, and a sweep's chunks follow it
+    for limit, cells_log2 in ((8, 8), (DEFAULT_WIDTH_LIMIT, analysis.BATCH_CELLS_LOG2)):
+        _, tree = prepare(c17, 0.05, width_limit=limit)
+        assert tree.width_limit == limit
+        assert analysis._chunk_size(tree) == 1 << (cells_log2 - tree.width)
 
 
 def test_prepare_rejects_a_wide_gate_before_building_the_model(c17, monkeypatch):
@@ -501,27 +506,29 @@ def test_joint_cones_no_cluster_holds_match_enumeration(corpus):
     assert split == 46
 
 
-def _and_chain(inputs, out):
-    lines, prev = [], inputs[0]
-    for i, name in enumerate(inputs[1:]):
-        gate = out if i == len(inputs) - 2 else "%s%d" % (out, i)
-        lines.append("%s = AND(%s, %s)" % (gate, prev, name))
-        prev = gate
-    return lines
-
-
 def test_joint_union_past_the_width_limit_raises():
-    # two gate-disjoint AND chains sharing one input: each cone has a
-    # cluster, the 26-input union has none and would not fit the limit
-    a = ["x"] + ["a%d" % i for i in range(13)]
-    b = ["x"] + ["b%d" % i for i in range(12)]
-    c = parse_bench("".join("INPUT(%s)\n" % n for n in a + b[1:]) + "OUTPUT(y)\nOUTPUT(z)\n"
-                    + "\n".join(_and_chain(a, "y") + _and_chain(b, "z")))
-    net, tree = prepare(c, 0.05)
+    # each cone has a cluster, the 26-input union has none and would not
+    # fit the limit
+    net, tree = prepare(parse_bench(and_chains(13, 12)), 0.05)
     assert len(mapsearch._cone_inputs(tree, net, net.comparators)) == 26 > DEFAULT_WIDTH_LIMIT
     assert not any(r.unreachable for r in max_error(net, tree).per_output)
     with pytest.raises(WidthLimitError):
         max_error(net, tree, joint=True)
+
+
+def test_joint_union_obeys_the_trees_width_limit():
+    # the holder-less joint product is bounded by the limit the tree was
+    # built with, in both directions
+    c = parse_bench(CHAINS)
+    net, tree = prepare(c, 0.05, width_limit=8)
+    union = mapsearch._cone_inputs(tree, net, net.comparators)
+    assert (tree.width, len(union)) == (7, 9)
+    assert mapsearch._holder(tree, union) is None
+    with pytest.raises(WidthLimitError) as exc:
+        max_error(net, tree, joint=True)
+    assert (exc.value.width, exc.value.limit) == (9, 8)
+    assert max_error(*prepare(c, 0.05, width_limit=9), joint=True) == \
+        max_error(*prepare(c, 0.05), joint=True)
 
 
 def _with_unused_inputs(c, m):

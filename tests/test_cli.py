@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import WIDE_AND
+from conftest import CHAINS, WIDE_AND
 from maxerr import cli
 from maxerr.analysis import spectrum, sweep
 from maxerr.circuit import to_bench
@@ -192,6 +192,19 @@ def test_width_limit_exits_2(capsys):
                        "--width-limit", "2")
     assert code == 2
     assert "too wide" in err
+
+
+def test_joint_union_past_the_width_limit_exits_2(tmp_path, capsys):
+    chains = tmp_path / "chains.bench"
+    chains.write_text(CHAINS)
+    args = ("analyze", str(chains), "--epsilon", "0.05", "--joint-evidence")
+    code, out, err = run(capsys, *args, "--width-limit", "8")
+    assert code == 2 and out == ""
+    assert "too wide" in err and "union of a joint query's cones" in err
+    last = "# max_error=0.087143 worst_vector=001110111 worst_output=*"
+    for limit in ([], ["--width-limit", "9"]):
+        code, out, _ = run(capsys, *args, *limit)
+        assert code == 0 and out.splitlines()[-1] == last
 
 
 def test_wide_gate_exits_2_before_the_model_is_built(tmp_path, capsys):

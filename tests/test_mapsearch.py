@@ -449,7 +449,7 @@ def test_seed_shares_the_search_propagator_silently(c17):
     prop = Propagator(q.tree, q.net)
     prop.set_evidence({v: 1 for v in q.net.input_vars})
     prop.query(q.net.input_vars[0])
-    assert seed(q, prop) == seed(q)
+    assert search(q, prop=prop, use_seed=True)[0].seed_value == seed(q)[1]
 
 
 def test_shared_propagator_gives_fresh_answers(c17, corpus):
@@ -463,7 +463,7 @@ def test_shared_propagator_gives_fresh_answers(c17, corpus):
         fresh = [solve(q) for q in queries]
         shared = Propagator(tree, net)
         for j in list(range(len(queries))) + list(reversed(range(len(queries)))):
-            assert solve(queries[j], prop=shared) == fresh[j]
+            assert search(queries[j], prop=shared)[0] == fresh[j]
 
 
 def test_foreign_propagator_rejected(c17):
@@ -471,9 +471,7 @@ def test_foreign_propagator_rejected(c17):
     other = build_error_model(c17, EPS)
     for prop in (Propagator(q.tree, other), Propagator(build_tree(q.net), q.net)):
         with pytest.raises(ValueError):
-            solve(q, prop=prop)
-        with pytest.raises(ValueError):
-            seed(q, prop)
+            search(q, prop=prop)
 
 
 XOR_CHAIN = parse_bench("""

@@ -60,7 +60,7 @@ def test_batched_sweep_equals_point_by_point(c17, corpus, monkeypatch):
             assert curve.refined_bound == _refined_one_at_a_time(
                 c, tree, lo, GRID12[crossing])
 
-        monkeypatch.setattr(analysis, "_chunk_size", lambda tree, limit: 3)
+        monkeypatch.setattr(analysis, "_chunk_size", lambda tree: 3)
         assert sweep(c, GRID12, refine=True) == curve
         monkeypatch.undo()
 
@@ -156,7 +156,7 @@ def test_sweep_builds_the_model_once(c17, monkeypatch):
     assert sweep(c17, GRID12, refine=True).refined_bound is not None
     assert calls[0] == 1
     # 4 chunks of 3 and bisection passes of 3 midpoints
-    monkeypatch.setattr(analysis, "_chunk_size", lambda tree, limit: 3)
+    monkeypatch.setattr(analysis, "_chunk_size", lambda tree: 3)
     calls[0] = 0
     rca4 = perfbench_circuits().ripple_carry_adder(4)
     assert sweep(rca4, GRID12, refine=True).refined_bound is not None
