@@ -1,8 +1,8 @@
 """Circuit-level reliability quantities.
 
 Per output: the worst-case error, the conditional error probability at
-the most error-prone input vector, found by a walk over one read of
-the output's fan-in cone (``max_error``, ``mapsearch``); the error at
+the most error-prone input vector, the argmax of one read of the
+output's fan-in cone (``max_error``, ``mapsearch``); the error at
 every vector, read from the same cone (``spectrum``); and across an eps
 grid, the first eps where the worst case reaches 0.5 (``sweep``), run as
 batched passes over the whole grid.  Every cone read is
@@ -111,7 +111,7 @@ def cond_error(prop: Propagator, comp_var: int):
 def max_errors(net: ErrorModelNet, tree: BinaryJoinTree, prune: bool = True,
                joint: bool = False, prop: Propagator | None = None) -> list[ErrorReport]:
     """Worst-case output error reports, one per member of ``net`` (see
-    ``max_error``); every member is served by the same reads and walk.
+    ``max_error``); every member is served by the same reads and argmax.
     ``prop`` shares a propagator over ``tree`` and ``net``, as in
     ``mapsearch.search``; by default the queries share a fresh one."""
     if prop is None:
@@ -166,10 +166,10 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     reported as 0, and ``nodes_expanded`` and ``nodes_pruned`` count
     nodes over the cone inputs.  Each query is one ``mapsearch.search``
     with the other inputs held at 0, on one propagator shared by every
-    query: a walk over its cone table P(cone inputs, wrong)
-    (``mapsearch.cone_table``).  The error is 2^|cone| times the cell the
-    walk ends at: 2^k P(vector, wrong) without the 2^-k prior, which
-    underflows on many inputs.
+    query: the argmax of its cone table P(cone inputs, wrong)
+    (``mapsearch.cone_table``).  The error is 2^|cone| times the argmax's
+    cell: 2^k P(vector, wrong) without the 2^-k prior, which underflows
+    on many inputs.
     """
     if net.batch:
         raise ValueError("max_error takes a network at one eps; max_errors takes an eps grid")
@@ -191,8 +191,7 @@ def avg_error(net: ErrorModelNet, tree: BinaryJoinTree, prop: Propagator | None 
     return np.maximum.reduce([cond_error(prop, comp) for comp in net.comparators])
 
 
-# Cells per batched table past which a larger batch stops paying: the
-# members' walks diverge, and every bound reads every member.  Refined
+# Cells per batched table past which a larger batch stops paying.  Refined
 # sweeps of rca4-rca6, with the members on the innermost axis, ran
 # fastest near this size (BENCH_member_axis_last.json).
 BATCH_CELLS_LOG2 = 19

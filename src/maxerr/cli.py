@@ -332,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--joint-evidence", action="store_true",
                    help="single query with every output wrong at once")
     p.add_argument("--no-prune", action="store_true",
-                   help="check the descent against every cone cell (for audits)")
+                   help="print the full tree's node counts")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("sweep", help="max/avg error across an eps grid")

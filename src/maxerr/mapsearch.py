@@ -1,4 +1,4 @@
-"""Worst input vector by one walk over a cone table.
+"""Worst input vector as one argmax over a cone table.
 
 A query evidences some variables (usually comparators at 1) and may
 hold inputs at given states.  Its fan-in cone is the inputs among the
@@ -13,28 +13,24 @@ wrong independently, so its table is 2^-|cone| times the product of
 each group's P(group | its cone inputs): the group's read with its
 evidence divided cellwise by the same read without.
 
-The walk instantiates the free inputs one at a time along
-``var_order``.  A child's bound, the maximum of P(vector, evidence) over
-its completions, is the maximum of its slice of the table: the value a
-max-mode collect returns on a tree that eliminates the inputs last
-(Park & Darwiche, JAIR 21, 2004).  A free input outside the cone (a
-barren variable, Darwiche 2009, ch. 6) is a tie level, whose two
-children share the node's table and tie; it costs the table no axis.
-Held inputs are sliced, not searched, and each input outside the cone
-enters by its prior 1/2.
+The answer ranges over the free inputs, those the query does not hold,
+along ``var_order``.  Each free cone input is an axis of the table; a
+free input outside the cone (a barren variable, Darwiche 2009, ch. 6)
+costs no axis and is 0 in the answer.  Held inputs are sliced, and each
+input outside the cone enters by its prior 1/2.  Per member the answer
+is the first cell in key order within a relative ``PRUNE_TOL`` of the
+table's maximum: the smallest tied optimum along the branching order,
+so float noise among tied values (an XOR chain fails on an odd number
+of gate faults whatever its inputs) does not move it.  Over an eps grid
+(``net.batch == (B,)``) the members lie on the table's last axis, as
+the reads lay them out (``propagate``), and one argmax serves them all.
 
-The walk enters only the better child of each node, state 1 only when
-its bound beats state 0's by more than a relative hair.  Values within
-that hair tie and go to state 0, so the path ends at the smallest tied
-optimum along the branching order, and float noise among tied values
-(an XOR chain fails on an odd number of gate faults whatever its
-inputs) does not move it.  Every bound is exact, so the leaf is optimal;
-unpruned, it is checked against every cell of the table.  Over an eps
-grid (``net.batch == (B,)``) one walk serves every member: members that
-take the same path descend together on views of the table, so each gets
-the path and node counts of a walk at its eps alone.  The walk keeps the
-members on the table's last axis, as the reads lay them out
-(``propagate``).
+A node of the search tree over the free inputs is bounded by the
+maximum of its slice of the table, the maximum of P(vector, evidence)
+over its completions: the value a max-mode collect returns on a tree
+that eliminates the inputs last (Park & Darwiche, JAIR 21, 2004).
+``on_bound`` reads these bounds for auditing; the node counts are
+those of a descent along the answer's path, or of the full tree.
 """
 
 from __future__ import annotations
@@ -57,8 +53,8 @@ PRUNE_TOL = 1e-12   # relative; closer values tie
 class MapQuery:
     """One worst-vector query.
 
-    The walk branches only on the inputs not in ``evid_o``; an input
-    given there is held at its state.  ``max_error`` holds every input
+    The answer ranges over the inputs not in ``evid_o``; an input given
+    there is held at its state.  ``max_error`` holds every input
     outside the query's fan-in cone at 0, so node counts cover the cone
     inputs alone.
     """
@@ -69,6 +65,11 @@ class MapQuery:
     var_order: tuple[int, ...] = ()        # branching order over the free inputs
 
     def __post_init__(self):
+        for v, s in self.evid_o.items():    # checked as ``Propagator.set_evidence`` checks them
+            if v not in range(self.net.n_vars):
+                raise KeyError(v)
+            if s not in (0, 1):
+                raise ValueError("evidence state of variable %d is %r, not 0 or 1" % (v, s))
         free = [v for v in self.net.input_vars if v not in self.evid_o]
         if not self.var_order:
             self.var_order = tuple(v for v in var_order_heuristic(self.net)
@@ -81,7 +82,7 @@ class MapQuery:
 class MapResult:
     assignment: dict[int, int]
     p_map: float                           # P(assignment, evid_o)
-    p_cone: float                          # the leaf cell, P(assignment on the cone, evid_o)
+    p_cone: float                          # the answer's cell, P(assignment on the cone, evid_o)
     nodes_expanded: int
     nodes_pruned: int
     seed_value: float | None = None
@@ -89,8 +90,7 @@ class MapResult:
 
 def var_order_heuristic(net: ErrorModelNet) -> tuple[int, ...]:
     """Inputs by descending connectivity (CPTs they appear in), ties on
-    the lower id; branching on busy inputs first moves the bounds
-    quickest."""
+    the lower id: the order in which tied answers are compared."""
     counts = {v: 0 for v in net.input_vars}
     for cpt in net.cpts:
         for v in cpt.scope:
@@ -193,26 +193,25 @@ def check_propagator(prop: Propagator, tree: BinaryJoinTree, net: ErrorModelNet)
 
 
 class _Search:
-    """The walk over every member of ``q.net`` at once (see the module
-    docstring): the cone table with an axis per free cone input along
-    ``var_order`` and the member axis last, the tie levels, and per
-    member the best leaf and its key.  Cells are P(vector, evidence)
-    times 2^-``shift``, the priors of the inputs outside the cone."""
+    """The cone table of ``q`` over every member of ``q.net`` (see the
+    module docstring), with an axis per free cone input along
+    ``var_order`` and the member axis last, and the tie levels.  Cells
+    are P(vector, evidence) times 2^-``shift``, the priors of the inputs
+    outside the cone."""
 
     def __init__(self, q: MapQuery, prop: Propagator | None = None):
         net, evid = q.net, q.evid_o
         prop = Propagator(q.tree, net) if prop is None else check_propagator(prop, q.tree, net)
-        self.q, self.evid = q, {v: s for v, s in evid.items()
-                                if net.vars[v].klass is not VarClass.INPUT}
-        t, cone = cone_table(prop, self.evid)
+        self.q = q
+        t, cone = cone_table(prop, {v: s for v, s in evid.items()
+                                    if net.vars[v].klass is not VarClass.INPUT})
         ranked = sorted(cone)
-        t = t.reshape((2,) * len(ranked) + (-1,))[tuple(evid.get(v, slice(None)) for v in ranked)]
+        t = t.reshape((2,) * len(ranked) + (-1,))[
+            tuple(int(evid[v]) if v in evid else slice(None) for v in ranked)]
         free = [v for v in ranked if v not in evid]
         self.table = t.transpose([free.index(v) for v in q.var_order if v in cone] + [len(free)])
-        self.tie = [v not in cone for v in q.var_order]
+        self.tie = np.array([v not in cone for v in q.var_order], dtype=bool)
         self.shift = len(cone) - len(net.input_vars)
-        self.best = [-1.0] * math.prod(net.batch)    # per member
-        self.best_key: list[tuple[int, ...] | None] = [None] * len(self.best)
 
     def scaled(self, cells: list[float]) -> float | list[float]:
         """Cells as P(vector, evidence): a float, or a list over members."""
@@ -220,59 +219,36 @@ class _Search:
         return values if self.q.net.batch else values[0]
 
     def zero(self) -> list[float]:
-        """Each member's all-zero cell, the leaf ties resolve toward."""
+        """Each member's all-zero cell, the one ties resolve toward."""
         return self.table[(0,) * (self.table.ndim - 1)].tolist()
 
-    def bound(self, t: np.ndarray) -> np.ndarray:
-        """The bounds of a node's two children for the members in ``t``
-        (its sub-table): the maxima of its two halves, shape (2, members)."""
+    def bound(self, key: tuple[int, ...]) -> np.ndarray:
+        """The bounds of the two children of the node at ``key`` (states
+        along ``var_order``) for every member: the maxima of the two
+        halves of its slice of the table, shape (2, members)."""
+        t = self.table[tuple(s for s, tie in zip(key, self.tie) if not tie)]
+        if self.tie[len(key)]:    # both children share the node's table
+            t = np.broadcast_to(t, (2,) + t.shape)
         return t.max(axis=tuple(range(1, t.ndim - 1)))
 
-    def walk(self, on_bound: Callable[[dict, float | list[float]], None] | None) -> None:
-        order = self.q.var_order
-        stack = [(self.table, np.arange(len(self.best)), ())]
-        while stack:    # a node: its sub-table over the members that entered it
-            t, group, key = stack.pop()
-            if len(key) == len(order):    # the members' one leaf: its cells are exact
-                for m, cell in zip(group.tolist(), t.tolist()):
-                    if cell > self.best[m] * (1.0 + PRUNE_TOL):
-                        self.best[m], self.best_key[m] = cell, key
-                continue
-            tie = self.tie[len(key)]    # both children share the node's table
-            u = self.bound(np.broadcast_to(t, (2,) + t.shape) if tie else t)
-            if on_bound is not None:
-                for s in (0, 1):
-                    on_bound(dict(zip(order, key + (s,))), self.scaled(u[s].tolist()))
-            one = u[1] > u[0] * (1.0 + PRUNE_TOL)    # ties take state 0
-            for s, sel in ((1, one), (0, ~one)):
-                child = t if tie else t[s]
-                if sel.all():
-                    stack.append((child, group, key + (s,)))
-                elif sel.any():
-                    stack.append((child[..., sel], group[sel], key + (s,)))
-
-    def audit(self, on_bound: Callable[[dict, float | list[float]], None] | None) -> None:
-        """``RuntimeError`` if a member's table maximum beats its best leaf by
-        over a ``PRUNE_TOL`` per table axis; ``on_bound`` gets every node's bound."""
-        peaks = [self.table]    # peaks[n]: maxima over all but the first n axes, the bounds
-        for axis in reversed(range(self.table.ndim - 1)):
-            peaks.insert(0, peaks[0].max(axis=axis))
-        for m, (top, leaf) in enumerate(zip(peaks[0].tolist(), self.best)):
-            if top > leaf * (1.0 + PRUNE_TOL) ** (len(peaks) - 1):
-                raise RuntimeError("a cone cell beats the descent on %s%s" % (
-                    ", ".join(self.q.net.vars[v].name for v in self.evid),
-                    " (member %d)" % m if self.q.net.batch else ""))
-        for level in range(len(self.tie) if on_bound is not None else 0):
-            axes = [i for i in range(level + 1) if not self.tie[i]]
-            for key in np.ndindex((2,) * (level + 1)):
-                u = peaks[len(axes)][tuple(key[i] for i in axes)]
-                on_bound(dict(zip(self.q.var_order, key)), self.scaled(u.tolist()))
+    def argmax(self) -> tuple[list[tuple[int, ...]], list[float]]:
+        """Per member, the first key along ``var_order`` whose cell lies
+        within a relative ``PRUNE_TOL`` of the table's maximum, 0 at
+        every tie level, and that cell."""
+        t = self.table
+        top = t.max(axis=tuple(range(t.ndim - 1)))
+        near = np.greater_equal(t, top / (1.0 + PRUNE_TOL), order="C")    # in key order
+        first = near.reshape(-1, len(top)).argmax(axis=0)
+        bits = first[:, None] >> np.arange(t.ndim - 2, -1, -1) & 1
+        keys = np.zeros((len(top), len(self.tie)), dtype=int)
+        keys[:, ~self.tie] = bits
+        return list(map(tuple, keys.tolist())), t[tuple(bits.T) + (np.arange(len(top)),)].tolist()
 
 
 def seed(q: MapQuery) -> tuple[dict[int, int], float | list[float]]:
     """The all-zero assignment and its exact probability, a lower bound
     on the optimum (one per member over an eps grid): the all-zero cell
-    of the walk's table, on a fresh propagator."""
+    of the query's cone table, on a fresh propagator."""
     s = _Search(q)
     return {v: 0 for v in q.var_order}, s.scaled(s.zero())
 
@@ -280,39 +256,42 @@ def seed(q: MapQuery) -> tuple[dict[int, int], float | list[float]]:
 def search(q: MapQuery, prune: bool = True,
            on_bound: Callable[[dict, float | list[float]], None] | None = None,
            prop: Propagator | None = None, use_seed: bool = False) -> list[MapResult]:
-    """Exact worst-vector walk, one result per member of ``q.net`` (one
-    in all for a network at a single eps).
-
-    Each member descends along one path: 1 + 2d nodes expanded and d
-    pruned over the d inputs not in ``q.evid_o``; unpruned, its leaf is
-    checked against the whole cone table and the counts are the full
-    tree's, 2^(d+1) - 1 and 0.  ``on_bound`` (assignment, bound) fires,
-    for auditing, for both children of every node the walk enters, or
-    unpruned of every node, a level at a time over every member; the
-    bound is a float, or a list over the members.  Ties (values within a
-    relative ``PRUNE_TOL``) resolve to the lexicographically smallest
-    assignment along ``q.var_order``, and ``p_map`` is its value.
+    """The worst vector of each member of ``q.net`` (one in all at a
+    single eps), the cone table's argmax (see the module docstring);
+    ``p_map`` is its value.  ``prune`` selects the node counts over the
+    d inputs not in ``q.evid_o``: 1 + 2d expanded and d pruned, or the
+    full tree's, 2^(d+1) - 1 and 0.  ``on_bound`` (assignment, bound)
+    fires, for auditing, for both children of every node on the
+    members' paths, or unpruned of every node, a level at a time; the
+    bound is a float, or a list over every member.
 
     ``prop`` shares a propagator over ``q.tree`` and ``q.net`` between
     queries, as ``max_errors`` does (``ValueError`` otherwise); the
     answer does not change, since a cached message depends only on the
     evidence on its sending side.
-    ``use_seed`` starts every member's best leaf at the all-zero
-    assignment (``seed``).
+    ``use_seed`` keeps the all-zero assignment (``seed``) unless the
+    argmax beats it by more than ``PRUNE_TOL``.
     """
     s = _Search(q, prop)
     d = len(q.var_order)
-    seeds: list[float | None] = [None] * len(s.best)
+    keys, cells = s.argmax()
+    seeds: list[float | None] = [None] * len(keys)
     if use_seed:
         seeds = s.zero()
-        s.best, s.best_key = list(seeds), [(0,) * d] * len(seeds)
-    s.walk(on_bound if prune else None)
-    if not prune:
-        s.audit(on_bound)
+        for m, (cell, zero) in enumerate(zip(cells, seeds)):
+            if not cell > zero * (1.0 + PRUNE_TOL):
+                keys[m], cells[m] = (0,) * d, zero
+    if on_bound is not None:    # a level at a time, in key order
+        for level in range(d):
+            nodes = sorted({k[:level] for k in keys}) if prune else np.ndindex((2,) * level)
+            for key in nodes:
+                u = s.bound(key)
+                for state in (0, 1):
+                    on_bound(dict(zip(q.var_order, key + (state,))), s.scaled(u[state].tolist()))
     expanded, pruned = (1 + 2 * d, d) if prune else ((2 << d) - 1, 0)
-    return [MapResult(dict(zip(q.var_order, key)), math.ldexp(best, s.shift), best, expanded,
+    return [MapResult(dict(zip(q.var_order, key)), math.ldexp(cell, s.shift), cell, expanded,
                       pruned, None if sv is None else math.ldexp(sv, s.shift))
-            for key, best, sv in zip(s.best_key, s.best, seeds)]
+            for key, cell, sv in zip(keys, cells, seeds)]
 
 
 def solve(q: MapQuery, use_seed: bool = False, prune: bool = True,

@@ -1,5 +1,5 @@
-"""Worst-vector search (one exact descent, audited against its whole
-table or not) against the enumeration oracle."""
+"""Worst-vector search (one argmax over a cone table, with the bounds
+an audit reads) against the enumeration oracle."""
 
 import itertools
 
@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import perfbench_circuits
-from maxerr import jointree
+from maxerr import jointree, mapsearch
 from maxerr.circuit import all_input_vectors, index_vector, parse_bench, vector_index
 from maxerr.jointree import build_tree
-from maxerr.mapsearch import (MapQuery, MapResult, _cones, _holder, _Search, search,
-                              seed, solve, var_order_heuristic)
+from maxerr.mapsearch import (PRUNE_TOL, MapQuery, MapResult, _cones, _holder, _Search,
+                              search, seed, solve, var_order_heuristic)
 from maxerr.model import build_error_model, joint_prob
 from maxerr.oracle import FaultEnumerator, exact_map
 from maxerr.propagate import Propagator
@@ -118,40 +118,93 @@ def test_seed_is_a_lower_bound(corpus):
 
 
 def test_search_reads_one_bound_per_inner_node(c17, corpus, monkeypatch):
-    # a pruned walk enters d + 1 nodes over d inputs, the last a leaf;
-    # the seed is a cell of the same table and reads no bound
+    # the answer is one argmax over the table, so without on_bound no
+    # bound is read; with it, one per inner node of the answer's path
+    # over d free inputs, or unpruned one per inner node of the full tree
     calls = [0]
     bound = _Search.bound
 
-    def counted(self, t):
+    def counted(self, key):
         calls[0] += 1
-        return bound(self, t)
+        return bound(self, key)
 
     monkeypatch.setattr(_Search, "bound", counted)
     for circuit in [c17] + corpus[:8]:
         for j in range(circuit.n_outputs):
             q = _query(circuit, j)
+            d = len(q.var_order)
             for use_seed in (True, False):
-                calls[0] = 0
-                r = solve(q, use_seed=use_seed)
-                assert calls[0] == r.nodes_pruned == (r.nodes_expanded - 1) // 2
+                for prune, inner in ((True, d), (False, 2 ** d - 1)):
+                    calls[0] = 0
+                    r = solve(q, use_seed=use_seed, prune=prune)
+                    assert calls[0] == 0
+                    assert solve(q, use_seed, prune, on_bound=lambda a, u: None) == r
+                    assert calls[0] == inner
+                    if prune:
+                        assert r.nodes_pruned == (r.nodes_expanded - 1) // 2 == d
 
 
-def test_unpruned_audit_catches_a_wrong_descent(c17, monkeypatch):
-    # the audit takes its maxima from the table, not through ``bound``:
-    # with each node's halves swapped the descent takes the worse child,
-    # the pruned answer drops, and the unpruned search raises, naming the
-    # query and, over an eps grid, the member
-    q = _query(c17)
-    grid = _query(c17, eps=[0.02, EPS])
-    right = solve(q)
-    bound = _Search.bound
-    monkeypatch.setattr(_Search, "bound", lambda self, t: bound(self, t)[::-1])
-    assert solve(q).p_map < right.p_map
-    with pytest.raises(RuntimeError, match=r"descent on err:22$"):
-        solve(q, prune=False)
-    with pytest.raises(RuntimeError, match=r"descent on err:22 \(member 0\)$"):
-        search(grid, prune=False)
+def test_grid_bounds_carry_every_member(c17, corpus):
+    # over an eps grid every on_bound call carries each member's bound at
+    # its node, the one a search at that member's eps alone reads there;
+    # pruned, the nodes are those on some member's path
+    grid = [0.02, EPS, 0.2, 0.45]
+    diverged = 0
+    for circuit in [c17] + corpus[:8]:
+        for j in range(circuit.n_outputs):
+            alone = []    # each member's bounds at every node
+            for eps in grid:
+                seen = {}
+                solve(_query(circuit, j, eps), prune=False,
+                      on_bound=lambda a, u: seen.__setitem__(tuple(sorted(a.items())), u))
+                alone.append(seen)
+            q = _query(circuit, j, grid)
+            for prune in (True, False):
+                calls = []
+                results = search(q, prune, on_bound=lambda a, u: calls.append((a, u)))
+                for a, u in calls:
+                    assert u == [seen[tuple(sorted(a.items()))] for seen in alone]
+                d = len(q.var_order)
+                keys = {tuple(r.assignment[v] for v in q.var_order) for r in results}
+                nodes = ({key[:n] + (s,) for key in keys for n in range(d) for s in (0, 1)}
+                         if prune else {t for n in range(1, d + 1)
+                                        for t in itertools.product((0, 1), repeat=n)})
+                assert len(calls) == len(nodes)
+                assert {tuple(a[v] for v in q.var_order[:len(a)]) for a, _ in calls} == nodes
+                diverged += prune and len(keys) > 1
+    assert diverged
+
+
+def test_ties_resolve_within_one_tolerance_of_the_maximum(monkeypatch):
+    # the answer is the first cell along var_order within a relative
+    # PRUNE_TOL of the maximum: here (0, 1).  Comparing sibling maxima
+    # one level at a time would keep (0, 0), 1.4 PRUNE_TOL under it
+    net = build_error_model(TIED, EPS)
+    a, b = net.input_vars
+    cells = 0.25 * np.array([[1 - 0.5 * PRUNE_TOL, 1], [1 + 0.9 * PRUNE_TOL, 0.5]])
+    monkeypatch.setattr(mapsearch, "cone_table", lambda prop, evid: (cells, frozenset((a, b))))
+    q = MapQuery(net, build_tree(net), {net.comparators[0]: 1}, (a, b))
+    for prune in (True, False):
+        r = solve(q, prune=prune)
+        assert (r.assignment, r.p_cone) == ({a: 0, b: 1}, 0.25)
+        assert r.p_cone >= cells.max() / (1 + PRUNE_TOL)
+
+
+def test_held_inputs_are_checked(c17):
+    # held states are checked as Propagator.set_evidence checks evidence,
+    # and True holds state 1
+    net = build_error_model(c17, EPS)
+    tree = build_tree(net)
+    comp, x0, x4 = net.comparators[0], net.input_vars[0], net.input_vars[4]
+    assert x4 not in mapsearch._cone_inputs(tree, net, (comp,))
+    for v, s in ((x0, -1), (x4, 2)):
+        with pytest.raises(ValueError, match=r"^evidence state of variable %d is %d, not 0 or 1$"
+                           % (v, s)):
+            MapQuery(net, tree, {comp: 1, v: s})
+    with pytest.raises(KeyError):
+        MapQuery(net, tree, {comp: 1, 999: 1})
+    assert solve(MapQuery(net, tree, {comp: 1, x0: True})) == \
+        solve(MapQuery(net, tree, {comp: 1, x0: 1}))
 
 
 def test_pruning_reduces_work(c17):
