@@ -6,7 +6,9 @@ output's fan-in cone (``max_error``, ``mapsearch``); the error at
 every vector, read from the same cone (``spectrum``); and across an eps
 grid, the first eps where the worst case reaches 0.5 (``sweep``), run as
 batched passes over the whole grid.  Every cone read is
-``mapsearch.cone_table``.
+``mapsearch.cone_tables``: a report's queries ride one evidence setting
+as members of its evidence axis (``propagate``), as many per pass as
+the batch cap allows (``_evidence_members``).
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ import numpy as np
 
 from .circuit import Circuit, index_vector, vector_string
 # perfbench/tracing.py wraps the imported layer functions by name in this
-# module, ``solve`` among them, though the reports here call ``search``;
+# module, ``solve`` among them, though the reports here read their cone
+# tables with ``cone_tables`` and take each argmax with ``_Search``;
 # so ``solve`` stays imported here, as do ``mapsearch.seed`` and
 # ``propagate``'s ``combine``, ``reduce_mixed`` and ``reduce_all`` in
 # their modules.
 from .jointree import BinaryJoinTree, build_tree, choose_order
-from .mapsearch import (PRUNE_TOL, MapQuery, _cone_inputs, check_propagator, cone_table,
-                        search, solve, var_order_heuristic)
+from .mapsearch import (PRUNE_TOL, MapQuery, _Search, check_propagator, cone_tables, solve,
+                        var_order_heuristic)
 from .model import ErrorModelNet, build_error_model
 from .propagate import Propagator
 from .valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
@@ -110,12 +113,16 @@ def cond_error(prop: Propagator, comp_var: int):
 
 def max_errors(net: ErrorModelNet, tree: BinaryJoinTree, prune: bool = True,
                joint: bool = False, prop: Propagator | None = None) -> list[ErrorReport]:
-    """Worst-case output error reports, one per member of ``net`` (see
-    ``max_error``); every member is served by the same reads and argmax.
-    ``prop`` shares a propagator over ``tree`` and ``net``, as in
-    ``mapsearch.search``; by default the queries share a fresh one."""
-    if prop is None:
-        prop = Propagator(tree, net)
+    """Worst-case output error reports, one per eps member of ``net``
+    (see ``max_error``); every eps member is served by the same reads and
+    argmax.  The report's queries, one per output (or the one joint
+    query), are members of one evidence setting, at most
+    ``_evidence_members`` per pass, and each output's cone table is a
+    member's slice of one read at its holding cluster; a joint query no
+    cluster holds takes its groups' product (``mapsearch.cone_tables``).
+    ``prop`` shares a propagator over ``tree`` and ``net``
+    (``ValueError`` otherwise); by default the queries share a fresh one."""
+    prop = Propagator(tree, net) if prop is None else check_propagator(prop, tree, net)
     order = var_order_heuristic(net)
     rows: list[list[OutputReport]] = [[] for _ in range(math.prod(net.batch))]
     names = list(net.circuit.outputs)
@@ -123,13 +130,13 @@ def max_errors(net: ErrorModelNet, tree: BinaryJoinTree, prune: bool = True,
         queries = [("*", {v: 1 for v in net.comparators})]
     else:
         queries = [(names[j], {net.comparators[j]: 1}) for j in range(len(names))]
+    reads = cone_tables(prop, [evid for _, evid in queries], _evidence_members(net, tree))
 
-    for name, evid in queries:
-        cone = _cone_inputs(tree, net, evid)
+    for (name, evid), read in zip(queries, reads):
+        cone = read[1]
         fixed = {v: 0 for v in net.input_vars if v not in cone}
         q = MapQuery(net, tree, {**evid, **fixed}, tuple(v for v in order if v in cone))
-        results = search(q, prune, prop=prop)
-        for m, res in enumerate(results):
+        for m, res in enumerate(_Search(q, read).results(prune)):
             reached = res.p_cone > 0.0
             vector = [res.assignment.get(v, 0) for v in net.input_vars]
             rows[m].append(OutputReport(
@@ -164,10 +171,11 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     Only the inputs in the query's fan-in cone (the union of the cones
     in joint mode) are chosen; the others cannot change the error, are
     reported as 0, and ``nodes_expanded`` and ``nodes_pruned`` count
-    nodes over the cone inputs.  Each query is one ``mapsearch.search``
-    with the other inputs held at 0, on one propagator shared by every
-    query: the argmax of its cone table P(cone inputs, wrong)
-    (``mapsearch.cone_table``).  The error is 2^|cone| times the argmax's
+    nodes over the cone inputs.  Each query is the argmax of its cone
+    table P(cone inputs, wrong), as ``mapsearch.search`` takes it, with
+    the other inputs held at 0; the tables are read on one propagator,
+    every query a member of one evidence setting where the batch cap
+    allows (``mapsearch.cone_tables``).  The error is 2^|cone| times the argmax's
     cell: 2^k P(vector, wrong) without the 2^-k prior, which underflows
     on many inputs.
     """
@@ -198,9 +206,17 @@ BATCH_CELLS_LOG2 = 19
 
 
 def _chunk_size(tree: BinaryJoinTree) -> int:
-    """Grid values per batched pass: B x 2^width cells stay within
-    2^BATCH_CELLS_LOG2 and within 2^tree.width_limit, but B is at least 1."""
+    """Members per batched pass, grid values times evidence members:
+    B x E x 2^width cells stay within 2^BATCH_CELLS_LOG2 and within
+    2^tree.width_limit.  A sweep's chunks take B up to it, and each pass
+    the evidence members left (``_evidence_members``); both are at least 1."""
     return 1 << max(0, min(BATCH_CELLS_LOG2, tree.width_limit) - tree.width)
+
+
+def _evidence_members(net: ErrorModelNet, tree: BinaryJoinTree) -> int:
+    """Evidence members per pass on ``net``'s B grid values: the share
+    of ``_chunk_size`` they leave, at least 1."""
+    return max(1, _chunk_size(tree) // math.prod(net.batch))
 
 
 def sweep(c: Circuit, grid, refine: bool = False,
@@ -287,9 +303,13 @@ MAX_SPECTRUM_INPUTS = 20
 def spectrum(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT) -> Spectrum:
     """Exact per-vector worst-output error over all 2**k input vectors.
 
-    Per output, two cone tables (``mapsearch.cone_table``), with the
-    comparator at 1 and at 0, give P(cone, wrong) / P(cone), broadcast
-    over the other inputs; ``ValueError`` if no cluster holds the cone.
+    Per output, two cone tables, with the comparator at 1 and at 0, give
+    P(cone, wrong) / P(cone), broadcast over the other inputs;
+    ``ValueError`` if no cluster holds the cone.  All 2n tables are
+    members of one evidence setting, read once per output's holding
+    cluster (``mapsearch.cone_tables``), or split into passes of
+    ``_evidence_members``: one per table when the tree is as wide as its
+    ``width_limit``.
     Capped at 20 inputs, as the result has 2**k rows.  One eps or eps
     map; a grid is rejected.
     """
@@ -299,12 +319,13 @@ def spectrum(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT) -> Spectru
         raise ValueError("spectrum enumeration capped at %d inputs, circuit has %d"
                          % (MAX_SPECTRUM_INPUTS, c.n_inputs))
     net, tree = prepare(c, eps, width_limit)
-    prop = Propagator(tree, net)
+    reads = cone_tables(Propagator(tree, net),
+                        [{comp: s} for comp in net.comparators for s in (1, 0)],
+                        _evidence_members(net, tree))
     table = np.empty((2,) * c.n_inputs + (len(net.comparators),))
-    for j, comp in enumerate(net.comparators):
-        wrong, cone = cone_table(prop, {comp: 1})
+    for j in range(len(net.comparators)):
         # right + wrong, not 2^-|cone|: two reads that round alike give the nearer ratio
-        right, _ = cone_table(prop, {comp: 0})
+        (wrong, cone), (right, _) = reads[2 * j:2 * j + 2]
         # a read's axes follow its sorted scope, and input ids ascend
         table[..., j] = (wrong / (right + wrong)).reshape(
             [2 if v in cone else 1 for v in net.input_vars])

@@ -165,12 +165,14 @@ class BinaryJoinTree:
             nb.sort()
         self.width = max(map(len, scopes), default=0)
         self.order, self.width_limit = None, DEFAULT_WIDTH_LIMIT    # set by build_tree
-        # compiled lazily by propagators: the numbered directed edges, and
-        # per grid-axis prefix {edge id or (read cluster, kept variables): plan};
-        # by worst-vector walks: per tuple of evidenced variables, their cones
+        # compiled lazily by propagators: the numbered directed edges with
+        # the forwarded ones, and {edge id or (read cluster, kept variables):
+        # plan}; by worst-vector walks: per tuple of evidenced variables, their
+        # cones, and per cone, its holding cluster
         self.schedule = None
         self.plans: dict = {}
         self.cones: dict = {}
+        self.holders: dict = {}
 
     @property
     def n_clusters(self) -> int:

@@ -7,6 +7,9 @@ inputs last, so one cluster holds each output's cone; the smallest
 (lowest id on a tie, ``_holder``), read with the evidence set and summed
 onto the cone, gives P(cone inputs, evidence), the query's cone table
 (``cone_table``): one axis per cone input, none for the others.
+Several queries' tables come from one evidence setting, each query a
+member of the evidence axis (``propagate``): one read per holding
+cluster and cone serves every member, sliced out (``cone_tables``).
 A joint query whose union cone no cluster holds splits its evidence
 into groups whose cones share no gate.  Given the inputs the groups go
 wrong independently, so its table is 2^-|cone| times the product of
@@ -35,6 +38,7 @@ those of a descent along the answer's path, or of the full tree.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -147,25 +151,63 @@ def _cone_inputs(tree: BinaryJoinTree, net: ErrorModelNet, roots) -> frozenset[i
 
 def _holder(tree: BinaryJoinTree, cone: frozenset[int]) -> int | None:
     """The smallest cluster holding every input of ``cone``, lowest id on
-    a tie; None when no cluster holds them all."""
-    return min(((len(s), cid) for cid, s in enumerate(tree.scopes) if cone <= s),
-               default=(0, None))[1]
+    a tie; None when no cluster holds them all.  Kept on ``tree`` per cone."""
+    if cone not in tree.holders:
+        tree.holders[cone] = min(((len(s), cid) for cid, s in enumerate(tree.scopes)
+                                  if cone <= s), default=(0, None))[1]
+    return tree.holders[cone]
 
 
-def cone_table(prop: Propagator, evid: dict[int, int]) -> tuple[np.ndarray, frozenset[int]]:
-    """The cone table of non-input evidence ``evid`` (see the module
-    docstring), P(cone inputs, evid) with an axis per cone input in id
-    order followed by the grid axis if any, and the cone.  ``ValueError``
-    when no cluster holds the cone of a group of the evidence;
+def cone_tables(prop: Propagator, evids: list[dict[int, int]],
+                members: int = 1) -> list[tuple[np.ndarray, frozenset[int]]]:
+    """The cone table of each mapping of non-input evidence in ``evids``
+    (see the module docstring), P(cone inputs, evid) with an axis per
+    cone input in id order followed by the grid axis if any, and its
+    cone, in order.  The mappings whose cone a cluster holds are read
+    ``members`` at a time, one evidence setting per pass with a member
+    each (``Propagator.set_evidence``), those sharing a holding cluster
+    and cone side by side: per pass one read of each such run of
+    members, onto the cone, and one slice per member.  Each slice is
+    bit for bit that mapping's read on its own.  The others split into
+    groups whose cones share no gate: their table is 2^-|cone| times the
+    product of each group's read with and without its evidence,
+    cellwise.  ``ValueError`` when no cluster holds the cone of a group;
     ``WidthLimitError`` when no cluster holds the union and it has more
     inputs than the tree's ``width_limit``."""
     net, tree = prop.net, prop.tree
+    tables: list = [None] * len(evids)
+    runs: dict[tuple[int, frozenset[int]], list[int]] = {}
+    for i, evid in enumerate(evids):
+        cone = _cone_inputs(tree, net, evid)
+        cid = _holder(tree, cone)
+        if cid is None:
+            tables[i] = _group_product(prop, evid, cone), cone
+        else:
+            runs.setdefault((cid, cone), []).append(i)
+    held = [(i, key) for key, run in runs.items() for i in run]
+    for lo in range(0, len(held), members):
+        part = held[lo:lo + members]
+        prop.set_evidence([evids[i] for i, _ in part])
+        m = 0
+        for (cid, cone), run in itertools.groupby(part, key=lambda h: h[1]):
+            run = [i for i, _ in run]
+            read = prop.belief(cid, cone, slice(m, m + len(run))).table
+            for k, i in enumerate(run):
+                tables[i] = read[..., k], cone
+            m += len(run)
+    return tables
+
+
+def cone_table(prop: Propagator, evid: dict[int, int]) -> tuple[np.ndarray, frozenset[int]]:
+    """The cone table of ``evid`` and its cone (``cone_tables``)."""
+    return cone_tables(prop, [evid])[0]
+
+
+def _group_product(prop: Propagator, evid: dict[int, int], cone: frozenset[int]) -> np.ndarray:
+    """The cone table of ``evid``, whose cone no cluster holds, from its
+    groups' reads (``cone_tables``)."""
+    net, tree = prop.net, prop.tree
     groups = _cones(tree, net, evid)
-    cone = frozenset().union(*(part for _, part in groups))
-    cid = _holder(tree, cone)
-    if cid is not None:
-        prop.set_evidence(evid)
-        return prop.belief(cid, cone).table, cone
     holders = [_holder(tree, part) for _, part in groups]
     for (roots, _), gid in zip(groups, holders):
         if gid is None:
@@ -182,7 +224,7 @@ def cone_table(prop: Propagator, evid: dict[int, int]) -> tuple[np.ndarray, froz
         # read P(part) too, not 2^-|part|: two reads that round alike give the nearer ratio
         ratio = wrong / prop.belief(gid, part).table
         table = table * ratio.reshape(tuple(2 if v in part else 1 for v in ranked) + net.batch)
-    return np.ldexp(table, -len(cone)), cone
+    return np.ldexp(table, -len(cone))
 
 
 def check_propagator(prop: Propagator, tree: BinaryJoinTree, net: ErrorModelNet) -> Propagator:
@@ -192,19 +234,24 @@ def check_propagator(prop: Propagator, tree: BinaryJoinTree, net: ErrorModelNet)
     return prop
 
 
+def _cone_evidence(q: MapQuery) -> dict[int, int]:
+    """The evidence of ``q`` on variables other than inputs, whose cone
+    table ``q`` reads."""
+    return {v: s for v, s in q.evid_o.items() if q.net.vars[v].klass is not VarClass.INPUT}
+
+
 class _Search:
     """The cone table of ``q`` over every member of ``q.net`` (see the
     module docstring), with an axis per free cone input along
     ``var_order`` and the member axis last, and the tie levels.  Cells
     are P(vector, evidence) times 2^-``shift``, the priors of the inputs
-    outside the cone."""
+    outside the cone.  ``read`` is the table and cone of
+    ``_cone_evidence(q)`` (``cone_tables``)."""
 
-    def __init__(self, q: MapQuery, prop: Propagator | None = None):
+    def __init__(self, q: MapQuery, read: tuple[np.ndarray, frozenset[int]]):
         net, evid = q.net, q.evid_o
-        prop = Propagator(q.tree, net) if prop is None else check_propagator(prop, q.tree, net)
         self.q = q
-        t, cone = cone_table(prop, {v: s for v, s in evid.items()
-                                    if net.vars[v].klass is not VarClass.INPUT})
+        t, cone = read
         ranked = sorted(cone)
         t = t.reshape((2,) * len(ranked) + (-1,))[
             tuple(int(evid[v]) if v in evid else slice(None) for v in ranked)]
@@ -244,12 +291,38 @@ class _Search:
         keys[:, ~self.tie] = bits
         return list(map(tuple, keys.tolist())), t[tuple(bits.T) + (np.arange(len(top)),)].tolist()
 
+    def results(self, prune: bool = True,
+                on_bound: Callable[[dict, float | list[float]], None] | None = None,
+                use_seed: bool = False) -> list[MapResult]:
+        """Each member's worst vector, as ``search`` describes."""
+        q = self.q
+        d = len(q.var_order)
+        keys, cells = self.argmax()
+        seeds: list[float | None] = [None] * len(keys)
+        if use_seed:
+            seeds = self.zero()
+            for m, (cell, zero) in enumerate(zip(cells, seeds)):
+                if not cell > zero * (1.0 + PRUNE_TOL):
+                    keys[m], cells[m] = (0,) * d, zero
+        if on_bound is not None:    # a level at a time, in key order
+            for level in range(d):
+                nodes = sorted({k[:level] for k in keys}) if prune else np.ndindex((2,) * level)
+                for key in nodes:
+                    u = self.bound(key)
+                    for state in (0, 1):
+                        on_bound(dict(zip(q.var_order, key + (state,))),
+                                 self.scaled(u[state].tolist()))
+        expanded, pruned = (1 + 2 * d, d) if prune else ((2 << d) - 1, 0)
+        return [MapResult(dict(zip(q.var_order, key)), math.ldexp(cell, self.shift), cell,
+                          expanded, pruned, None if sv is None else math.ldexp(sv, self.shift))
+                for key, cell, sv in zip(keys, cells, seeds)]
+
 
 def seed(q: MapQuery) -> tuple[dict[int, int], float | list[float]]:
     """The all-zero assignment and its exact probability, a lower bound
     on the optimum (one per member over an eps grid): the all-zero cell
     of the query's cone table, on a fresh propagator."""
-    s = _Search(q)
+    s = _Search(q, cone_table(Propagator(q.tree, q.net), _cone_evidence(q)))
     return {v: 0 for v in q.var_order}, s.scaled(s.zero())
 
 
@@ -266,32 +339,14 @@ def search(q: MapQuery, prune: bool = True,
     bound is a float, or a list over every member.
 
     ``prop`` shares a propagator over ``q.tree`` and ``q.net`` between
-    queries, as ``max_errors`` does (``ValueError`` otherwise); the
-    answer does not change, since a cached message depends only on the
-    evidence on its sending side.
+    queries (``ValueError`` otherwise); the answer does not change,
+    since a cached message depends only on the evidence on its sending
+    side.
     ``use_seed`` keeps the all-zero assignment (``seed``) unless the
     argmax beats it by more than ``PRUNE_TOL``.
     """
-    s = _Search(q, prop)
-    d = len(q.var_order)
-    keys, cells = s.argmax()
-    seeds: list[float | None] = [None] * len(keys)
-    if use_seed:
-        seeds = s.zero()
-        for m, (cell, zero) in enumerate(zip(cells, seeds)):
-            if not cell > zero * (1.0 + PRUNE_TOL):
-                keys[m], cells[m] = (0,) * d, zero
-    if on_bound is not None:    # a level at a time, in key order
-        for level in range(d):
-            nodes = sorted({k[:level] for k in keys}) if prune else np.ndindex((2,) * level)
-            for key in nodes:
-                u = s.bound(key)
-                for state in (0, 1):
-                    on_bound(dict(zip(q.var_order, key + (state,))), s.scaled(u[state].tolist()))
-    expanded, pruned = (1 + 2 * d, d) if prune else ((2 << d) - 1, 0)
-    return [MapResult(dict(zip(q.var_order, key)), math.ldexp(cell, s.shift), cell, expanded,
-                      pruned, None if sv is None else math.ldexp(sv, s.shift))
-            for key, cell, sv in zip(keys, cells, seeds)]
+    prop = Propagator(q.tree, q.net) if prop is None else check_propagator(prop, q.tree, q.net)
+    return _Search(q, cone_table(prop, _cone_evidence(q))).results(prune, on_bound, use_seed)
 
 
 def solve(q: MapQuery, use_seed: bool = False, prune: bool = True,

@@ -12,6 +12,7 @@ from maxerr.analysis import (MAX_SPECTRUM_INPUTS, avg_error, cond_error, max_err
                              prepare, spectrum, sweep)
 from maxerr.circuit import (Circuit, all_input_vectors, index_vector, parse_bench,
                             vector_index)
+from maxerr.model import build_error_model
 from maxerr.oracle import FaultEnumerator, random_circuit
 from maxerr.propagate import Propagator
 from maxerr.valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
@@ -126,10 +127,12 @@ def test_search_serves_unpruned_walks_and_cones_no_cluster_holds(corpus):
 
 
 def test_max_error_builds_one_propagator(c17, corpus, monkeypatch):
-    # every query is one walk on one shared propagator: one evidence
-    # setting when a cluster holds its cone, and otherwise (corpus[4]'s
-    # joint query here, pruned and unpruned) two per group of outputs
-    # whose cones share no gate
+    # every query is one walk on one shared propagator: the queries whose
+    # cone a cluster holds share one evidence setting per pass of at most
+    # _evidence_members of them, one pass here at the default limit and one
+    # per query at the tree's own width; the others (corpus[4]'s joint
+    # query here, pruned and unpruned) take two per group of outputs whose
+    # cones share no gate
     calls = {"init": 0, "evidence": 0}
     init, set_evidence = Propagator.__init__, Propagator.set_evidence
 
@@ -145,36 +148,52 @@ def test_max_error_builds_one_propagator(c17, corpus, monkeypatch):
     monkeypatch.setattr(Propagator, "set_evidence", counted_evidence)
     split = 0
     for circuit in [c17] + corpus[:8]:
-        net, tree = prepare(circuit, 0.05)
-        for joint in (False, True):
-            for prune in (True, False):
-                calls.update(init=0, evidence=0)
-                max_error(net, tree, prune=prune, joint=joint)
-                want = 0
-                for evid in _queries(net, joint):
-                    held = mapsearch._holder(tree, mapsearch._cone_inputs(tree, net, evid))
-                    want += 1 if held is not None else 2 * len(mapsearch._cones(tree, net, evid))
-                    split += held is None
-                assert calls == {"init": 1, "evidence": want}
-    assert split == 2
+        net, wide = prepare(circuit, 0.05)
+        for tree in (wide, prepare(circuit, 0.05, width_limit=wide.width)[1]):
+            per_pass = analysis._evidence_members(net, tree)
+            assert per_pass == (1 if tree.width_limit == tree.width else
+                                1 << analysis.BATCH_CELLS_LOG2 - tree.width)
+            for joint in (False, True):
+                for prune in (True, False):
+                    calls.update(init=0, evidence=0)
+                    max_error(net, tree, prune=prune, joint=joint)
+                    held, want = 0, 0
+                    for evid in _queries(net, joint):
+                        cid = mapsearch._holder(tree, mapsearch._cone_inputs(tree, net, evid))
+                        if cid is None:
+                            want += 2 * len(mapsearch._cones(tree, net, evid))
+                            split += 1
+                        held += cid is not None
+                    want += -(-held // per_pass)
+                    assert calls == {"init": 1, "evidence": want}
+    assert split == 4
 
 
 def test_spectrum_sets_evidence_twice_per_output(c17, monkeypatch):
-    # spectrum evidences each comparator at 1 and at 0 and reads its cone;
+    # spectrum evidences each comparator at 1 and at 0 and reads its cone,
+    # all four as members of one evidence setting, or, with the width
+    # limit at the tree's width, one member and one setting each;
     # avg_error reads every comparator with no evidence at all
-    calls = [0]
+    calls = []
     set_evidence = Propagator.set_evidence
 
     def counted(self, evidence):
-        calls[0] += 1
+        calls.append(evidence)
         set_evidence(self, evidence)
 
     monkeypatch.setattr(Propagator, "set_evidence", counted)
-    spectrum(c17, 0.05)
-    assert calls[0] == 2 * len(c17.outputs) == 4
-    calls[0] = 0
+    want = spectrum(c17, 0.05)
+    comps = build_error_model(c17, 0.05).comparators
+    assert calls == [[{c: s} for c in comps for s in (1, 0)]]
+    width = prepare(c17, 0.05)[1].width
+    calls.clear()
+    got = spectrum(c17, 0.05, width_limit=width)
+    assert calls == [[{c: s}] for c in comps for s in (1, 0)]
+    assert len(calls) == 2 * len(c17.outputs) == 4
+    assert np.array_equal(got.per_output, want.per_output)
+    calls.clear()
     avg_error(*prepare(c17, 0.05))
-    assert calls[0] == 0
+    assert calls == []
 
 
 def test_joint_mode_matches_direct_enumeration(c17):
@@ -246,7 +265,7 @@ def test_sweep_compiles_plans_in_its_first_batched_pass_only(c17, monkeypatch):
             out = fn(net, tree, *args, **kwargs)
             calls.append((name, net.batch))
             trees.append(tree)
-            sizes.append(sum(len(plans) for plans in tree.plans.values()))
+            sizes.append(len(tree.plans))
             return out
         return wrapped
 

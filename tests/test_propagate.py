@@ -43,6 +43,13 @@ def _directed(tree):
     return {(b, c) for a, d in tree.edges for b, c in ((a, d), (d, a))}
 
 
+def _forwarded(tree, net):
+    """The directed edges out of a CPT leaf whose scope lies inside its
+    neighbor's: their message is the leaf's factor, always cached."""
+    return {(b, c) for b, c in _directed(tree)
+            if b < net.n_vars and tree.neighbors[b] == [c] and tree.scopes[b] <= tree.scopes[c]}
+
+
 def _enum_prob(net, evidence):
     """Brute-force P(evidence) over all 2**N joint assignments."""
     total = 0.0
@@ -158,12 +165,16 @@ def test_flip_drops_exactly_the_messages_that_saw_it(c17, corpus, eps):
         p.set_evidence(ev)
         for r in roots:
             p.query(r)
+        forwarded = _forwarded(tree, net)
+        assert forwarded
         for var in list(ev):
             before = set(_cached(p))
+            assert forwarded <= before
             ev = {**ev, var: 1 - ev[var]}
             p.set_evidence(ev)
-            assert set(_cached(p)) == {(b, c) for b, c in before
-                                       if var not in _sending_side(tree, b, c)}
+            # a forwarded message is replaced with its factor, not dropped
+            assert set(_cached(p)) == forwarded | {(b, c) for b, c in before
+                                                   if var not in _sending_side(tree, b, c)}
             fresh = Propagator(tree, net)
             fresh.set_evidence(ev)
             for r in roots:
@@ -186,7 +197,10 @@ def test_potentials_built_once_per_net_and_shared_by_every_tree(c17):
         assert pots[v].scope == want.scope and np.array_equal(pots[v].table, want.table)
     for p in (Propagator(tree, net), Propagator(build_tree(net), net)):
         assert p.net.potentials is pots
-        assert all(f is pot for f, pot in zip(p._factor, pots))
+        # each factor is its potential viewed with a length-1 evidence axis
+        for f, pot in zip(p._factor, pots):
+            assert f.scope == pot.scope and f.table.shape == pot.table.shape + (1,)
+            assert np.shares_memory(f.table, pot.table)
         assert p._factor[net.n_vars:] == [None] * (p.tree.n_clusters - net.n_vars)
 
 
@@ -244,10 +258,12 @@ def test_message_counter(c17, corpus):
     for circuit in [c17] + corpus[:8]:
         net, tree = _net_tree(circuit)
         ev = {v: 0 for v in net.input_vars}
+        forwarded = _forwarded(tree, net)
         for root in range(tree.n_clusters):
             p = Propagator(tree, net)
             p.query(root)
-            full = len(_toward(tree, root))
+            # every edge toward the root but the forwarded ones is computed
+            full = len(_toward(tree, root) - forwarded)
             assert p.messages == full
             p.query(root)
             assert p.messages == full
@@ -379,8 +395,10 @@ def test_compiled_messages_equal_combine_then_reduce(c17, corpus):
             for edge in _directed(tree):
                 want = _reference_message(p, *edge)
                 got = cached[edge]
+                # messages keep the length-1 evidence axis that reads drop
                 assert got.scope == want.scope
-                assert np.array_equal(got.table, want.table)
+                assert got.table.shape == want.table.shape + (1,)
+                assert np.array_equal(got.table[..., 0], want.table)
             want_beliefs = []
             for cid, bel in enumerate(beliefs):
                 parts = _unfolded(p, cid) + [cached[a, cid] for a in tree.neighbors[cid]]
