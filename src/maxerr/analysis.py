@@ -26,8 +26,7 @@ from .circuit import Circuit, index_vector, vector_string
 # ``propagate``'s ``combine``, ``reduce_mixed`` and ``reduce_all`` in
 # their modules.
 from .jointree import BinaryJoinTree, build_tree, choose_order
-from .mapsearch import (PRUNE_TOL, MapQuery, _Search, check_propagator, cone_tables, solve,
-                        var_order_heuristic)
+from .mapsearch import PRUNE_TOL, MapQuery, _Search, cone_tables, solve, var_order_heuristic
 from .model import ErrorModelNet, build_error_model
 from .propagate import Propagator
 from .valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
@@ -103,16 +102,8 @@ def prepare(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT):
     return net, tree
 
 
-def cond_error(prop: Propagator, comp_var: int):
-    """P(comparator = 1 | the evidence set on ``prop``), via
-    P(comparator, evidence) normalized: a float, or an array over the
-    members of an eps grid."""
-    t = prop.var_belief(comp_var).table    # the comparator's states first
-    return t[1] / (t[0] + t[1])
-
-
 def max_errors(net: ErrorModelNet, tree: BinaryJoinTree, prune: bool = True,
-               joint: bool = False, prop: Propagator | None = None) -> list[ErrorReport]:
+               joint: bool = False) -> list[ErrorReport]:
     """Worst-case output error reports, one per eps member of ``net``
     (see ``max_error``); every eps member is served by the same reads and
     argmax.  The report's queries, one per output (or the one joint
@@ -120,9 +111,13 @@ def max_errors(net: ErrorModelNet, tree: BinaryJoinTree, prune: bool = True,
     ``_evidence_members`` per pass, and each output's cone table is a
     member's slice of one read at its holding cluster; a joint query no
     cluster holds takes its groups' product (``mapsearch.cone_tables``).
-    ``prop`` shares a propagator over ``tree`` and ``net``
-    (``ValueError`` otherwise); by default the queries share a fresh one."""
-    prop = Propagator(tree, net) if prop is None else check_propagator(prop, tree, net)
+    The queries share one fresh propagator."""
+    return _max_errors(Propagator(tree, net), prune, joint)
+
+
+def _max_errors(prop: Propagator, prune: bool = True, joint: bool = False) -> list[ErrorReport]:
+    """``max_errors`` of ``prop``'s network and tree, read on ``prop``."""
+    net, tree = prop.net, prop.tree
     order = var_order_heuristic(net)
     rows: list[list[OutputReport]] = [[] for _ in range(math.prod(net.batch))]
     names = list(net.circuit.outputs)
@@ -163,17 +158,18 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     error is P(output wrong | that vector), as inputs are uniform
     (``model``).  The report's worst output is the first whose error
     ties the largest (within a relative ``PRUNE_TOL``, as in the
-    search), so float noise among tied outputs cannot change it.  With
+    argmax), so float noise among tied outputs cannot change it.  With
     ``joint`` the query instead evidences every comparator at once (all
     outputs wrong together).  An output no fault combination can flip is
     marked unreachable.
 
     Only the inputs in the query's fan-in cone (the union of the cones
     in joint mode) are chosen; the others cannot change the error, are
-    reported as 0, and ``nodes_expanded`` and ``nodes_pruned`` count
-    nodes over the cone inputs.  Each query is the argmax of its cone
-    table P(cone inputs, wrong), as ``mapsearch.search`` takes it, with
-    the other inputs held at 0; the tables are read on one propagator,
+    reported as 0.  ``nodes_expanded`` and ``nodes_pruned`` are those of
+    a search tree over the d cone inputs: 1 + 2d and d, or with
+    ``prune`` off 2^(d+1) - 1 and 0.  Each query is the argmax of its
+    cone table P(cone inputs, wrong), with the other inputs held at 0
+    (``mapsearch``); the tables are read on one propagator,
     every query a member of one evidence setting where the batch cap
     allows (``mapsearch.cone_tables``).  The error is 2^|cone| times the argmax's
     cell: 2^k P(vector, wrong) without the 2^-k prior, which underflows
@@ -184,19 +180,18 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     return max_errors(net, tree, prune, joint)[0]
 
 
-def avg_error(net: ErrorModelNet, tree: BinaryJoinTree, prop: Propagator | None = None):
+def avg_error(net: ErrorModelNet, tree: BinaryJoinTree):
     """Max over outputs of P(output wrong) with no input evidence, i.e.
     the error rate averaged over uniformly weighted input vectors: a
     float, or an array over the members of an eps grid, from one read
-    per comparator.  ``prop``, a propagator over ``tree`` and ``net``,
-    has its evidence cleared and serves the reads from the messages it
-    keeps, which a fresh propagator would compute bit for bit alike
-    (``ValueError`` if it is built on another tree or net)."""
-    if prop is None:
-        prop = Propagator(tree, net)
-    else:
-        check_propagator(prop, tree, net).set_evidence({})
-    return np.maximum.reduce([cond_error(prop, comp) for comp in net.comparators])
+    per comparator on a fresh propagator."""
+    return _avg_error(Propagator(tree, net))
+
+
+def _avg_error(prop: Propagator):
+    """``avg_error`` read on ``prop``, whose evidence is still empty."""
+    beliefs = [prop.var_belief(comp).table for comp in prop.net.comparators]   # states first
+    return np.maximum.reduce([t[1] / (t[0] + t[1]) for t in beliefs])
 
 
 # Cells per batched table past which a larger batch stops paying.  Refined
@@ -226,8 +221,9 @@ def sweep(c: Circuit, grid, refine: bool = False,
     One model and join tree are built, at the grid's first value
     (``prepare``).  Each chunk of ``_chunk_size`` values runs on ``net.at``
     the chunk, whose eps-dependent tables end in an eps axis
-    (``propagate``): one batched search, then the average read on the
-    propagator the search filled.
+    (``propagate``), on one propagator: the average is read first, with
+    no evidence set, then the batched argmax pass sets its evidence and
+    reuses the messages no evidence reaches.
     ``refine`` bisects the first 0.5 crossing of max_error down to
     +-1e-4 in eps on the same model and tree (``_bisect``).  The grid must
     be non-empty, strictly increasing and inside [0, 0.5]; every value
@@ -249,10 +245,9 @@ def sweep(c: Circuit, grid, refine: bool = False,
     points: list[SweepPoint] = []
     for lo in range(0, len(grid), size):
         part = grid[lo:lo + size]
-        part_net = net.at(part)
-        prop = Propagator(tree, part_net)
-        reports = max_errors(part_net, tree, prop=prop)
-        avg = avg_error(part_net, tree, prop).tolist()
+        prop = Propagator(tree, net.at(part))
+        avg = _avg_error(prop).tolist()
+        reports = _max_errors(prop)
         points += [SweepPoint(eps, rep.max_error, a, rep.worst_vector, rep.worst_output)
                    for eps, rep, a in zip(part, reports, avg)]
 

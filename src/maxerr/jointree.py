@@ -213,15 +213,22 @@ def build_tree(net: ErrorModelNet, order: tuple[int, ...] | None = None,
     live = list(scopes)      # each cluster's scope minus the eliminated variables
     low = list(range(len(scopes)))   # each cluster's piece's lowest cluster id
     active = set(range(len(scopes)))
+    # per variable, the active clusters whose live scope holds it
+    holding: list[set[int]] = [set() for _ in range(net.n_vars)]
+    for n, scope in enumerate(scopes):
+        for v in scope:
+            holding[v].add(n)
     edges: list[tuple[int, int]] = []
     reps: list[int] = []     # the lowest cluster id of each finished piece
 
     for y in order:
-        gamma = sorted(n for n in active if y in live[n])
+        gamma = sorted(holding[y])
         while len(gamma) > 1:
             _, a, b = min((len(live[a] | live[b]), a, b)
                           for i, a in enumerate(gamma) for b in gamma[i + 1:])
             u = live[a] | live[b]
+            for v in u:
+                holding[v] -= {a, b}
             if len(gamma) == 2 and (len(active) == 2 or u == {y}):
                 # nothing merges with this pair again: join it directly
                 edges.append((a, b))
@@ -235,6 +242,8 @@ def build_tree(net: ErrorModelNet, order: tuple[int, ...] | None = None,
             k = len(scopes)
             scopes.append(u)
             live.append(u)
+            for v in u:
+                holding[v].add(k)
             low.append(min(low[a], low[b]))
             edges += [(a, k), (b, k)]
             active -= {a, b}

@@ -5,8 +5,8 @@ hold inputs at given states.  Its fan-in cone is the inputs among the
 ancestors of its evidenced variables.  ``choose_order`` eliminates the
 inputs last, so one cluster holds each output's cone; the smallest
 (lowest id on a tie, ``_holder``), read with the evidence set and summed
-onto the cone, gives P(cone inputs, evidence), the query's cone table
-(``cone_table``): one axis per cone input, none for the others.
+onto the cone, gives P(cone inputs, evidence), the query's cone table:
+one axis per cone input, none for the others.
 Several queries' tables come from one evidence setting, each query a
 member of the evidence axis (``propagate``): one read per holding
 cluster and cone serves every member, sliced out (``cone_tables``).
@@ -198,11 +198,6 @@ def cone_tables(prop: Propagator, evids: list[dict[int, int]],
     return tables
 
 
-def cone_table(prop: Propagator, evid: dict[int, int]) -> tuple[np.ndarray, frozenset[int]]:
-    """The cone table of ``evid`` and its cone (``cone_tables``)."""
-    return cone_tables(prop, [evid])[0]
-
-
 def _group_product(prop: Propagator, evid: dict[int, int], cone: frozenset[int]) -> np.ndarray:
     """The cone table of ``evid``, whose cone no cluster holds, from its
     groups' reads (``cone_tables``)."""
@@ -227,17 +222,11 @@ def _group_product(prop: Propagator, evid: dict[int, int], cone: frozenset[int])
     return np.ldexp(table, -len(cone))
 
 
-def check_propagator(prop: Propagator, tree: BinaryJoinTree, net: ErrorModelNet) -> Propagator:
-    """``prop`` if it is built on ``tree`` and ``net``; ``ValueError`` otherwise."""
-    if prop.tree is not tree or prop.net is not net:
-        raise ValueError("propagator must be built on the query's tree and net")
-    return prop
-
-
-def _cone_evidence(q: MapQuery) -> dict[int, int]:
-    """The evidence of ``q`` on variables other than inputs, whose cone
-    table ``q`` reads."""
-    return {v: s for v, s in q.evid_o.items() if q.net.vars[v].klass is not VarClass.INPUT}
+def _cone_read(q: MapQuery) -> tuple[np.ndarray, frozenset[int]]:
+    """The cone table of ``q``'s evidence on variables other than
+    inputs, and its cone, on a fresh propagator (``cone_tables``)."""
+    evid = {v: s for v, s in q.evid_o.items() if q.net.vars[v].klass is not VarClass.INPUT}
+    return cone_tables(Propagator(q.tree, q.net), [evid])[0]
 
 
 class _Search:
@@ -245,8 +234,8 @@ class _Search:
     module docstring), with an axis per free cone input along
     ``var_order`` and the member axis last, and the tie levels.  Cells
     are P(vector, evidence) times 2^-``shift``, the priors of the inputs
-    outside the cone.  ``read`` is the table and cone of
-    ``_cone_evidence(q)`` (``cone_tables``)."""
+    outside the cone.  ``read`` is the table and cone ``_cone_read(q)``
+    returns."""
 
     def __init__(self, q: MapQuery, read: tuple[np.ndarray, frozenset[int]]):
         net, evid = q.net, q.evid_o
@@ -322,31 +311,26 @@ def seed(q: MapQuery) -> tuple[dict[int, int], float | list[float]]:
     """The all-zero assignment and its exact probability, a lower bound
     on the optimum (one per member over an eps grid): the all-zero cell
     of the query's cone table, on a fresh propagator."""
-    s = _Search(q, cone_table(Propagator(q.tree, q.net), _cone_evidence(q)))
+    s = _Search(q, _cone_read(q))
     return {v: 0 for v in q.var_order}, s.scaled(s.zero())
 
 
 def search(q: MapQuery, prune: bool = True,
            on_bound: Callable[[dict, float | list[float]], None] | None = None,
-           prop: Propagator | None = None, use_seed: bool = False) -> list[MapResult]:
+           use_seed: bool = False) -> list[MapResult]:
     """The worst vector of each member of ``q.net`` (one in all at a
-    single eps), the cone table's argmax (see the module docstring);
-    ``p_map`` is its value.  ``prune`` selects the node counts over the
-    d inputs not in ``q.evid_o``: 1 + 2d expanded and d pruned, or the
-    full tree's, 2^(d+1) - 1 and 0.  ``on_bound`` (assignment, bound)
+    single eps), the argmax of the cone table read on a fresh
+    propagator (see the module docstring); ``p_map`` is its value.
+    ``prune`` selects the node counts over the d inputs not in
+    ``q.evid_o``: 1 + 2d expanded and d pruned, or the full tree's,
+    2^(d+1) - 1 and 0.  ``on_bound`` (assignment, bound)
     fires, for auditing, for both children of every node on the
     members' paths, or unpruned of every node, a level at a time; the
-    bound is a float, or a list over every member.
-
-    ``prop`` shares a propagator over ``q.tree`` and ``q.net`` between
-    queries (``ValueError`` otherwise); the answer does not change,
-    since a cached message depends only on the evidence on its sending
-    side.
-    ``use_seed`` keeps the all-zero assignment (``seed``) unless the
-    argmax beats it by more than ``PRUNE_TOL``.
+    bound is a float, or a list over every member.  ``use_seed`` keeps
+    the all-zero assignment (``seed``) unless the argmax beats it by
+    more than ``PRUNE_TOL``.
     """
-    prop = Propagator(q.tree, q.net) if prop is None else check_propagator(prop, q.tree, q.net)
-    return _Search(q, cone_table(prop, _cone_evidence(q))).results(prune, on_bound, use_seed)
+    return _Search(q, _cone_read(q)).results(prune, on_bound, use_seed)
 
 
 def solve(q: MapQuery, use_seed: bool = False, prune: bool = True,
@@ -354,4 +338,4 @@ def solve(q: MapQuery, use_seed: bool = False, prune: bool = True,
     """``search`` on a network at one eps, on a fresh propagator: its one result."""
     if q.net.batch:
         raise ValueError("solve takes a network at one eps; search takes an eps grid")
-    return search(q, prune, on_bound, use_seed=use_seed)[0]
+    return search(q, prune, on_bound, use_seed)[0]

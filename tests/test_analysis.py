@@ -2,14 +2,15 @@
 fault-set enumeration oracle and are pinned here as literals."""
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
 from conftest import CHAINS, DISCONNECTED, WIDE_AND, and_chains, perfbench_circuits
 from maxerr import analysis, mapsearch
-from maxerr.analysis import (MAX_SPECTRUM_INPUTS, avg_error, cond_error, max_error,
-                             prepare, spectrum, sweep)
+from maxerr.analysis import (MAX_SPECTRUM_INPUTS, avg_error, max_error, prepare, spectrum,
+                             sweep)
 from maxerr.circuit import (Circuit, all_input_vectors, index_vector, parse_bench,
                             vector_index)
 from maxerr.model import build_error_model
@@ -196,6 +197,32 @@ def test_spectrum_sets_evidence_twice_per_output(c17, monkeypatch):
     assert calls == []
 
 
+def test_no_report_clears_evidence(c17, corpus, monkeypatch):
+    # a report reads with no evidence only before its first evidence
+    # setting, so none passes a propagator an evidence-free setting; a
+    # refined c17 sweep sets evidence once per argmax pass, the grid's
+    # and the bisection's
+    calls = []
+    set_evidence = Propagator.set_evidence
+
+    def recorded(self, evidence):
+        calls.append(evidence)
+        set_evidence(self, evidence)
+
+    monkeypatch.setattr(Propagator, "set_evidence", recorded)
+    for c in [c17, perfbench_circuits().ripple_carry_adder(4)] + corpus[:10]:
+        for limit in (DEFAULT_WIDTH_LIMIT, prepare(c, 0.05)[1].width):
+            max_error(*prepare(c, 0.05, limit))
+        spectrum(c, 0.05)
+        sweep(c, GRID, refine=True)
+    assert calls
+    assert not [ev for ev in calls
+                if all(not m for m in ([ev] if isinstance(ev, Mapping) else ev))]
+    calls.clear()
+    assert sweep(c17, GRID, refine=True).refined_bound is not None
+    assert len(calls) == 2
+
+
 def test_joint_mode_matches_direct_enumeration(c17):
     eps = 0.05
     net, tree = prepare(c17, eps)
@@ -253,28 +280,28 @@ def test_sweep_curve_frozen(c17):
 
 
 def test_sweep_compiles_plans_in_its_first_batched_pass_only(c17, monkeypatch):
-    # the whole grid runs on one tree in one batched pass, and the refine
-    # points, batched by bisection levels on that tree, compile no new plans
-    import maxerr.analysis as analysis
+    # the whole grid runs on one tree in one batched pass, the average
+    # first, and the refine points, batched by bisection levels on that
+    # tree, compile no new plans
     calls, trees, sizes = [], [], []
 
     def recording(name):
         fn = getattr(analysis, name)
 
-        def wrapped(net, tree, *args, **kwargs):
-            out = fn(net, tree, *args, **kwargs)
-            calls.append((name, net.batch))
-            trees.append(tree)
-            sizes.append(len(tree.plans))
+        def wrapped(prop, *args, **kwargs):
+            out = fn(prop, *args, **kwargs)
+            calls.append((name, prop.net.batch))
+            trees.append(prop.tree)
+            sizes.append(len(prop.tree.plans))
             return out
         return wrapped
 
-    for name in ("max_errors", "avg_error", "max_error"):
+    for name in ("_avg_error", "_max_errors"):
         monkeypatch.setattr(analysis, name, recording(name))
     curve = sweep(c17, GRID, refine=True)
     assert curve.refined_bound is not None
-    assert calls[:2] == [("max_errors", (len(GRID),)), ("avg_error", (len(GRID),))]
-    assert [name for name, _ in calls[2:]] == ["max_errors"]   # 5 levels, 31 midpoints
+    assert calls[:2] == [("_avg_error", (len(GRID),)), ("_max_errors", (len(GRID),))]
+    assert [name for name, _ in calls[2:]] == ["_max_errors"]   # 5 levels, 31 midpoints
     assert calls[2][1] == (31,)
     assert all(t is trees[0] for t in trees)
     assert sizes[1] > 0 and sizes[-1] == sizes[1]
@@ -367,7 +394,9 @@ def _per_vector_spectrum(c, eps) -> np.ndarray:
     for step in range(1 << k):
         idx = step ^ (step >> 1)
         prop.set_evidence(dict(zip(net.input_vars, index_vector(idx, k))))
-        table[idx] = [cond_error(prop, comp) for comp in net.comparators]
+        for j, comp in enumerate(net.comparators):
+            t = prop.var_belief(comp).table    # P(comparator, vector)
+            table[idx, j] = t[1] / (t[0] + t[1])
     return np.moveaxis(table.reshape(1 << k, len(net.comparators), -1), -1, 0)
 
 

@@ -11,7 +11,7 @@ from maxerr import jointree, mapsearch
 from maxerr.circuit import all_input_vectors, index_vector, parse_bench, vector_index
 from maxerr.jointree import build_tree
 from maxerr.mapsearch import (PRUNE_TOL, MapQuery, MapResult, _cones, _holder, _Search,
-                              search, seed, solve, var_order_heuristic)
+                              cone_tables, search, seed, solve, var_order_heuristic)
 from maxerr.model import build_error_model, joint_prob
 from maxerr.oracle import FaultEnumerator, exact_map
 from maxerr.propagate import Propagator
@@ -182,7 +182,7 @@ def test_ties_resolve_within_one_tolerance_of_the_maximum(monkeypatch):
     net = build_error_model(TIED, EPS)
     a, b = net.input_vars
     cells = 0.25 * np.array([[1 - 0.5 * PRUNE_TOL, 1], [1 + 0.9 * PRUNE_TOL, 0.5]])
-    monkeypatch.setattr(mapsearch, "cone_table", lambda prop, evid: (cells, frozenset((a, b))))
+    monkeypatch.setattr(mapsearch, "_cone_read", lambda q: (cells, frozenset((a, b))))
     q = MapQuery(net, build_tree(net), {net.comparators[0]: 1}, (a, b))
     for prune in (True, False):
         r = solve(q, prune=prune)
@@ -492,39 +492,30 @@ def test_evidenced_inputs_are_held_not_searched(c17):
 
 
 def test_seed_shares_the_search_propagator_silently(c17):
+    # the seed is the all-zero cell of the table the search reads: it
+    # fires no bound and reads it bit for bit as ``seed`` does alone
     q = _query(c17)
     seen = []
     r = solve(q, use_seed=True, on_bound=lambda a, u: seen.append(u))
-    assert r.seed_value is not None
+    assert r.seed_value == seed(q)[1]
     assert len(seen) == r.nodes_expanded - 1   # nor are the root's and the seed's
-
-    # a propagator left with other evidence gives the seed bit for bit
-    prop = Propagator(q.tree, q.net)
-    prop.set_evidence({v: 1 for v in q.net.input_vars})
-    prop.query(q.net.input_vars[0])
-    assert search(q, prop=prop, use_seed=True)[0].seed_value == seed(q)[1]
 
 
 def test_shared_propagator_gives_fresh_answers(c17, corpus):
     # a cached message depends only on the evidence on its sending side,
-    # so queries that share one propagator, in any order, answer exactly
-    # as on a fresh one
+    # so cone tables read on one propagator, in any order, equal a fresh
+    # propagator's bit for bit
     for circuit in [c17] + corpus[:20]:
         net = build_error_model(circuit, EPS)
         tree = build_tree(net)
-        queries = [MapQuery(net, tree, {cv: 1}) for cv in net.comparators]
-        fresh = [solve(q) for q in queries]
+        evids = [{cv: 1} for cv in net.comparators]
+        fresh = [cone_tables(Propagator(tree, net), [evid])[0] for evid in evids]
         shared = Propagator(tree, net)
-        for j in list(range(len(queries))) + list(reversed(range(len(queries)))):
-            assert search(queries[j], prop=shared)[0] == fresh[j]
-
-
-def test_foreign_propagator_rejected(c17):
-    q = _query(c17)
-    other = build_error_model(c17, EPS)
-    for prop in (Propagator(q.tree, other), Propagator(build_tree(q.net), q.net)):
-        with pytest.raises(ValueError):
-            search(q, prop=prop)
+        for j in list(range(len(evids))) + list(reversed(range(len(evids)))):
+            table, cone = cone_tables(shared, [evids[j]])[0]
+            assert cone == fresh[j][1]
+            assert table.shape == fresh[j][0].shape
+            assert table.tobytes() == fresh[j][0].tobytes()
 
 
 XOR_CHAIN = parse_bench("""
