@@ -3,8 +3,9 @@
 Per output: the worst-case error, the conditional error probability at
 the most error-prone input vector, the argmax of one read of the
 output's fan-in cone (``max_error``, ``mapsearch``); the error at
-every vector, read from the same cone (``spectrum``); and across an eps
-grid, the first eps where the worst case reaches 0.5 (``sweep``), run as
+every vector, read from the output's cone in the error-prone copy alone
+(``spectrum``, on ``prepare_faulty``'s model); and across an eps grid,
+the first eps where the worst case reaches 0.5 (``sweep``), run as
 batched passes over the whole grid.  Every cone read is
 ``mapsearch.cone_tables``: a report's queries ride one evidence setting
 as members of its evidence axis (``propagate``), as many per pass as
@@ -27,7 +28,7 @@ from .circuit import Circuit, index_vector, vector_string
 # their modules.
 from .jointree import BinaryJoinTree, build_tree, choose_order
 from .mapsearch import PRUNE_TOL, MapQuery, _Search, cone_tables, solve, var_order_heuristic
-from .model import ErrorModelNet, build_error_model
+from .model import ErrorModelNet, build_error_model, build_faulty_model
 from .propagate import Propagator
 from .valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
 
@@ -94,12 +95,21 @@ def prepare(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT):
     Every CPT lies inside one cluster, so a gate whose CPT (the gate and
     its fan-in) spans more than ``width_limit`` variables raises
     ``WidthLimitError`` here, before any table is built."""
+    return _prepared(build_error_model, c, eps, width_limit)
+
+
+def prepare_faulty(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT):
+    """``prepare`` of the inputs and the error-prone copy alone
+    (``model.build_faulty_model``): the model and tree ``spectrum`` reads."""
+    return _prepared(build_faulty_model, c, eps, width_limit)
+
+
+def _prepared(build, c: Circuit, eps, width_limit: int):
     widest = 1 + max((len(g.fanin) for g in c.gates), default=0)
     if widest > width_limit:
         raise WidthLimitError(widest, width_limit, "widest gate CPT")
-    net = build_error_model(c, eps)
-    tree = build_tree(net, choose_order(net), width_limit)
-    return net, tree
+    net = build(c, eps)
+    return net, build_tree(net, choose_order(net), width_limit)
 
 
 def max_errors(net: ErrorModelNet, tree: BinaryJoinTree, prune: bool = True,
@@ -296,12 +306,15 @@ MAX_SPECTRUM_INPUTS = 20
 
 
 def spectrum(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT) -> Spectrum:
-    """Exact per-vector worst-output error over all 2**k input vectors.
+    """Exact per-vector error of every output over all 2**k input vectors.
 
-    Per output, two cone tables, with the comparator at 1 and at 0, give
-    P(cone, wrong) / P(cone), broadcast over the other inputs;
-    ``ValueError`` if no cluster holds the cone.  All 2n tables are
-    members of one evidence setting, read once per output's holding
+    Given the inputs, the error-free copy is the constant f(x), so the
+    model is the inputs and the error-prone copy alone
+    (``prepare_faulty``).  Per output, two cone tables, with its faulty
+    value at 1 and at 0, give P(cone, faulty = not f(x)) / P(cone),
+    broadcast over the other inputs, with f from a simulation of the
+    cone's vectors; ``ValueError`` if no cluster holds the cone.  All 2n tables
+    are members of one evidence setting, read once per output's holding
     cluster (``mapsearch.cone_tables``), or split into passes of
     ``_evidence_members``: one per table when the tree is as wide as its
     ``width_limit``.
@@ -313,17 +326,25 @@ def spectrum(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT) -> Spectru
     if c.n_inputs > MAX_SPECTRUM_INPUTS:
         raise ValueError("spectrum enumeration capped at %d inputs, circuit has %d"
                          % (MAX_SPECTRUM_INPUTS, c.n_inputs))
-    net, tree = prepare(c, eps, width_limit)
+    net, tree = prepare_faulty(c, eps, width_limit)
     reads = cone_tables(Propagator(tree, net),
-                        [{comp: s} for comp in net.comparators for s in (1, 0)],
+                        [{v: s} for v in net.faulty_outputs for s in (1, 0)],
                         _evidence_members(net, tree))
-    table = np.empty((2,) * c.n_inputs + (len(net.comparators),))
-    for j in range(len(net.comparators)):
-        # right + wrong, not 2^-|cone|: two reads that round alike give the nearer ratio
-        (wrong, cone), (right, _) = reads[2 * j:2 * j + 2]
+    table = np.empty((2,) * c.n_inputs + (c.n_outputs,))
+    for j in range(c.n_outputs):
+        (t1, cone), (t0, _) = reads[2 * j:2 * j + 2]
         # a read's axes follow its sorted scope, and input ids ascend
-        table[..., j] = (wrong / (right + wrong)).reshape(
-            [2 if v in cone else 1 for v in net.input_vars])
+        axes = [2 if v in cone else 1 for v in net.input_vars]
+        # f depends on the cone alone: simulate its vectors, the other
+        # inputs at 0, the first cone input the most significant bit
+        d = len(cone)
+        rows = np.zeros((1 << d, c.n_inputs), dtype=bool)
+        for m, v in enumerate(sorted(cone)):
+            rows[:, v] = np.arange(1 << d) >> (d - 1 - m) & 1
+        good = c.eval_batch(rows)[:, j].reshape(axes)
+        t1, t0 = t1.reshape(axes), t0.reshape(axes)
+        # t0 + t1, not 2^-|cone|: two reads that round alike give the nearer ratio
+        table[..., j] = np.where(good, t0, t1) / (t0 + t1)
     table = table.reshape(1 << c.n_inputs, -1)
     maxes = table.max(axis=1)
     mu = math.fsum(maxes) / len(maxes)

@@ -24,7 +24,7 @@ import os
 import sys
 import time
 
-from .analysis import max_error, prepare, spectrum, sweep
+from .analysis import max_error, prepare, prepare_faulty, spectrum, sweep
 from .circuit import BenchParseError, index_vector, load_circuit, vector_string
 from .model import eps_by_net_name
 from .oracle import FaultEnumerator, McConfig, monte_carlo
@@ -273,7 +273,7 @@ def cmd_oracle_check(args) -> int:
     eps = _load_eps(args, c)
     exact = FaultEnumerator(c).cond_errors(eps)   # its 16-input cap fires before spectrum's
     if args.explain:
-        _explain(*prepare(c, eps, width_limit=args.width_limit))
+        _explain(*prepare_faulty(c, eps, width_limit=args.width_limit))
     table = spectrum(c, eps, width_limit=args.width_limit).per_output
     rows = []
     worst = 0.0

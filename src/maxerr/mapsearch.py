@@ -160,10 +160,12 @@ def _holder(tree: BinaryJoinTree, cone: frozenset[int]) -> int | None:
 
 def cone_tables(prop: Propagator, evids: list[dict[int, int]],
                 members: int = 1) -> list[tuple[np.ndarray, frozenset[int]]]:
-    """The cone table of each mapping of non-input evidence in ``evids``
-    (see the module docstring), P(cone inputs, evid) with an axis per
-    cone input in id order followed by the grid axis if any, and its
-    cone, in order.  The mappings whose cone a cluster holds are read
+    """The cone table of each evidence mapping in ``evids`` (see the
+    module docstring), P(cone inputs, evid) with an axis per cone input
+    in id order followed by the grid axis if any, and its cone, in
+    order.  An evidenced input lies in its own cone: a faulty output fed
+    straight by an input (``ErrorModelNet.faulty_outputs``) is evidenced
+    on that input.  The mappings whose cone a cluster holds are read
     ``members`` at a time, one evidence setting per pass with a member
     each (``Propagator.set_evidence``), those sharing a holding cluster
     and cone side by side: per pass one read of each such run of

@@ -5,7 +5,11 @@ copy of the circuit, an error-prone copy in which every gate misbehaves
 independently, and one XOR comparator per primary output flagging
 disagreement between the two copies.  Variables are binary; the network
 has k + 2G + n of them for a circuit with k inputs, G gates and n
-outputs.
+outputs (``build_error_model``).  Once the inputs are fixed the
+error-free copy and the comparators add only the constant f(x), so the
+per-vector error reads from a model of the inputs and the error-prone
+copy alone, k + G variables (``build_faulty_model``): the output is
+wrong where its faulty value differs from f(x).
 
 One id names a variable and everything kept for it: ``net.cpts[v]`` is
 variable ``v``'s CPT, ``net.potentials[v]`` that CPT as a valuation, and
@@ -146,15 +150,16 @@ def _xor_cpt(child: Var, parents: tuple[Var, ...], batch: tuple[int, ...]) -> Cp
 
 
 def _eps_cpts(c: Circuit, heads, eps_map: dict, batch: tuple[int, ...]) -> list[Cpt]:
-    """The CPTs that depend on eps: the G error-prone gates', then the n
-    comparators', from each one's (child, parents) in ``heads``."""
+    """The CPTs that depend on eps: the G error-prone gates', then the
+    comparators', if any, from each one's (child, parents) in ``heads``."""
     return ([cpt_for_gate(g.func, len(g.fanin), eps_map[gi], True, *heads[gi])
              for gi, g in enumerate(c.gates)]
             + [_xor_cpt(child, parents, batch) for child, parents in heads[c.n_gates:]])
 
 
 class ErrorModelNet:
-    """The assembled network, its circuit and its comparator variables.
+    """The assembled network, its circuit, its comparator variables and,
+    per circuit output, the variable carrying its faulty value.
 
     A network built over an eps grid of B values is B networks of one
     structure at once (its members): ``batch`` is ``(B,)``, the
@@ -165,12 +170,14 @@ class ErrorModelNet:
     """
 
     def __init__(self, circuit: Circuit, vars: list[Var], cpts: list[Cpt],
-                 comparators: tuple[int, ...], batch: tuple[int, ...] = ()):
+                 comparators: tuple[int, ...], faulty_outputs: tuple[int, ...],
+                 batch: tuple[int, ...] = ()):
         self.circuit = circuit
         self.batch = batch            # (B,) over an eps grid of B values, else ()
         self.vars = tuple(vars)
         self.cpts = tuple(cpts)
         self.comparators = comparators
+        self.faulty_outputs = faulty_outputs
         self.input_vars = tuple(v.id for v in vars if v.klass is VarClass.INPUT)
         if [v.id for v in vars] != list(range(len(vars))):
             raise ValueError("variable ids must be dense 0..N-1")
@@ -187,10 +194,11 @@ class ErrorModelNet:
 
     def at(self, eps) -> ErrorModelNet:
         """This network at another eps, in any form ``build_error_model``
-        takes: only the error-prone gate and comparator CPTs are built;
-        ``vars``, the other CPTs and their potentials are this network's."""
+        takes: only the eps-dependent CPTs, the trailing error-prone gate
+        and comparator ones, are built; ``vars``, the other CPTs and their
+        potentials are this network's."""
         eps_map, batch = _normalize_eps(self.circuit, eps)
-        fixed = self.circuit.n_inputs + self.circuit.n_gates
+        fixed = self.n_vars - self.circuit.n_gates - len(self.comparators)
         built = _eps_cpts(self.circuit, [(cpt.child, cpt.parents) for cpt in self.cpts[fixed:]],
                           eps_map, batch)
         net = copy.copy(self)
@@ -240,6 +248,41 @@ def eps_by_net_name(c: Circuit, named: Mapping[str, float],
     return out
 
 
+def _build(c: Circuit, eps, ideal: bool) -> ErrorModelNet:
+    """The three-block network with ``ideal``, else the inputs and the
+    error-prone copy alone, with variable ids in the order the public
+    ``build_*`` functions state."""
+    eps_map, batch = _normalize_eps(c, eps)
+    vars = [Var(j, name, VarClass.INPUT) for j, name in enumerate(c.inputs)]
+    # net name -> error-free / error-prone twin var id
+    ideal_of = {name: j for j, name in enumerate(c.inputs)}
+    faulty_of = dict(ideal_of)  # both copies read the same shared inputs
+    if ideal:
+        for g in c.gates:
+            ideal_of[g.output] = len(vars)
+            vars.append(Var(len(vars), g.output, VarClass.INTERNAL))
+    for g in c.gates:
+        faulty_of[g.output] = len(vars)
+        vars.append(Var(len(vars), g.output + "'", VarClass.INTERNAL))
+    comparators = tuple(range(len(vars), len(vars) + c.n_outputs)) if ideal else ()
+    vars += [Var(v, "err:" + name, VarClass.COMPARATOR) for v, name in zip(comparators, c.outputs)]
+
+    cpts = [input_prior(v) for v in vars[:c.n_inputs]]
+    if ideal:
+        cpts += [cpt_for_gate(g.func, len(g.fanin), 0.0, False, vars[ideal_of[g.output]],
+                              tuple(vars[ideal_of[n]] for n in g.fanin)) for g in c.gates]
+    heads = [(vars[faulty_of[g.output]], tuple(vars[faulty_of[n]] for n in g.fanin))
+             for g in c.gates]
+    for comp, name in zip(comparators, c.outputs):
+        a, b = ideal_of[name], faulty_of[name]
+        # An output fed straight from a primary input has identical twins;
+        # the comparator is then the constant 0.
+        heads.append((vars[comp], (vars[a],) if a == b else (vars[a], vars[b])))
+    cpts += _eps_cpts(c, heads, eps_map, batch)
+    return ErrorModelNet(c, vars, cpts, comparators,
+                         tuple(faulty_of[name] for name in c.outputs), batch)
+
+
 def build_error_model(c: Circuit, eps) -> ErrorModelNet:
     """Assemble the three-block network for a circuit.
 
@@ -249,41 +292,17 @@ def build_error_model(c: Circuit, eps) -> ErrorModelNet:
     pass.  Variable ids run: inputs, error-free gate copies, error-prone
     gate copies, comparators.
     """
-    eps_map, batch = _normalize_eps(c, eps)
-    k, G = c.n_inputs, c.n_gates
-    vars: list[Var] = []
-    for name in c.inputs:
-        vars.append(Var(len(vars), name, VarClass.INPUT))
-    for g in c.gates:
-        vars.append(Var(len(vars), g.output, VarClass.INTERNAL))
-    for g in c.gates:
-        vars.append(Var(len(vars), g.output + "'", VarClass.INTERNAL))
-    for name in c.outputs:
-        vars.append(Var(len(vars), "err:" + name, VarClass.COMPARATOR))
+    return _build(c, eps, True)
 
-    # net name -> error-free / error-prone twin var id
-    ideal_of = {name: j for j, name in enumerate(c.inputs)}
-    faulty_of = dict(ideal_of)  # both copies read the same shared inputs
-    for gi, g in enumerate(c.gates):
-        ideal_of[g.output] = k + gi
-        faulty_of[g.output] = k + G + gi
 
-    cpts: list[Cpt] = []
-    for j in range(k):
-        cpts.append(input_prior(vars[j]))
-    for gi, g in enumerate(c.gates):
-        parents = tuple(vars[ideal_of[n]] for n in g.fanin)
-        cpts.append(cpt_for_gate(g.func, len(g.fanin), 0.0, False, vars[k + gi], parents))
-    heads = [(vars[k + G + gi], tuple(vars[faulty_of[n]] for n in g.fanin))
-             for gi, g in enumerate(c.gates)]
-    for oi, name in enumerate(c.outputs):
-        a, b = ideal_of[name], faulty_of[name]
-        # An output fed straight from a primary input has identical twins;
-        # the comparator is then the constant 0.
-        heads.append((vars[k + 2 * G + oi], (vars[a],) if a == b else (vars[a], vars[b])))
-    cpts += _eps_cpts(c, heads, eps_map, batch)
-    comparators = tuple(range(k + 2 * G, len(vars)))
-    return ErrorModelNet(c, vars, cpts, comparators, batch)
+def build_faulty_model(c: Circuit, eps) -> ErrorModelNet:
+    """Assemble the network of the inputs and the error-prone copy alone,
+    ids in that order, with ``eps`` as ``build_error_model`` takes it.
+    It has no comparators; ``faulty_outputs`` names per output the
+    variable carrying its faulty value, an input's where an input feeds
+    the output straight.  On a circuit without gates no table carries
+    the grid axis."""
+    return _build(c, eps, False)
 
 
 def joint_prob(net: ErrorModelNet, assignment: Sequence[int]) -> float:

@@ -14,6 +14,10 @@ CORPUS_SEED = 20250814
 CORPUS_SIZE = 200
 CORPUS_EPS = (0.01, 0.05, 0.1, 0.2)
 
+# every output fed straight by an input: no gate depends on eps, so in
+# the three-block model only the comparators carry the grid axis
+GATE_FREE = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(a)\nOUTPUT(b)\n")
+
 # two independent cones, so the join tree's pieces have to be chained
 DISCONNECTED = parse_bench(
     "INPUT(a)\nINPUT(b)\nOUTPUT(x)\nOUTPUT(y)\nx = NOT(a)\ny = NOT(b)\n")

@@ -7,13 +7,13 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
-from conftest import CHAINS, DISCONNECTED, WIDE_AND, and_chains, perfbench_circuits
+from conftest import CHAINS, DISCONNECTED, GATE_FREE, WIDE_AND, and_chains, perfbench_circuits
 from maxerr import analysis, mapsearch
-from maxerr.analysis import (MAX_SPECTRUM_INPUTS, avg_error, max_error, prepare, spectrum,
-                             sweep)
+from maxerr.analysis import (MAX_SPECTRUM_INPUTS, avg_error, max_error, prepare,
+                             prepare_faulty, spectrum, sweep)
 from maxerr.circuit import (Circuit, all_input_vectors, index_vector, parse_bench,
                             vector_index)
-from maxerr.model import build_error_model
+from maxerr.model import build_faulty_model
 from maxerr.oracle import FaultEnumerator, random_circuit
 from maxerr.propagate import Propagator
 from maxerr.valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
@@ -171,10 +171,10 @@ def test_max_error_builds_one_propagator(c17, corpus, monkeypatch):
 
 
 def test_spectrum_sets_evidence_twice_per_output(c17, monkeypatch):
-    # spectrum evidences each comparator at 1 and at 0 and reads its cone,
-    # all four as members of one evidence setting, or, with the width
-    # limit at the tree's width, one member and one setting each;
-    # avg_error reads every comparator with no evidence at all
+    # spectrum evidences each faulty output at 1 and at 0 and reads its
+    # cone, all four as members of one evidence setting, or, with the
+    # width limit at the faulty tree's width, one member and one setting
+    # each; avg_error reads every comparator with no evidence at all
     calls = []
     set_evidence = Propagator.set_evidence
 
@@ -184,12 +184,12 @@ def test_spectrum_sets_evidence_twice_per_output(c17, monkeypatch):
 
     monkeypatch.setattr(Propagator, "set_evidence", counted)
     want = spectrum(c17, 0.05)
-    comps = build_error_model(c17, 0.05).comparators
-    assert calls == [[{c: s} for c in comps for s in (1, 0)]]
-    width = prepare(c17, 0.05)[1].width
+    outs = build_faulty_model(c17, 0.05).faulty_outputs
+    assert calls == [[{o: s} for o in outs for s in (1, 0)]]
+    width = prepare_faulty(c17, 0.05)[1].width
     calls.clear()
     got = spectrum(c17, 0.05, width_limit=width)
-    assert calls == [[{c: s}] for c in comps for s in (1, 0)]
+    assert calls == [[{o: s}] for o in outs for s in (1, 0)]
     assert len(calls) == 2 * len(c17.outputs) == 4
     assert np.array_equal(got.per_output, want.per_output)
     calls.clear()
@@ -422,18 +422,29 @@ def test_spectrum_matches_per_vector_reads(c17, corpus):
 
 
 def test_every_output_cone_lies_in_one_cluster(c17, corpus):
+    # each comparator's cone in the three-block tree, each faulty
+    # output's in the tree of the error-prone copy alone
     for c, eps in _spectrum_cases(c17, corpus):
-        net, tree = prepare(c, eps)
-        for comp in net.comparators:
-            cone = mapsearch._cone_inputs(tree, net, (comp,))
-            assert any(cone <= scope for scope in tree.scopes)
+        for (net, tree), roots in [(prepare(c, eps), "comparators"),
+                                   (prepare_faulty(c, eps), "faulty_outputs")]:
+            for v in getattr(net, roots):
+                cone = mapsearch._cone_inputs(tree, net, (v,))
+                assert any(cone <= scope for scope in tree.scopes)
+
+
+def test_spectrum_of_outputs_fed_by_inputs_is_zero():
+    # no gate lies between an input and these outputs, so no vector is wrong
+    sp = spectrum(GATE_FREE, 0.05)
+    assert build_faulty_model(GATE_FREE, 0.05).faulty_outputs == (0, 1)
+    assert np.array_equal(sp.per_output, np.zeros((4, 2)))
+    assert np.array_equal(sp.per_output, FaultEnumerator(GATE_FREE).cond_errors(0.05))
 
 
 def test_spectrum_rejects_a_cone_no_cluster_holds(monkeypatch):
     # DISCONNECTED's two inputs sit in separate pieces of its tree
     monkeypatch.setattr(mapsearch, "_cones", lambda tree, net, roots:
                         [(tuple(roots), frozenset(net.input_vars))])
-    with pytest.raises(ValueError, match="no cluster holds the cone inputs of err:x$"):
+    with pytest.raises(ValueError, match="no cluster holds the cone inputs of x'$"):
         spectrum(DISCONNECTED, 0.05)
 
 

@@ -27,7 +27,8 @@ def test_variable_layout(c17):
 def test_cpts_must_follow_variable_order(reorder):
     net = build_error_model(AND2, 0.05)
     with pytest.raises(ValueError, match="one CPT per variable, in variable order"):
-        ErrorModelNet(AND2, list(net.vars), reorder(list(net.cpts)), net.comparators)
+        ErrorModelNet(AND2, list(net.vars), reorder(list(net.cpts)), net.comparators,
+                      net.faulty_outputs)
 
 
 def test_faulty_cpt_entries_are_twice_eps():

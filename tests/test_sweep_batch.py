@@ -9,19 +9,16 @@ import pytest
 
 import maxerr.analysis as analysis
 import maxerr.mapsearch as mapsearch
-from conftest import DISCONNECTED, perfbench_circuits
+from conftest import DISCONNECTED, GATE_FREE, perfbench_circuits
 from maxerr.analysis import avg_error, max_error, max_errors, prepare, spectrum, sweep
-from maxerr.circuit import parse_bench
 from maxerr.mapsearch import MapQuery, solve
-from maxerr.model import build_error_model
+from maxerr.model import build_error_model, build_faulty_model
 from maxerr.oracle import FaultEnumerator
 from maxerr.propagate import Propagator
 
 # the unreachable eps 0, gates that are fair coins (0.25) and inverters (0.5)
 GRID12 = [0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.45, 0.5]
 C17_COIN_FLIP = (3.0 - math.sqrt(3.0)) / 12.0   # 0.10566243270259357
-# no gate depends on eps, so only the comparators carry the grid axis
-GATE_FREE = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(a)\nOUTPUT(b)\n")
 
 
 def _circuits(c17, corpus):
@@ -117,24 +114,29 @@ def test_batched_model_cells_equal_the_scalar_model(c17):
             table = a.table[m] if a.table.ndim > b.table.ndim else a.table
             assert table.tobytes() == b.table.tobytes()
 
-    # ``at`` builds the eps-dependent tables as build_error_model does and
-    # shares the rest, potentials included, with the network it derives from
+    # ``at`` builds the eps-dependent tables as ``build`` does and
+    # shares the rest, potentials included, with the network it derives
+    # from, on the three-block model and on the error-prone copy alone
     adders = perfbench_circuits()
     rca4 = adders.ripple_carry_adder(4)
-    for c, was, eps in [(rca4, GRID12, 0.05), (rca4, 0.05, GRID12),
-                        (rca4, GRID12[:3], adders.seeded_eps(rca4, 0)),
-                        (GATE_FREE, GRID12, 0.05), (GATE_FREE, 0.05, GRID12)]:
-        net = build_error_model(c, was)
-        at, built = net.at(eps), build_error_model(c, eps)
-        assert (at.batch, at.comparators) == (built.batch, built.comparators)
-        assert len(at.cpts) == len(built.cpts) == len(at.potentials) == len(built.potentials)
-        for a, b in zip(at.cpts, built.cpts):
-            assert a.table.shape == b.table.shape and a.table.tobytes() == b.table.tobytes()
-        for a, b in zip(at.potentials, built.potentials):
-            assert a.scope == b.scope and a.table.tobytes() == b.table.tobytes()
-        assert at.vars is net.vars
-        for v in range(c.n_inputs + c.n_gates):    # inputs and the error-free copy
-            assert at.cpts[v] is net.cpts[v] and at.potentials[v] is net.potentials[v]
+    for build in (build_error_model, build_faulty_model):
+        for c, was, eps in [(rca4, GRID12, 0.05), (rca4, 0.05, GRID12),
+                            (rca4, GRID12[:3], adders.seeded_eps(rca4, 0)),
+                            (rca4, GRID12, GRID12[3:6]), (rca4, 0.05, adders.seeded_eps(rca4, 1)),
+                            (GATE_FREE, GRID12, 0.05), (GATE_FREE, 0.05, GRID12)]:
+            net = build(c, was)
+            at, built = net.at(eps), build(c, eps)
+            assert (at.batch, at.comparators, at.faulty_outputs) == \
+                (built.batch, built.comparators, built.faulty_outputs)
+            assert len(at.cpts) == len(built.cpts) == len(at.potentials) == len(built.potentials)
+            for a, b in zip(at.cpts, built.cpts):
+                assert a.table.shape == b.table.shape and a.table.tobytes() == b.table.tobytes()
+            for a, b in zip(at.potentials, built.potentials):
+                assert a.scope == b.scope and a.table.tobytes() == b.table.tobytes()
+            assert at.vars is net.vars
+            # the inputs, and the error-free copy of the three-block model
+            for v in range(net.n_vars - c.n_gates - len(net.comparators)):
+                assert at.cpts[v] is net.cpts[v] and at.potentials[v] is net.potentials[v]
 
 
 def test_sweep_builds_the_model_once(c17, monkeypatch):
@@ -175,7 +177,7 @@ def test_sweep_checks_every_grid_value_before_building(c17, monkeypatch, grid, b
 
 def test_spectrum_rejects_a_grid_before_building(c17, monkeypatch):
     calls = []
-    for name in ("build_error_model", "prepare"):
+    for name in ("build_error_model", "prepare", "build_faulty_model", "prepare_faulty"):
         def counted(*args, _fn=getattr(analysis, name), **kwargs):
             calls.append(_fn)
             return _fn(*args, **kwargs)
