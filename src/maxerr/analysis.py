@@ -7,9 +7,9 @@ every vector, read from the output's cone in the error-prone copy alone
 (``spectrum``, on ``prepare_faulty``'s model); and across an eps grid,
 the first eps where the worst case reaches 0.5 (``sweep``), run as
 batched passes over the whole grid.  Every cone read is
-``mapsearch.cone_tables``: a report's queries ride one evidence setting
-as members of its evidence axis (``propagate``), as many per pass as
-the batch cap allows (``_evidence_members``).
+``mapsearch.cone_tables``: each of a report's reads, a joint query's
+groups' included, is a member of an evidence setting (``propagate``),
+as many per pass as the batch budget allows (``mapsearch._chunk_size``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, index_vector, vector_string
+from .circuit import Circuit, all_input_vectors, index_vector, vector_string
 # perfbench/tracing.py wraps the imported layer functions by name in this
 # module, ``solve`` among them, though the reports here read their cone
 # tables with ``cone_tables`` and take each argmax with ``_Search``;
@@ -27,7 +27,8 @@ from .circuit import Circuit, index_vector, vector_string
 # ``propagate``'s ``combine``, ``reduce_mixed`` and ``reduce_all`` in
 # their modules.
 from .jointree import BinaryJoinTree, build_tree, choose_order
-from .mapsearch import PRUNE_TOL, MapQuery, _Search, cone_tables, solve, var_order_heuristic
+from .mapsearch import (PRUNE_TOL, MapQuery, _chunk_size, _Search, cone_tables, solve,
+                        var_order_heuristic)
 from .model import ErrorModelNet, build_error_model, build_faulty_model
 from .propagate import Propagator
 from .valuation import DEFAULT_WIDTH_LIMIT, WidthLimitError
@@ -117,11 +118,11 @@ def max_errors(net: ErrorModelNet, tree: BinaryJoinTree, prune: bool = True,
     """Worst-case output error reports, one per eps member of ``net``
     (see ``max_error``); every eps member is served by the same reads and
     argmax.  The report's queries, one per output (or the one joint
-    query), are members of one evidence setting, at most
-    ``_evidence_members`` per pass, and each output's cone table is a
-    member's slice of one read at its holding cluster; a joint query no
-    cluster holds takes its groups' product (``mapsearch.cone_tables``).
-    The queries share one fresh propagator."""
+    query), are members of one evidence setting, as many per pass as
+    the batch budget allows, and each output's cone table is a member's
+    slice of one read at its holding cluster; a joint query no cluster
+    holds takes its groups' product, two members each
+    (``mapsearch.cone_tables``).  The queries share one fresh propagator."""
     return _max_errors(Propagator(tree, net), prune, joint)
 
 
@@ -135,7 +136,7 @@ def _max_errors(prop: Propagator, prune: bool = True, joint: bool = False) -> li
         queries = [("*", {v: 1 for v in net.comparators})]
     else:
         queries = [(names[j], {net.comparators[j]: 1}) for j in range(len(names))]
-    reads = cone_tables(prop, [evid for _, evid in queries], _evidence_members(net, tree))
+    reads = cone_tables(prop, [evid for _, evid in queries])
 
     for (name, evid), read in zip(queries, reads):
         cone = read[1]
@@ -202,26 +203,6 @@ def _avg_error(prop: Propagator):
     """``avg_error`` read on ``prop``, whose evidence is still empty."""
     beliefs = [prop.var_belief(comp).table for comp in prop.net.comparators]   # states first
     return np.maximum.reduce([t[1] / (t[0] + t[1]) for t in beliefs])
-
-
-# Cells per batched table past which a larger batch stops paying.  Refined
-# sweeps of rca4-rca6, with the members on the innermost axis, ran
-# fastest near this size (BENCH_member_axis_last.json).
-BATCH_CELLS_LOG2 = 19
-
-
-def _chunk_size(tree: BinaryJoinTree) -> int:
-    """Members per batched pass, grid values times evidence members:
-    B x E x 2^width cells stay within 2^BATCH_CELLS_LOG2 and within
-    2^tree.width_limit.  A sweep's chunks take B up to it, and each pass
-    the evidence members left (``_evidence_members``); both are at least 1."""
-    return 1 << max(0, min(BATCH_CELLS_LOG2, tree.width_limit) - tree.width)
-
-
-def _evidence_members(net: ErrorModelNet, tree: BinaryJoinTree) -> int:
-    """Evidence members per pass on ``net``'s B grid values: the share
-    of ``_chunk_size`` they leave, at least 1."""
-    return max(1, _chunk_size(tree) // math.prod(net.batch))
 
 
 def sweep(c: Circuit, grid, refine: bool = False,
@@ -315,8 +296,8 @@ def spectrum(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT) -> Spectru
     broadcast over the other inputs, with f from a simulation of the
     cone's vectors; ``ValueError`` if no cluster holds the cone.  All 2n tables
     are members of one evidence setting, read once per output's holding
-    cluster (``mapsearch.cone_tables``), or split into passes of
-    ``_evidence_members``: one per table when the tree is as wide as its
+    cluster (``mapsearch.cone_tables``), or split into passes as the
+    batch budget allows: one per table when the tree is as wide as its
     ``width_limit``.
     Capped at 20 inputs, as the result has 2**k rows.  One eps or eps
     map; a grid is rejected.
@@ -328,19 +309,15 @@ def spectrum(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT) -> Spectru
                          % (MAX_SPECTRUM_INPUTS, c.n_inputs))
     net, tree = prepare_faulty(c, eps, width_limit)
     reads = cone_tables(Propagator(tree, net),
-                        [{v: s} for v in net.faulty_outputs for s in (1, 0)],
-                        _evidence_members(net, tree))
+                        [{v: s} for v in net.faulty_outputs for s in (1, 0)])
     table = np.empty((2,) * c.n_inputs + (c.n_outputs,))
     for j in range(c.n_outputs):
         (t1, cone), (t0, _) = reads[2 * j:2 * j + 2]
         # a read's axes follow its sorted scope, and input ids ascend
         axes = [2 if v in cone else 1 for v in net.input_vars]
-        # f depends on the cone alone: simulate its vectors, the other
-        # inputs at 0, the first cone input the most significant bit
-        d = len(cone)
-        rows = np.zeros((1 << d, c.n_inputs), dtype=bool)
-        for m, v in enumerate(sorted(cone)):
-            rows[:, v] = np.arange(1 << d) >> (d - 1 - m) & 1
+        # f depends on the cone alone: simulate its vectors, the other inputs at 0
+        rows = np.zeros((1 << len(cone), c.n_inputs), dtype=bool)
+        rows[:, sorted(cone)] = all_input_vectors(len(cone))
         good = c.eval_batch(rows)[:, j].reshape(axes)
         t1, t0 = t1.reshape(axes), t0.reshape(axes)
         # t0 + t1, not 2^-|cone|: two reads that round alike give the nearer ratio

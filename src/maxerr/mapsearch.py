@@ -7,14 +7,14 @@ inputs last, so one cluster holds each output's cone; the smallest
 (lowest id on a tie, ``_holder``), read with the evidence set and summed
 onto the cone, gives P(cone inputs, evidence), the query's cone table:
 one axis per cone input, none for the others.
-Several queries' tables come from one evidence setting, each query a
-member of the evidence axis (``propagate``): one read per holding
-cluster and cone serves every member, sliced out (``cone_tables``).
 A joint query whose union cone no cluster holds splits its evidence
 into groups whose cones share no gate.  Given the inputs the groups go
 wrong independently, so its table is 2^-|cone| times the product of
 each group's P(group | its cone inputs): the group's read with its
-evidence divided cellwise by the same read without.
+evidence divided cellwise by the same read without.  Every read, a
+query's or a group's, is a member of the evidence axis (``propagate``):
+one read per holding cluster and cone serves a pass's members, sliced
+out (``cone_tables``).
 
 The answer ranges over the free inputs, those the query does not hold,
 along ``var_order``.  Each free cone input is an axis of the table; a
@@ -47,7 +47,7 @@ import numpy as np
 
 from .jointree import BinaryJoinTree
 from .model import ErrorModelNet, VarClass
-from .propagate import Propagator
+from .propagate import Propagator, check_evidence
 from .valuation import WidthLimitError
 
 PRUNE_TOL = 1e-12   # relative; closer values tie
@@ -69,11 +69,7 @@ class MapQuery:
     var_order: tuple[int, ...] = ()        # branching order over the free inputs
 
     def __post_init__(self):
-        for v, s in self.evid_o.items():    # checked as ``Propagator.set_evidence`` checks them
-            if v not in range(self.net.n_vars):
-                raise KeyError(v)
-            if s not in (0, 1):
-                raise ValueError("evidence state of variable %d is %r, not 0 or 1" % (v, s))
+        check_evidence(self.net, self.evid_o)
         free = [v for v in self.net.input_vars if v not in self.evid_o]
         if not self.var_order:
             self.var_order = tuple(v for v in var_order_heuristic(self.net)
@@ -158,70 +154,89 @@ def _holder(tree: BinaryJoinTree, cone: frozenset[int]) -> int | None:
     return tree.holders[cone]
 
 
-def cone_tables(prop: Propagator, evids: list[dict[int, int]],
-                members: int = 1) -> list[tuple[np.ndarray, frozenset[int]]]:
+# Cells per batched table past which a larger batch stops paying.  Refined
+# sweeps of rca4-rca6, with the members on the innermost axis, ran
+# fastest near this size (BENCH_member_axis_last.json).
+BATCH_CELLS_LOG2 = 19
+
+
+def _chunk_size(tree: BinaryJoinTree) -> int:
+    """Members per batched pass, a sweep chunk's grid values B times the
+    evidence members E of a ``cone_tables`` pass, both at least 1:
+    B x E x 2^width cells stay within 2^BATCH_CELLS_LOG2 and 2^tree.width_limit."""
+    return 1 << max(0, min(BATCH_CELLS_LOG2, tree.width_limit) - tree.width)
+
+
+def cone_tables(prop: Propagator,
+                evids: list[dict[int, int]]) -> list[tuple[np.ndarray, frozenset[int]]]:
     """The cone table of each evidence mapping in ``evids`` (see the
     module docstring), P(cone inputs, evid) with an axis per cone input
     in id order followed by the grid axis if any, and its cone, in
     order.  An evidenced input lies in its own cone: a faulty output fed
     straight by an input (``ErrorModelNet.faulty_outputs``) is evidenced
-    on that input.  The mappings whose cone a cluster holds are read
-    ``members`` at a time, one evidence setting per pass with a member
-    each (``Propagator.set_evidence``), those sharing a holding cluster
-    and cone side by side: per pass one read of each such run of
-    members, onto the cone, and one slice per member.  Each slice is
-    bit for bit that mapping's read on its own.  The others split into
-    groups whose cones share no gate: their table is 2^-|cone| times the
-    product of each group's read with and without its evidence,
-    cellwise.  ``ValueError`` when no cluster holds the cone of a group;
-    ``WidthLimitError`` when no cluster holds the union and it has more
-    inputs than the tree's ``width_limit``."""
+    on that input.  A mapping whose cone a cluster holds is one read
+    there; one whose cone no cluster holds, two per group at the group's
+    holder, with its evidence and without, and its table is 2^-|cone|
+    times the product of their ratios, cellwise.  Every read is a member
+    of an evidence setting (``Propagator.set_evidence``), as many per
+    pass as ``_chunk_size`` leaves beside the grid values, those sharing
+    a holding cluster and cone side by side: per pass one read of each
+    such run, onto the cone, and one slice per member, bit for bit that
+    read on its own.  Before any evidence is set, ``ValueError`` when no
+    cluster holds a group's cone and ``WidthLimitError`` when no cluster
+    holds the union and it has more inputs than the tree's ``width_limit``."""
     net, tree = prop.net, prop.tree
-    tables: list = [None] * len(evids)
-    runs: dict[tuple[int, frozenset[int]], list[int]] = {}
-    for i, evid in enumerate(evids):
+    reads: list[tuple[dict[int, int], int, frozenset[int]]] = []   # evidence, holder, cone
+    # per mapping, its cone and, when no cluster holds it, its groups' cones
+    splits: list[tuple[frozenset[int], list[frozenset[int]] | None]] = []
+    for evid in evids:
         cone = _cone_inputs(tree, net, evid)
         cid = _holder(tree, cone)
-        if cid is None:
-            tables[i] = _group_product(prop, evid, cone), cone
-        else:
-            runs.setdefault((cid, cone), []).append(i)
-    held = [(i, key) for key, run in runs.items() for i in run]
-    for lo in range(0, len(held), members):
-        part = held[lo:lo + members]
-        prop.set_evidence([evids[i] for i, _ in part])
+        if cid is not None:
+            reads.append((evid, cid, cone))
+            splits.append((cone, None))
+            continue
+        groups = [(roots, part, _holder(tree, part)) for roots, part in _cones(tree, net, evid)]
+        for roots, _, gid in groups:
+            if gid is None:
+                raise ValueError("no cluster holds the cone inputs of "
+                                 + ", ".join(net.vars[v].name for v in roots))
+        if len(cone) > tree.width_limit:
+            raise WidthLimitError(len(cone), tree.width_limit, "union of a joint query's cones")
+        for roots, part, gid in groups:
+            reads += [({v: evid[v] for v in roots}, gid, part), ({}, gid, part)]
+        splits.append((cone, [part for _, part, _ in groups]))
+
+    runs: dict[tuple[int, frozenset[int]], list[int]] = {}
+    for i, (_, cid, cone) in enumerate(reads):
+        runs.setdefault((cid, cone), []).append(i)
+    order = [(i, key) for key, run in runs.items() for i in run]
+    per_pass = max(1, _chunk_size(tree) // math.prod(net.batch))
+    got: list = [None] * len(reads)
+    for lo in range(0, len(order), per_pass):
+        batch = order[lo:lo + per_pass]
+        prop.set_evidence([reads[i][0] for i, _ in batch])
         m = 0
-        for (cid, cone), run in itertools.groupby(part, key=lambda h: h[1]):
+        for (cid, cone), run in itertools.groupby(batch, key=lambda h: h[1]):
             run = [i for i, _ in run]
             read = prop.belief(cid, cone, slice(m, m + len(run))).table
             for k, i in enumerate(run):
-                tables[i] = read[..., k], cone
+                got[i] = read[..., k]
             m += len(run)
+
+    tables, it = [], iter(got)
+    for cone, parts in splits:
+        if parts is None:
+            tables.append((next(it), cone))
+            continue
+        ranked = sorted(cone)
+        table = 1.0
+        for part in parts:
+            # read P(part) too, not 2^-|part|: two reads that round alike give the nearer ratio
+            ratio = next(it) / next(it)    # the group's read with its evidence over free
+            table = table * ratio.reshape(tuple(2 if v in part else 1 for v in ranked) + net.batch)
+        tables.append((np.ldexp(table, -len(cone)), cone))
     return tables
-
-
-def _group_product(prop: Propagator, evid: dict[int, int], cone: frozenset[int]) -> np.ndarray:
-    """The cone table of ``evid``, whose cone no cluster holds, from its
-    groups' reads (``cone_tables``)."""
-    net, tree = prop.net, prop.tree
-    groups = _cones(tree, net, evid)
-    holders = [_holder(tree, part) for _, part in groups]
-    for (roots, _), gid in zip(groups, holders):
-        if gid is None:
-            raise ValueError("no cluster holds the cone inputs of "
-                             + ", ".join(net.vars[v].name for v in roots))
-    if len(cone) > tree.width_limit:
-        raise WidthLimitError(len(cone), tree.width_limit, "union of a joint query's cones")
-    ranked = sorted(cone)
-    table = 1.0
-    for (roots, part), gid in zip(groups, holders):
-        prop.set_evidence({v: evid[v] for v in roots})
-        wrong = prop.belief(gid, part).table
-        prop.set_evidence({})
-        # read P(part) too, not 2^-|part|: two reads that round alike give the nearer ratio
-        ratio = wrong / prop.belief(gid, part).table
-        table = table * ratio.reshape(tuple(2 if v in part else 1 for v in ranked) + net.batch)
-    return np.ldexp(table, -len(cone))
 
 
 def _cone_read(q: MapQuery) -> tuple[np.ndarray, frozenset[int]]:

@@ -68,7 +68,7 @@ axes.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections.abc import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -81,6 +81,16 @@ from .valuation import Valuation, combine, reduce_all, reduce_mixed, sum_axes, t
 # the evidence indicator of each state, and of a member leaving the variable free
 _INDICATOR = {0: (1.0, 0.0), 1: (0.0, 1.0)}
 _FREE = (1.0, 1.0)
+
+
+def check_evidence(net: ErrorModelNet, evidence: Mapping[int, int]) -> None:
+    """``KeyError`` for a variable ``net`` lacks, ``ValueError`` for a state
+    other than 0 or 1, an unhashable one (a list or an array) included."""
+    for v, s in evidence.items():
+        if v not in range(net.n_vars):
+            raise KeyError(v)
+        if not isinstance(s, Hashable) or s not in (0, 1):
+            raise ValueError("evidence state of variable %d is %r, not 0 or 1" % (v, s))
 
 
 def _schedule(tree: BinaryJoinTree, n_vars: int):
@@ -152,11 +162,8 @@ class Propagator:
         # every check first, so an unknown variable or state changes nothing
         states: dict[int, list] = {}
         for m, ev in enumerate(each):
+            check_evidence(self.net, ev)
             for v, s in ev.items():
-                if v not in range(self.net.n_vars):
-                    raise KeyError(v)
-                if s not in _INDICATOR:
-                    raise ValueError("evidence state of variable %d is %r, not 0 or 1" % (v, s))
                 states.setdefault(v, [None] * len(each))[m] = s
         new = {v: tuple(s) for v, s in states.items()}
         old = self._states

@@ -128,12 +128,12 @@ def test_search_serves_unpruned_walks_and_cones_no_cluster_holds(corpus):
 
 
 def test_max_error_builds_one_propagator(c17, corpus, monkeypatch):
-    # every query is one walk on one shared propagator: the queries whose
-    # cone a cluster holds share one evidence setting per pass of at most
-    # _evidence_members of them, one pass here at the default limit and one
-    # per query at the tree's own width; the others (corpus[4]'s joint
-    # query here, pruned and unpruned) take two per group of outputs whose
-    # cones share no gate
+    # every query is one walk on one shared propagator, its reads members
+    # of evidence settings, at most _chunk_size of them a pass: one pass
+    # here at the default limit and one per read at the tree's own width.
+    # A query whose cone a cluster holds is one read; the others
+    # (corpus[4]'s joint query here, pruned and unpruned) two per group
+    # of outputs whose cones share no gate
     calls = {"init": 0, "evidence": 0}
     init, set_evidence = Propagator.__init__, Propagator.set_evidence
 
@@ -151,22 +151,21 @@ def test_max_error_builds_one_propagator(c17, corpus, monkeypatch):
     for circuit in [c17] + corpus[:8]:
         net, wide = prepare(circuit, 0.05)
         for tree in (wide, prepare(circuit, 0.05, width_limit=wide.width)[1]):
-            per_pass = analysis._evidence_members(net, tree)
+            per_pass = mapsearch._chunk_size(tree)
             assert per_pass == (1 if tree.width_limit == tree.width else
-                                1 << analysis.BATCH_CELLS_LOG2 - tree.width)
+                                1 << mapsearch.BATCH_CELLS_LOG2 - tree.width)
             for joint in (False, True):
                 for prune in (True, False):
                     calls.update(init=0, evidence=0)
                     max_error(net, tree, prune=prune, joint=joint)
-                    held, want = 0, 0
+                    reads = 0
                     for evid in _queries(net, joint):
-                        cid = mapsearch._holder(tree, mapsearch._cone_inputs(tree, net, evid))
-                        if cid is None:
-                            want += 2 * len(mapsearch._cones(tree, net, evid))
+                        if mapsearch._holder(tree, mapsearch._cone_inputs(tree, net, evid)) is None:
+                            reads += 2 * len(mapsearch._cones(tree, net, evid))
                             split += 1
-                        held += cid is not None
-                    want += -(-held // per_pass)
-                    assert calls == {"init": 1, "evidence": want}
+                        else:
+                            reads += 1
+                    assert calls == {"init": 1, "evidence": -(-reads // per_pass)}
     assert split == 4
 
 
@@ -197,11 +196,24 @@ def test_spectrum_sets_evidence_twice_per_output(c17, monkeypatch):
     assert calls == []
 
 
+def _holderless(corpus, eps=0.05):
+    """Model and tree of each circuit whose joint query's union cone no
+    cluster holds: 46 corpus circuits, CHAINS and and_chains(3, 2)."""
+    cases = []
+    for c in corpus + [parse_bench(CHAINS), parse_bench(and_chains(3, 2))]:
+        net, tree = prepare(c, eps)
+        if mapsearch._holder(tree, mapsearch._cone_inputs(tree, net, net.comparators)) is None:
+            cases.append((net, tree))
+    assert len(cases) == 48
+    return cases
+
+
 def test_no_report_clears_evidence(c17, corpus, monkeypatch):
     # a report reads with no evidence only before its first evidence
-    # setting, so none passes a propagator an evidence-free setting; a
-    # refined c17 sweep sets evidence once per argmax pass, the grid's
-    # and the bisection's
+    # setting, so none passes a propagator an evidence-free setting: a
+    # holder-less joint query's free reads share their passes with its
+    # evidenced ones.  A refined c17 sweep sets evidence once per argmax
+    # pass, the grid's and the bisection's
     calls = []
     set_evidence = Propagator.set_evidence
 
@@ -215,12 +227,44 @@ def test_no_report_clears_evidence(c17, corpus, monkeypatch):
             max_error(*prepare(c, 0.05, limit))
         spectrum(c, 0.05)
         sweep(c, GRID, refine=True)
+    for net, tree in _holderless(corpus):
+        max_error(net, tree, joint=True)
     assert calls
     assert not [ev for ev in calls
                 if all(not m for m in ([ev] if isinstance(ev, Mapping) else ev))]
     calls.clear()
     assert sweep(c17, GRID, refine=True).refined_bound is not None
     assert len(calls) == 2
+
+
+def test_holderless_joint_reports_agree_across_pass_sizes(corpus, monkeypatch):
+    # every read of a holder-less joint query is a member of some pass,
+    # its slice that read alone, so the report is the same however the
+    # passes split: at the default budget, one member a pass at the
+    # tree's own width (and_chains(3, 2): width 6, union 6), and 1, 2 and
+    # 3 members a pass.  Every setting a report makes is a sequence
+    calls = []
+    set_evidence = Propagator.set_evidence
+
+    def recorded(self, evidence):
+        calls.append(evidence)
+        set_evidence(self, evidence)
+
+    monkeypatch.setattr(Propagator, "set_evidence", recorded)
+    cases = _holderless(corpus)
+    want = [max_error(net, tree, joint=True) for net, tree in cases]
+    c = parse_bench(and_chains(3, 2))
+    net, tree = prepare(c, 0.05)
+    narrow = prepare(c, 0.05, width_limit=tree.width)[1]
+    assert (narrow.width, len(mapsearch._cone_inputs(narrow, net, net.comparators))) == (6, 6)
+    seen = len(calls)
+    assert max_error(net, narrow, joint=True) == max_error(net, tree, joint=True)
+    # two groups, each read with its evidence and free
+    assert [len(ev) for ev in calls[seen:seen + 4]] == [1] * 4
+    for size in (1, 2, 3):
+        monkeypatch.setattr(mapsearch, "_chunk_size", lambda tree, size=size: size)
+        assert [max_error(net, tree, joint=True) for net, tree in cases] == want
+    assert calls and not [ev for ev in calls if isinstance(ev, Mapping)]
 
 
 def test_joint_mode_matches_direct_enumeration(c17):
@@ -452,7 +496,7 @@ def test_prepare_forwards_width_limit(c17):
     with pytest.raises(WidthLimitError):
         prepare(c17, 0.05, width_limit=2)
     # the tree keeps its limit, and a sweep's chunks follow it
-    for limit, cells_log2 in ((8, 8), (DEFAULT_WIDTH_LIMIT, analysis.BATCH_CELLS_LOG2)):
+    for limit, cells_log2 in ((8, 8), (DEFAULT_WIDTH_LIMIT, mapsearch.BATCH_CELLS_LOG2)):
         _, tree = prepare(c17, 0.05, width_limit=limit)
         assert tree.width_limit == limit
         assert analysis._chunk_size(tree) == 1 << (cells_log2 - tree.width)

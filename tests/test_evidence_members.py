@@ -4,10 +4,13 @@ alone, and reads of a run of members against the full read; forwarded
 messages after evidence on their leaf; and reports whose passes are
 split down to one member each."""
 
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
 from conftest import perfbench_circuits
+from maxerr import mapsearch
 from maxerr.analysis import max_error, prepare, prepare_faulty, spectrum, sweep
 from maxerr.jointree import build_tree, choose_order
 from maxerr.model import build_error_model
@@ -120,8 +123,8 @@ def test_reports_split_to_one_member_per_pass_answer_alike(c17, corpus, monkeypa
     set_evidence = Propagator.set_evidence
 
     def counted(self, evidence):
-        if not isinstance(evidence, dict):
-            members.append(len(evidence))
+        assert not isinstance(evidence, Mapping)
+        members.append(len(evidence))
         set_evidence(self, evidence)
 
     monkeypatch.setattr(Propagator, "set_evidence", counted)
@@ -130,14 +133,19 @@ def test_reports_split_to_one_member_per_pass_answer_alike(c17, corpus, monkeypa
     cases = [(c17, 0.05), (rca4, pb.seeded_eps(rca4, 0))] + [(c, 0.05) for c in corpus[:20]]
     for c, eps in cases:
         net, tree, narrow = _one_member_per_pass(c, eps)
+        union = mapsearch._cone_inputs(tree, net, net.comparators)
+        # a joint query no cluster holds reads each group with and without its evidence
+        joint_reads = (1 if mapsearch._holder(tree, union) is not None else
+                       2 * len(mapsearch._cones(tree, net, net.comparators)))
         for joint in (False, True):
+            reads = joint_reads if joint else c.n_outputs
             members.clear()
             want = max_error(net, tree, joint=joint)
-            # at the default limit every output's query rides one setting
-            assert members == ([1] if joint else [c.n_outputs]) or joint and members == []
+            # at the default limit every read rides one setting
+            assert members == [reads]
             members.clear()
             assert max_error(net, narrow, joint=joint) == want
-            assert set(members) <= {1}
+            assert members == [1] * reads
         members.clear()
         want = spectrum(c, eps)
         assert members == [2 * c.n_outputs]

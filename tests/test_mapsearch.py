@@ -2,6 +2,7 @@
 an audit reads) against the enumeration oracle."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -192,15 +193,17 @@ def test_ties_resolve_within_one_tolerance_of_the_maximum(monkeypatch):
 
 def test_held_inputs_are_checked(c17):
     # held states are checked as Propagator.set_evidence checks evidence,
-    # and True holds state 1
+    # an unhashable state included, and True holds state 1
     net = build_error_model(c17, EPS)
     tree = build_tree(net)
     comp, x0, x4 = net.comparators[0], net.input_vars[0], net.input_vars[4]
     assert x4 not in mapsearch._cone_inputs(tree, net, (comp,))
-    for v, s in ((x0, -1), (x4, 2)):
-        with pytest.raises(ValueError, match=r"^evidence state of variable %d is %d, not 0 or 1$"
-                           % (v, s)):
+    for v, s in ((x0, -1), (x4, 2), (x0, [1]), (x4, np.array([1]))):
+        want = r"^evidence state of variable %d is %s, not 0 or 1$" % (v, re.escape(repr(s)))
+        with pytest.raises(ValueError, match=want):
             MapQuery(net, tree, {comp: 1, v: s})
+        with pytest.raises(ValueError, match=want):
+            Propagator(tree, net).set_evidence({comp: 1, v: s})
     with pytest.raises(KeyError):
         MapQuery(net, tree, {comp: 1, 999: 1})
     assert solve(MapQuery(net, tree, {comp: 1, x0: True})) == \

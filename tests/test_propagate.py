@@ -239,7 +239,7 @@ def test_evidence_on_unknown_variable_raises_key_error(unknown):
         p.var_belief(unknown)
 
 
-@pytest.mark.parametrize("state", [-1, 2])
+@pytest.mark.parametrize("state", [-1, 2, [1], np.array([1])])
 def test_evidence_state_other_than_0_or_1_raises_value_error(c17, state):
     net, tree = _net_tree(c17)
     p = Propagator(tree, net)
