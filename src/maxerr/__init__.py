@@ -9,8 +9,7 @@ from .valuation import (DEFAULT_WIDTH_LIMIT, Valuation, WidthLimitError,
 from .jointree import (BinaryJoinTree, build_tree, check_order, choose_order,
                        moral_graph, order_width, validate_tree)
 from .propagate import Propagator, prob_evidence
-from .mapsearch import (MapQuery, MapResult, search, seed, solve,
-                        var_order_heuristic)
+from .mapsearch import MapQuery, MapResult, seed, solve, var_order_heuristic
 from .analysis import (ErrorReport, Spectrum, SweepCurve, avg_error,
                        max_error, max_errors, prepare, spectrum, sweep)
 from . import oracle

@@ -27,7 +27,7 @@ from .circuit import Circuit, all_input_vectors, index_vector, vector_string
 # ``propagate``'s ``combine``, ``reduce_mixed`` and ``reduce_all`` in
 # their modules.
 from .jointree import BinaryJoinTree, build_tree, choose_order
-from .mapsearch import (PRUNE_TOL, MapQuery, _chunk_size, _Search, cone_tables, solve,
+from .mapsearch import (PRUNE_TOL, _chunk_size, _Search, cone_tables, solve,
                         var_order_heuristic)
 from .model import ErrorModelNet, build_error_model, build_faulty_model
 from .propagate import Propagator
@@ -128,7 +128,7 @@ def max_errors(net: ErrorModelNet, tree: BinaryJoinTree, prune: bool = True,
 
 def _max_errors(prop: Propagator, prune: bool = True, joint: bool = False) -> list[ErrorReport]:
     """``max_errors`` of ``prop``'s network and tree, read on ``prop``."""
-    net, tree = prop.net, prop.tree
+    net = prop.net
     order = var_order_heuristic(net)
     rows: list[list[OutputReport]] = [[] for _ in range(math.prod(net.batch))]
     names = list(net.circuit.outputs)
@@ -138,11 +138,10 @@ def _max_errors(prop: Propagator, prune: bool = True, joint: bool = False) -> li
         queries = [(names[j], {net.comparators[j]: 1}) for j in range(len(names))]
     reads = cone_tables(prop, [evid for _, evid in queries])
 
-    for (name, evid), read in zip(queries, reads):
+    for (name, _), read in zip(queries, reads):
         cone = read[1]
-        fixed = {v: 0 for v in net.input_vars if v not in cone}
-        q = MapQuery(net, tree, {**evid, **fixed}, tuple(v for v in order if v in cone))
-        for m, res in enumerate(_Search(q, read).results(prune)):
+        s = _Search(read, tuple(v for v in order if v in cone), {})
+        for m, res in enumerate(s.results(prune)):
             reached = res.p_cone > 0.0
             vector = [res.assignment.get(v, 0) for v in net.input_vars]
             rows[m].append(OutputReport(
@@ -179,7 +178,7 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     reported as 0.  ``nodes_expanded`` and ``nodes_pruned`` are those of
     a search tree over the d cone inputs: 1 + 2d and d, or with
     ``prune`` off 2^(d+1) - 1 and 0.  Each query is the argmax of its
-    cone table P(cone inputs, wrong), with the other inputs held at 0
+    cone table P(cone inputs, wrong), the other inputs left out
     (``mapsearch``); the tables are read on one propagator,
     every query a member of one evidence setting where the batch cap
     allows (``mapsearch.cone_tables``).  The error is 2^|cone| times the argmax's

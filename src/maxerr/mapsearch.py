@@ -34,6 +34,11 @@ over its completions: the value a max-mode collect returns on a tree
 that eliminates the inputs last (Park & Darwiche, JAIR 21, 2004).
 ``on_bound`` reads these bounds for auditing; the node counts are
 those of a descent along the answer's path, or of the full tree.
+
+A report (``analysis``) builds each ``_Search`` straight from a
+``cone_tables`` read and the cone's slice of ``var_order_heuristic``,
+holding no input.  A ``MapQuery``, at one eps, is one query for
+``solve`` and ``seed``, read on a fresh propagator.
 """
 
 from __future__ import annotations
@@ -55,12 +60,11 @@ PRUNE_TOL = 1e-12   # relative; closer values tie
 
 @dataclass
 class MapQuery:
-    """One worst-vector query.
+    """One worst-vector query on a network at one eps, for ``solve`` and
+    ``seed``.
 
     The answer ranges over the inputs not in ``evid_o``; an input given
-    there is held at its state.  ``max_error`` holds every input
-    outside the query's fan-in cone at 0, so node counts cover the cone
-    inputs alone.
+    there is held at its state.
     """
     net: ErrorModelNet
     tree: BinaryJoinTree
@@ -69,6 +73,9 @@ class MapQuery:
     var_order: tuple[int, ...] = ()        # branching order over the free inputs
 
     def __post_init__(self):
+        if self.net.batch:
+            raise ValueError("a MapQuery takes a network at one eps; "
+                             "max_errors takes an eps grid")
         check_evidence(self.net, self.evid_o)
         free = [v for v in self.net.input_vars if v not in self.evid_o]
         if not self.var_order:
@@ -179,12 +186,13 @@ def cone_tables(prop: Propagator,
     holder, with its evidence and without, and its table is 2^-|cone|
     times the product of their ratios, cellwise.  Every read is a member
     of an evidence setting (``Propagator.set_evidence``), as many per
-    pass as ``_chunk_size`` leaves beside the grid values, those sharing
-    a holding cluster and cone side by side: per pass one read of each
-    such run, onto the cone, and one slice per member, bit for bit that
-    read on its own.  Before any evidence is set, ``ValueError`` when no
-    cluster holds a group's cone and ``WidthLimitError`` when no cluster
-    holds the union and it has more inputs than the tree's ``width_limit``."""
+    pass as ``_chunk_size`` leaves beside the grid values, in the order
+    ``evids`` lists them: per pass one read, onto the cone, of each run
+    of consecutive reads sharing a holding cluster and cone, and one
+    slice per member, bit for bit that read on its own.  Before any
+    evidence is set, ``ValueError`` when no cluster holds a group's cone
+    and ``WidthLimitError`` when no cluster holds the union and it has
+    more inputs than the tree's ``width_limit``."""
     net, tree = prop.net, prop.tree
     reads: list[tuple[dict[int, int], int, frozenset[int]]] = []   # evidence, holder, cone
     # per mapping, its cone and, when no cluster holds it, its groups' cones
@@ -207,22 +215,17 @@ def cone_tables(prop: Propagator,
             reads += [({v: evid[v] for v in roots}, gid, part), ({}, gid, part)]
         splits.append((cone, [part for _, part, _ in groups]))
 
-    runs: dict[tuple[int, frozenset[int]], list[int]] = {}
-    for i, (_, cid, cone) in enumerate(reads):
-        runs.setdefault((cid, cone), []).append(i)
-    order = [(i, key) for key, run in runs.items() for i in run]
     per_pass = max(1, _chunk_size(tree) // math.prod(net.batch))
-    got: list = [None] * len(reads)
-    for lo in range(0, len(order), per_pass):
-        batch = order[lo:lo + per_pass]
-        prop.set_evidence([reads[i][0] for i, _ in batch])
+    got: list[np.ndarray] = []
+    for lo in range(0, len(reads), per_pass):
+        batch = reads[lo:lo + per_pass]
+        prop.set_evidence([evid for evid, _, _ in batch])
         m = 0
-        for (cid, cone), run in itertools.groupby(batch, key=lambda h: h[1]):
-            run = [i for i, _ in run]
-            read = prop.belief(cid, cone, slice(m, m + len(run))).table
-            for k, i in enumerate(run):
-                got[i] = read[..., k]
-            m += len(run)
+        for (cid, cone), run in itertools.groupby(batch, key=lambda r: r[1:]):
+            n = len(list(run))
+            read = prop.belief(cid, cone, slice(m, m + n)).table
+            got += [read[..., k] for k in range(n)]
+            m += n
 
     tables, it = [], iter(got)
     for cone, parts in splits:
@@ -247,29 +250,29 @@ def _cone_read(q: MapQuery) -> tuple[np.ndarray, frozenset[int]]:
 
 
 class _Search:
-    """The cone table of ``q`` over every member of ``q.net`` (see the
-    module docstring), with an axis per free cone input along
-    ``var_order`` and the member axis last, and the tie levels.  Cells
-    are P(vector, evidence) times 2^-``shift``, the priors of the inputs
-    outside the cone.  ``read`` is the table and cone ``_cone_read(q)``
-    returns."""
+    """A cone table ``read`` (``cone_tables``: the table and its cone)
+    with an axis per free cone input along ``var_order`` and the member
+    axis last, and the tie levels.  ``held`` maps inputs to the states
+    they are held at; ``var_order`` orders the other inputs the answer
+    ranges over, and every cone input is one or the other.  Cells are
+    P(vector, evidence) times 2^-``shift``, the priors of the inputs in
+    ``held`` or ``var_order`` outside the cone."""
 
-    def __init__(self, q: MapQuery, read: tuple[np.ndarray, frozenset[int]]):
-        net, evid = q.net, q.evid_o
-        self.q = q
+    def __init__(self, read: tuple[np.ndarray, frozenset[int]],
+                 var_order: tuple[int, ...], held: dict[int, int]):
         t, cone = read
         ranked = sorted(cone)
         t = t.reshape((2,) * len(ranked) + (-1,))[
-            tuple(int(evid[v]) if v in evid else slice(None) for v in ranked)]
-        free = [v for v in ranked if v not in evid]
-        self.table = t.transpose([free.index(v) for v in q.var_order if v in cone] + [len(free)])
-        self.tie = np.array([v not in cone for v in q.var_order], dtype=bool)
-        self.shift = len(cone) - len(net.input_vars)
+            tuple(int(held[v]) if v in held else slice(None) for v in ranked)]
+        free = [v for v in ranked if v not in held]
+        self.var_order = var_order
+        self.table = t.transpose([free.index(v) for v in var_order if v in cone] + [len(free)])
+        self.tie = np.array([v not in cone for v in var_order], dtype=bool)
+        self.shift = len(cone) - len(held) - len(var_order)
 
-    def scaled(self, cells: list[float]) -> float | list[float]:
-        """Cells as P(vector, evidence): a float, or a list over members."""
-        values = [math.ldexp(c, self.shift) for c in cells]
-        return values if self.q.net.batch else values[0]
+    def scaled(self, cell: float) -> float:
+        """A cell as P(vector, evidence)."""
+        return math.ldexp(cell, self.shift)
 
     def zero(self) -> list[float]:
         """Each member's all-zero cell, the one ties resolve toward."""
@@ -298,11 +301,12 @@ class _Search:
         return list(map(tuple, keys.tolist())), t[tuple(bits.T) + (np.arange(len(top)),)].tolist()
 
     def results(self, prune: bool = True,
-                on_bound: Callable[[dict, float | list[float]], None] | None = None,
+                on_bound: Callable[[dict, float], None] | None = None,
                 use_seed: bool = False) -> list[MapResult]:
-        """Each member's worst vector, as ``search`` describes."""
-        q = self.q
-        d = len(q.var_order)
+        """Each member's worst vector, as ``solve`` describes; ``on_bound``
+        takes one member."""
+        order = self.var_order
+        d = len(order)
         keys, cells = self.argmax()
         seeds: list[float | None] = [None] * len(keys)
         if use_seed:
@@ -316,43 +320,37 @@ class _Search:
                 for key in nodes:
                     u = self.bound(key)
                     for state in (0, 1):
-                        on_bound(dict(zip(q.var_order, key + (state,))),
-                                 self.scaled(u[state].tolist()))
+                        on_bound(dict(zip(order, key + (state,))), self.scaled(u[state].item()))
         expanded, pruned = (1 + 2 * d, d) if prune else ((2 << d) - 1, 0)
-        return [MapResult(dict(zip(q.var_order, key)), math.ldexp(cell, self.shift), cell,
-                          expanded, pruned, None if sv is None else math.ldexp(sv, self.shift))
+        return [MapResult(dict(zip(order, key)), self.scaled(cell), cell,
+                          expanded, pruned, None if sv is None else self.scaled(sv))
                 for key, cell, sv in zip(keys, cells, seeds)]
 
 
-def seed(q: MapQuery) -> tuple[dict[int, int], float | list[float]]:
+def _search(q: MapQuery) -> _Search:
+    """``q``'s cone table, read on a fresh propagator, as a ``_Search``."""
+    held = {v: s for v, s in q.evid_o.items() if q.net.vars[v].klass is VarClass.INPUT}
+    return _Search(_cone_read(q), q.var_order, held)
+
+
+def seed(q: MapQuery) -> tuple[dict[int, int], float]:
     """The all-zero assignment and its exact probability, a lower bound
-    on the optimum (one per member over an eps grid): the all-zero cell
-    of the query's cone table, on a fresh propagator."""
-    s = _Search(q, _cone_read(q))
-    return {v: 0 for v in q.var_order}, s.scaled(s.zero())
-
-
-def search(q: MapQuery, prune: bool = True,
-           on_bound: Callable[[dict, float | list[float]], None] | None = None,
-           use_seed: bool = False) -> list[MapResult]:
-    """The worst vector of each member of ``q.net`` (one in all at a
-    single eps), the argmax of the cone table read on a fresh
-    propagator (see the module docstring); ``p_map`` is its value.
-    ``prune`` selects the node counts over the d inputs not in
-    ``q.evid_o``: 1 + 2d expanded and d pruned, or the full tree's,
-    2^(d+1) - 1 and 0.  ``on_bound`` (assignment, bound)
-    fires, for auditing, for both children of every node on the
-    members' paths, or unpruned of every node, a level at a time; the
-    bound is a float, or a list over every member.  ``use_seed`` keeps
-    the all-zero assignment (``seed``) unless the argmax beats it by
-    more than ``PRUNE_TOL``.
-    """
-    return _Search(q, _cone_read(q)).results(prune, on_bound, use_seed)
+    on the optimum: the all-zero cell of the query's cone table, on a
+    fresh propagator."""
+    s = _search(q)
+    return {v: 0 for v in q.var_order}, s.scaled(s.zero()[0])
 
 
 def solve(q: MapQuery, use_seed: bool = False, prune: bool = True,
           on_bound: Callable[[dict, float], None] | None = None) -> MapResult:
-    """``search`` on a network at one eps, on a fresh propagator: its one result."""
-    if q.net.batch:
-        raise ValueError("solve takes a network at one eps; search takes an eps grid")
-    return search(q, prune, on_bound, use_seed)[0]
+    """The worst vector of ``q``, the argmax of its cone table read on
+    a fresh propagator (see the module docstring); ``p_map`` is its
+    value.  ``prune`` selects the node counts over the d inputs not in
+    ``q.evid_o``: 1 + 2d expanded and d pruned, or the full tree's,
+    2^(d+1) - 1 and 0.  ``on_bound`` (assignment, bound) fires, for
+    auditing, for both children of every node on the answer's path, or
+    unpruned of every node, a level at a time.  ``use_seed`` keeps the
+    all-zero assignment (``seed``) unless the argmax beats it by more
+    than ``PRUNE_TOL``.
+    """
+    return _search(q).results(prune, on_bound, use_seed)[0]

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import CHAINS, DISCONNECTED, GATE_FREE, WIDE_AND, and_chains, perfbench_circuits
 from maxerr import analysis, mapsearch
-from maxerr.analysis import (MAX_SPECTRUM_INPUTS, avg_error, max_error, prepare,
+from maxerr.analysis import (MAX_SPECTRUM_INPUTS, avg_error, max_error, max_errors, prepare,
                              prepare_faulty, spectrum, sweep)
 from maxerr.circuit import (Circuit, all_input_vectors, index_vector, parse_bench,
                             vector_index)
@@ -235,6 +235,30 @@ def test_no_report_clears_evidence(c17, corpus, monkeypatch):
     calls.clear()
     assert sweep(c17, GRID, refine=True).refined_bound is not None
     assert len(calls) == 2
+
+
+def test_no_report_builds_a_map_query(c17, corpus, monkeypatch):
+    # a report reads its cone tables with cone_tables and takes each
+    # argmax on the read itself: no report builds a query object, so none
+    # pays for its per-input checks
+    built = []
+    post_init = mapsearch.MapQuery.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(mapsearch.MapQuery, "__post_init__", counted)
+    for c in [c17] + corpus[:10]:
+        net, tree = prepare(c, 0.05)
+        for t in (tree, prepare(c, 0.05, tree.width)[1]):
+            for joint in (False, True):
+                for prune in (True, False):
+                    max_error(net, t, prune=prune, joint=joint)
+        max_errors(*prepare(c, GRID))
+        sweep(c, GRID, refine=True)
+        spectrum(c, 0.05)
+    assert built == []
 
 
 def test_holderless_joint_reports_agree_across_pass_sizes(corpus, monkeypatch):

@@ -12,7 +12,7 @@ from maxerr import jointree, mapsearch
 from maxerr.circuit import all_input_vectors, index_vector, parse_bench, vector_index
 from maxerr.jointree import build_tree
 from maxerr.mapsearch import (PRUNE_TOL, MapQuery, MapResult, _cones, _holder, _Search,
-                              cone_tables, search, seed, solve, var_order_heuristic)
+                              cone_tables, seed, solve, var_order_heuristic)
 from maxerr.model import build_error_model, joint_prob
 from maxerr.oracle import FaultEnumerator, exact_map
 from maxerr.propagate import Propagator
@@ -143,37 +143,6 @@ def test_search_reads_one_bound_per_inner_node(c17, corpus, monkeypatch):
                     assert calls[0] == inner
                     if prune:
                         assert r.nodes_pruned == (r.nodes_expanded - 1) // 2 == d
-
-
-def test_grid_bounds_carry_every_member(c17, corpus):
-    # over an eps grid every on_bound call carries each member's bound at
-    # its node, the one a search at that member's eps alone reads there;
-    # pruned, the nodes are those on some member's path
-    grid = [0.02, EPS, 0.2, 0.45]
-    diverged = 0
-    for circuit in [c17] + corpus[:8]:
-        for j in range(circuit.n_outputs):
-            alone = []    # each member's bounds at every node
-            for eps in grid:
-                seen = {}
-                solve(_query(circuit, j, eps), prune=False,
-                      on_bound=lambda a, u: seen.__setitem__(tuple(sorted(a.items())), u))
-                alone.append(seen)
-            q = _query(circuit, j, grid)
-            for prune in (True, False):
-                calls = []
-                results = search(q, prune, on_bound=lambda a, u: calls.append((a, u)))
-                for a, u in calls:
-                    assert u == [seen[tuple(sorted(a.items()))] for seen in alone]
-                d = len(q.var_order)
-                keys = {tuple(r.assignment[v] for v in q.var_order) for r in results}
-                nodes = ({key[:n] + (s,) for key in keys for n in range(d) for s in (0, 1)}
-                         if prune else {t for n in range(1, d + 1)
-                                        for t in itertools.product((0, 1), repeat=n)})
-                assert len(calls) == len(nodes)
-                assert {tuple(a[v] for v in q.var_order[:len(a)]) for a, _ in calls} == nodes
-                diverged += prune and len(keys) > 1
-    assert diverged
 
 
 def test_ties_resolve_within_one_tolerance_of_the_maximum(monkeypatch):

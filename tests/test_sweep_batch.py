@@ -11,7 +11,7 @@ import maxerr.analysis as analysis
 import maxerr.mapsearch as mapsearch
 from conftest import DISCONNECTED, GATE_FREE, perfbench_circuits
 from maxerr.analysis import avg_error, max_error, max_errors, prepare, spectrum, sweep
-from maxerr.mapsearch import MapQuery, solve
+from maxerr.mapsearch import MapQuery, seed, solve
 from maxerr.model import build_error_model, build_faulty_model
 from maxerr.oracle import FaultEnumerator
 from maxerr.propagate import Propagator
@@ -191,8 +191,9 @@ def test_single_eps_entry_points_reject_a_grid_network(c17):
     net, tree = prepare(c17, [0.1, 0.2])
     with pytest.raises(ValueError, match="max_error takes a network at one eps"):
         max_error(net, tree)
-    with pytest.raises(ValueError, match="solve takes a network at one eps"):
-        solve(MapQuery(net, tree, {net.comparators[0]: 1}))
+    for entry in (solve, seed):
+        with pytest.raises(ValueError, match="a MapQuery takes a network at one eps"):
+            entry(MapQuery(net, tree, {net.comparators[0]: 1}))
 
 
 def test_c17_coin_flip_eps_closed_form(c17):
