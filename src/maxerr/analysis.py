@@ -9,7 +9,8 @@ the first eps where the worst case reaches 0.5 (``sweep``), run as
 batched passes over the whole grid.  Every cone read is
 ``mapsearch.cone_tables``: each of a report's reads, a joint query's
 groups' included, is a member of an evidence setting (``propagate``),
-as many per pass as the batch budget allows (``mapsearch._chunk_size``).
+as many per pass as the batch budget allows (``mapsearch._chunk_size``),
+and each table goes to its rows before the next pass.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def _prepared(build, c: Circuit, eps, width_limit: int):
     return net, build_tree(net, choose_order(net), width_limit)
 
 
-def max_errors(net: ErrorModelNet, tree: BinaryJoinTree, prune: bool = True,
+def max_errors(net: ErrorModelNet, tree: BinaryJoinTree,
                joint: bool = False) -> list[ErrorReport]:
     """Worst-case output error reports, one per eps member of ``net``
     (see ``max_error``); every eps member is served by the same reads and
@@ -122,11 +123,12 @@ def max_errors(net: ErrorModelNet, tree: BinaryJoinTree, prune: bool = True,
     the batch budget allows, and each output's cone table is a member's
     slice of one read at its holding cluster; a joint query no cluster
     holds takes its groups' product, two members each
-    (``mapsearch.cone_tables``).  The queries share one fresh propagator."""
-    return _max_errors(Propagator(tree, net), prune, joint)
+    (``mapsearch.cone_tables``).  The queries share one fresh propagator,
+    and each table goes to its rows as its reads finish."""
+    return _max_errors(Propagator(tree, net), joint)
 
 
-def _max_errors(prop: Propagator, prune: bool = True, joint: bool = False) -> list[ErrorReport]:
+def _max_errors(prop: Propagator, joint: bool = False) -> list[ErrorReport]:
     """``max_errors`` of ``prop``'s network and tree, read on ``prop``."""
     net = prop.net
     order = var_order_heuristic(net)
@@ -136,18 +138,18 @@ def _max_errors(prop: Propagator, prune: bool = True, joint: bool = False) -> li
         queries = [("*", {v: 1 for v in net.comparators})]
     else:
         queries = [(names[j], {net.comparators[j]: 1}) for j in range(len(names))]
-    reads = cone_tables(prop, [evid for _, evid in queries])
-
-    for (name, _), read in zip(queries, reads):
+    for (name, _), read in zip(queries, cone_tables(prop, [evid for _, evid in queries])):
         cone = read[1]
         s = _Search(read, tuple(v for v in order if v in cone), {})
-        for m, res in enumerate(s.results(prune)):
-            reached = res.p_cone > 0.0
-            vector = [res.assignment.get(v, 0) for v in net.input_vars]
+        d = len(cone)
+        for m, (key, cell) in enumerate(zip(*s.argmax())):
+            reached = cell > 0.0
+            vector = [0] * len(net.input_vars)    # input ids are 0..k-1
+            for v, b in zip(s.var_order, key):
+                vector[v] = b
             rows[m].append(OutputReport(
                 name, vector_string(vector) if reached else None,
-                math.ldexp(res.p_cone, len(cone)), not reached,
-                res.nodes_expanded, res.nodes_pruned))
+                math.ldexp(cell, d), not reached, 1 + 2 * d, d))
     return [_report(net, r) for r in rows]
 
 
@@ -161,7 +163,7 @@ def _report(net: ErrorModelNet, rows: list[OutputReport]) -> ErrorReport:
 
 
 def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
-              prune: bool = True, joint: bool = False) -> ErrorReport:
+              joint: bool = False) -> ErrorReport:
     """Worst-case output error report of a network at one eps.
 
     Per output: the input vector maximizing P(inputs, output wrong); the
@@ -176,18 +178,18 @@ def max_error(net: ErrorModelNet, tree: BinaryJoinTree,
     Only the inputs in the query's fan-in cone (the union of the cones
     in joint mode) are chosen; the others cannot change the error, are
     reported as 0.  ``nodes_expanded`` and ``nodes_pruned`` are those of
-    a search tree over the d cone inputs: 1 + 2d and d, or with
-    ``prune`` off 2^(d+1) - 1 and 0.  Each query is the argmax of its
-    cone table P(cone inputs, wrong), the other inputs left out
-    (``mapsearch``); the tables are read on one propagator,
-    every query a member of one evidence setting where the batch cap
-    allows (``mapsearch.cone_tables``).  The error is 2^|cone| times the argmax's
-    cell: 2^k P(vector, wrong) without the 2^-k prior, which underflows
-    on many inputs.
+    a descent of a search tree over the d cone inputs: 1 + 2d and d.
+    Each query is the argmax of its cone table P(cone inputs, wrong),
+    the other inputs left out (``mapsearch``); the tables are read on
+    one propagator, every query a member of one evidence setting where
+    the batch cap allows, and each table is taken to its row before the
+    next pass (``mapsearch.cone_tables``).  The error is 2^|cone| times
+    the argmax's cell: 2^k P(vector, wrong) without the 2^-k prior,
+    which underflows on many inputs.
     """
     if net.batch:
         raise ValueError("max_error takes a network at one eps; max_errors takes an eps grid")
-    return max_errors(net, tree, prune, joint)[0]
+    return max_errors(net, tree, joint)[0]
 
 
 def avg_error(net: ErrorModelNet, tree: BinaryJoinTree):
@@ -311,7 +313,7 @@ def spectrum(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT) -> Spectru
                         [{v: s} for v in net.faulty_outputs for s in (1, 0)])
     table = np.empty((2,) * c.n_inputs + (c.n_outputs,))
     for j in range(c.n_outputs):
-        (t1, cone), (t0, _) = reads[2 * j:2 * j + 2]
+        (t1, cone), (t0, _) = next(reads), next(reads)
         # a read's axes follow its sorted scope, and input ids ascend
         axes = [2 if v in cone else 1 for v in net.input_vars]
         # f depends on the cone alone: simulate its vectors, the other inputs at 0
@@ -321,6 +323,7 @@ def spectrum(c: Circuit, eps, width_limit: int = DEFAULT_WIDTH_LIMIT) -> Spectru
         t1, t0 = t1.reshape(axes), t0.reshape(axes)
         # t0 + t1, not 2^-|cone|: two reads that round alike give the nearer ratio
         table[..., j] = np.where(good, t0, t1) / (t0 + t1)
+        del t1, t0    # the pair's reads go before the next pair's pass
     table = table.reshape(1 << c.n_inputs, -1)
     maxes = table.max(axis=1)
     mu = math.fsum(maxes) / len(maxes)

@@ -127,7 +127,7 @@ def cmd_analyze(args) -> int:
     eps = _load_eps(args, c)
     net, tree = prepare(c, eps, width_limit=args.width_limit)
     t0 = time.perf_counter()
-    rep = max_error(net, tree, prune=not args.no_prune, joint=args.joint_evidence)
+    rep = max_error(net, tree, joint=args.joint_evidence)
     dt = time.perf_counter() - t0
     if args.explain:
         _explain(net, tree)
@@ -331,8 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, explain=True)
     p.add_argument("--joint-evidence", action="store_true",
                    help="single query with every output wrong at once")
-    p.add_argument("--no-prune", action="store_true",
-                   help="print the full tree's node counts")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("sweep", help="max/avg error across an eps grid")

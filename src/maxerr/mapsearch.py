@@ -28,17 +28,17 @@ of gate faults whatever its inputs) does not move it.  Over an eps grid
 (``net.batch == (B,)``) the members lie on the table's last axis, as
 the reads lay them out (``propagate``), and one argmax serves them all.
 
-A node of the search tree over the free inputs is bounded by the
-maximum of its slice of the table, the maximum of P(vector, evidence)
-over its completions: the value a max-mode collect returns on a tree
-that eliminates the inputs last (Park & Darwiche, JAIR 21, 2004).
-``on_bound`` reads these bounds for auditing; the node counts are
-those of a descent along the answer's path, or of the full tree.
-
 A report (``analysis``) builds each ``_Search`` straight from a
 ``cone_tables`` read and the cone's slice of ``var_order_heuristic``,
-holding no input.  A ``MapQuery``, at one eps, is one query for
-``solve`` and ``seed``, read on a fresh propagator.
+holding no input, and makes each member's row from its argmax.  A
+``MapQuery``, at one eps, is one query for ``solve`` and ``seed``, read
+on a fresh propagator.  For ``solve`` alone, a node of the search tree
+over the free inputs is bounded by the maximum of its slice of the
+table, the maximum of P(vector, evidence) over its completions: the
+value a max-mode collect returns on a tree that eliminates the inputs
+last (Park & Darwiche, JAIR 21, 2004).  ``on_bound`` reads these bounds
+for auditing; the node counts are those of a descent along the
+answer's path, or of the full tree.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -89,7 +89,6 @@ class MapQuery:
 class MapResult:
     assignment: dict[int, int]
     p_map: float                           # P(assignment, evid_o)
-    p_cone: float                          # the answer's cell, P(assignment on the cone, evid_o)
     nodes_expanded: int
     nodes_pruned: int
     seed_value: float | None = None
@@ -175,11 +174,12 @@ def _chunk_size(tree: BinaryJoinTree) -> int:
 
 
 def cone_tables(prop: Propagator,
-                evids: list[dict[int, int]]) -> list[tuple[np.ndarray, frozenset[int]]]:
-    """The cone table of each evidence mapping in ``evids`` (see the
-    module docstring), P(cone inputs, evid) with an axis per cone input
-    in id order followed by the grid axis if any, and its cone, in
-    order.  An evidenced input lies in its own cone: a faulty output fed
+                evids: list[dict[int, int]]) -> Iterator[tuple[np.ndarray, frozenset[int]]]:
+    """An iterator over the cone table of each evidence mapping in
+    ``evids`` (see the module docstring), P(cone inputs, evid) with an
+    axis per cone input in id order followed by the grid axis if any,
+    and its cone, in order, each yielded as soon as its reads are taken.
+    An evidenced input lies in its own cone: a faulty output fed
     straight by an input (``ErrorModelNet.faulty_outputs``) is evidenced
     on that input.  A mapping whose cone a cluster holds is one read
     there; one whose cone no cluster holds, two per group at the group's
@@ -189,10 +189,11 @@ def cone_tables(prop: Propagator,
     pass as ``_chunk_size`` leaves beside the grid values, in the order
     ``evids`` lists them: per pass one read, onto the cone, of each run
     of consecutive reads sharing a holding cluster and cone, and one
-    slice per member, bit for bit that read on its own.  Before any
-    evidence is set, ``ValueError`` when no cluster holds a group's cone
-    and ``WidthLimitError`` when no cluster holds the union and it has
-    more inputs than the tree's ``width_limit``."""
+    slice per member, bit for bit that read on its own.  The checks run
+    at the call, before any evidence is set: ``ValueError`` when no
+    cluster holds a group's cone and ``WidthLimitError`` when no cluster
+    holds the union and it has more inputs than the tree's
+    ``width_limit``."""
     net, tree = prop.net, prop.tree
     reads: list[tuple[dict[int, int], int, frozenset[int]]] = []   # evidence, holder, cone
     # per mapping, its cone and, when no cluster holds it, its groups' cones
@@ -214,9 +215,13 @@ def cone_tables(prop: Propagator,
         for roots, part, gid in groups:
             reads += [({v: evid[v] for v in roots}, gid, part), ({}, gid, part)]
         splits.append((cone, [part for _, part, _ in groups]))
+    return _tables(net.batch, splits, _slices(prop, reads))
 
-    per_pass = max(1, _chunk_size(tree) // math.prod(net.batch))
-    got: list[np.ndarray] = []
+
+def _slices(prop: Propagator,
+            reads: list[tuple[dict[int, int], int, frozenset[int]]]) -> Iterator[np.ndarray]:
+    """Each read's slice, in order, taken pass by pass (``cone_tables``)."""
+    per_pass = max(1, _chunk_size(prop.tree) // math.prod(prop.net.batch))
     for lo in range(0, len(reads), per_pass):
         batch = reads[lo:lo + per_pass]
         prop.set_evidence([evid for evid, _, _ in batch])
@@ -224,29 +229,31 @@ def cone_tables(prop: Propagator,
         for (cid, cone), run in itertools.groupby(batch, key=lambda r: r[1:]):
             n = len(list(run))
             read = prop.belief(cid, cone, slice(m, m + n)).table
-            got += [read[..., k] for k in range(n)]
+            yield from (read[..., k] for k in range(n))
             m += n
 
-    tables, it = [], iter(got)
+
+def _tables(batch: tuple[int, ...], splits,
+            slices: Iterator[np.ndarray]) -> Iterator[tuple[np.ndarray, frozenset[int]]]:
+    """Each mapping's table from its reads' ``slices`` (``cone_tables``)."""
     for cone, parts in splits:
         if parts is None:
-            tables.append((next(it), cone))
+            yield next(slices), cone
             continue
         ranked = sorted(cone)
         table = 1.0
         for part in parts:
             # read P(part) too, not 2^-|part|: two reads that round alike give the nearer ratio
-            ratio = next(it) / next(it)    # the group's read with its evidence over free
-            table = table * ratio.reshape(tuple(2 if v in part else 1 for v in ranked) + net.batch)
-        tables.append((np.ldexp(table, -len(cone)), cone))
-    return tables
+            ratio = next(slices) / next(slices)    # the group's read with its evidence over free
+            table = table * ratio.reshape(tuple(2 if v in part else 1 for v in ranked) + batch)
+        yield np.ldexp(table, -len(cone)), cone
 
 
 def _cone_read(q: MapQuery) -> tuple[np.ndarray, frozenset[int]]:
     """The cone table of ``q``'s evidence on variables other than
     inputs, and its cone, on a fresh propagator (``cone_tables``)."""
     evid = {v: s for v, s in q.evid_o.items() if q.net.vars[v].klass is not VarClass.INPUT}
-    return cone_tables(Propagator(q.tree, q.net), [evid])[0]
+    return next(cone_tables(Propagator(q.tree, q.net), [evid]))
 
 
 class _Search:
@@ -300,32 +307,6 @@ class _Search:
         keys[:, ~self.tie] = bits
         return list(map(tuple, keys.tolist())), t[tuple(bits.T) + (np.arange(len(top)),)].tolist()
 
-    def results(self, prune: bool = True,
-                on_bound: Callable[[dict, float], None] | None = None,
-                use_seed: bool = False) -> list[MapResult]:
-        """Each member's worst vector, as ``solve`` describes; ``on_bound``
-        takes one member."""
-        order = self.var_order
-        d = len(order)
-        keys, cells = self.argmax()
-        seeds: list[float | None] = [None] * len(keys)
-        if use_seed:
-            seeds = self.zero()
-            for m, (cell, zero) in enumerate(zip(cells, seeds)):
-                if not cell > zero * (1.0 + PRUNE_TOL):
-                    keys[m], cells[m] = (0,) * d, zero
-        if on_bound is not None:    # a level at a time, in key order
-            for level in range(d):
-                nodes = sorted({k[:level] for k in keys}) if prune else np.ndindex((2,) * level)
-                for key in nodes:
-                    u = self.bound(key)
-                    for state in (0, 1):
-                        on_bound(dict(zip(order, key + (state,))), self.scaled(u[state].item()))
-        expanded, pruned = (1 + 2 * d, d) if prune else ((2 << d) - 1, 0)
-        return [MapResult(dict(zip(order, key)), self.scaled(cell), cell,
-                          expanded, pruned, None if sv is None else self.scaled(sv))
-                for key, cell, sv in zip(keys, cells, seeds)]
-
 
 def _search(q: MapQuery) -> _Search:
     """``q``'s cone table, read on a fresh propagator, as a ``_Search``."""
@@ -353,4 +334,20 @@ def solve(q: MapQuery, use_seed: bool = False, prune: bool = True,
     all-zero assignment (``seed``) unless the argmax beats it by more
     than ``PRUNE_TOL``.
     """
-    return _search(q).results(prune, on_bound, use_seed)[0]
+    s = _search(q)
+    order, d = q.var_order, len(q.var_order)
+    (key,), (cell,) = s.argmax()
+    zero = None
+    if use_seed:
+        zero = s.zero()[0]
+        if not cell > zero * (1.0 + PRUNE_TOL):
+            key, cell = (0,) * d, zero
+    if on_bound is not None:    # a level at a time, in key order
+        for level in range(d):
+            for node in ([key[:level]] if prune else np.ndindex((2,) * level)):
+                u = s.bound(node)
+                for state in (0, 1):
+                    on_bound(dict(zip(order, node + (state,))), s.scaled(u[state].item()))
+    expanded, pruned = (1 + 2 * d, d) if prune else ((2 << d) - 1, 0)
+    return MapResult(dict(zip(order, key)), s.scaled(cell), expanded, pruned,
+                     None if zero is None else s.scaled(zero))

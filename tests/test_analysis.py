@@ -1,7 +1,9 @@
 """Report-level checks; the numeric anchors were derived once from the
 fault-set enumeration oracle and are pinned here as literals."""
 
+import gc
 import math
+import weakref
 from collections.abc import Mapping
 
 import numpy as np
@@ -51,14 +53,17 @@ def test_per_output_matches_oracle_across_eps(c17):
         assert avg_error(net, tree) == pytest.approx(cond.mean(axis=0).max(), abs=1e-12)
 
 
-def test_search_counters_surface_in_report(c17):
-    net, tree = prepare(c17, 0.05)
-    rep = max_error(net, tree, prune=False)
-    for row in rep.per_output:
-        # the full tree over the output's cone: each c17 output depends on
-        # 4 of the 5 inputs
-        assert row.nodes_expanded == 2 ** (4 + 1) - 1
-        assert row.nodes_pruned == 0
+def test_search_counters_surface_in_report(c17, corpus):
+    # a descent over the output's cone: 1 + 2d nodes expanded and d
+    # pruned, d the cone's input count (4 of c17's 5 for each output)
+    for c in [c17] + corpus[:20]:
+        net, tree = prepare(c, 0.05)
+        rep = max_error(net, tree)
+        for row, comp in zip(rep.per_output, net.comparators):
+            d = len(mapsearch._cone_inputs(tree, net, [comp]))
+            assert (row.nodes_expanded, row.nodes_pruned) == (1 + 2 * d, d)
+        if c is c17:
+            assert [row.nodes_pruned for row in rep.per_output] == [4, 4]
 
 
 def _queries(net, joint):
@@ -132,7 +137,7 @@ def test_max_error_builds_one_propagator(c17, corpus, monkeypatch):
     # of evidence settings, at most _chunk_size of them a pass: one pass
     # here at the default limit and one per read at the tree's own width.
     # A query whose cone a cluster holds is one read; the others
-    # (corpus[4]'s joint query here, pruned and unpruned) two per group
+    # (corpus[4]'s joint query here) two per group
     # of outputs whose cones share no gate
     calls = {"init": 0, "evidence": 0}
     init, set_evidence = Propagator.__init__, Propagator.set_evidence
@@ -155,18 +160,17 @@ def test_max_error_builds_one_propagator(c17, corpus, monkeypatch):
             assert per_pass == (1 if tree.width_limit == tree.width else
                                 1 << mapsearch.BATCH_CELLS_LOG2 - tree.width)
             for joint in (False, True):
-                for prune in (True, False):
-                    calls.update(init=0, evidence=0)
-                    max_error(net, tree, prune=prune, joint=joint)
-                    reads = 0
-                    for evid in _queries(net, joint):
-                        if mapsearch._holder(tree, mapsearch._cone_inputs(tree, net, evid)) is None:
-                            reads += 2 * len(mapsearch._cones(tree, net, evid))
-                            split += 1
-                        else:
-                            reads += 1
-                    assert calls == {"init": 1, "evidence": -(-reads // per_pass)}
-    assert split == 4
+                calls.update(init=0, evidence=0)
+                max_error(net, tree, joint=joint)
+                reads = 0
+                for evid in _queries(net, joint):
+                    if mapsearch._holder(tree, mapsearch._cone_inputs(tree, net, evid)) is None:
+                        reads += 2 * len(mapsearch._cones(tree, net, evid))
+                        split += 1
+                    else:
+                        reads += 1
+                assert calls == {"init": 1, "evidence": -(-reads // per_pass)}
+    assert split == 2
 
 
 def test_spectrum_sets_evidence_twice_per_output(c17, monkeypatch):
@@ -238,27 +242,79 @@ def test_no_report_clears_evidence(c17, corpus, monkeypatch):
 
 
 def test_no_report_builds_a_map_query(c17, corpus, monkeypatch):
-    # a report reads its cone tables with cone_tables and takes each
-    # argmax on the read itself: no report builds a query object, so none
-    # pays for its per-input checks
+    # a report reads its cone tables with cone_tables and makes each row
+    # from the argmax of the read itself: no report builds a query
+    # object, so none pays for its per-input checks, nor a result object
     built = []
-    post_init = mapsearch.MapQuery.__post_init__
+    post_init, result_init = mapsearch.MapQuery.__post_init__, mapsearch.MapResult.__init__
 
     def counted(self):
         built.append(self)
         post_init(self)
 
+    def counted_result(self, *args, **kwargs):
+        built.append(self)
+        result_init(self, *args, **kwargs)
+
     monkeypatch.setattr(mapsearch.MapQuery, "__post_init__", counted)
+    monkeypatch.setattr(mapsearch.MapResult, "__init__", counted_result)
     for c in [c17] + corpus[:10]:
         net, tree = prepare(c, 0.05)
         for t in (tree, prepare(c, 0.05, tree.width)[1]):
             for joint in (False, True):
-                for prune in (True, False):
-                    max_error(net, t, prune=prune, joint=joint)
+                max_error(net, t, joint=joint)
         max_errors(*prepare(c, GRID))
         sweep(c, GRID, refine=True)
         spectrum(c, 0.05)
     assert built == []
+    net, tree = prepare(c17, 0.05)
+    mapsearch.solve(mapsearch.MapQuery(net, tree, {net.comparators[0]: 1}))
+    assert [type(b) for b in built] == [mapsearch.MapQuery, mapsearch.MapResult]
+
+
+def test_reports_take_each_table_before_the_next_pass(monkeypatch):
+    # at one evidence member a pass, a report takes each cone table to
+    # its rows as it comes and keeps none: when evidence is set, no read
+    # of a pass before the last one is alive.  Per output on rca4 and its
+    # spectrum, and joint on and_chains(3, 2), at the tree's width; the
+    # 9-input joint union of CHAINS is past its tree's width 7, so there
+    # the pass budget is cut to one member instead
+    rca4 = perfbench_circuits().ripple_carry_adder(4)
+    and32, chains = parse_bench(and_chains(3, 2)), parse_bench(CHAINS)
+    (net4, tree4), (net32, tree32), (netc, treec) = (prepare(c, 0.05) for c in (rca4, and32, chains))
+    want = [max_error(net4, tree4), max_error(net32, tree32, joint=True),
+            spectrum(rca4, 0.05).per_output.tolist(), max_error(netc, treec, joint=True)]
+    narrow4, narrow32 = (prepare(c, 0.05, t.width)[1] for c, t in ((rca4, tree4), (and32, tree32)))
+    faulty_width = prepare_faulty(rca4, 0.05)[1].width
+
+    passes: list[list[weakref.ref]] = []    # per pass, its reads
+    belief, set_evidence = Propagator.belief, Propagator.set_evidence
+
+    def tracked(self, *args, **kwargs):
+        read = belief(self, *args, **kwargs)
+        passes[-1].append(weakref.ref(read.table))
+        return read
+
+    def checked(self, evidence):
+        assert len(evidence) == 1
+        gc.collect()
+        assert not [r for p in passes[:-1] for r in p if r() is not None]
+        passes.append([])
+        set_evidence(self, evidence)
+
+    def streamed(report, *args):
+        passes.clear()
+        got = report(*args)
+        assert len(passes) >= 4
+        return got
+
+    monkeypatch.setattr(Propagator, "belief", tracked)
+    monkeypatch.setattr(Propagator, "set_evidence", checked)
+    got = [streamed(max_error, net4, narrow4), streamed(max_error, net32, narrow32, True),
+           streamed(spectrum, rca4, 0.05, faulty_width).per_output.tolist()]
+    monkeypatch.setattr(mapsearch, "_chunk_size", lambda tree: 1)
+    got.append(streamed(max_error, netc, treec, True))
+    assert got == want
 
 
 def test_holderless_joint_reports_agree_across_pass_sizes(corpus, monkeypatch):
@@ -599,18 +655,17 @@ def test_cone_search_matches_enumeration_on_corpus(corpus):
         net, tree = prepare(c, eps)
         cond = FaultEnumerator(c).cond_errors(eps)
         joint = _all_wrong(c, eps)
-        for prune in (True, False):
-            for j, row in enumerate(max_error(net, tree, prune=prune).per_output):
-                if row.unreachable:
-                    assert cond[:, j].max() == 0.0
-                    continue
-                _check_cone_row(row, cond[:, j], _input_cone(c, [c.outputs[j]]))
-
-            (row,) = max_error(net, tree, prune=prune, joint=True).per_output
+        for j, row in enumerate(max_error(net, tree).per_output):
             if row.unreachable:
-                assert joint.max() == 0.0
-            else:
-                _check_cone_row(row, joint, _input_cone(c, c.outputs))
+                assert cond[:, j].max() == 0.0
+                continue
+            _check_cone_row(row, cond[:, j], _input_cone(c, [c.outputs[j]]))
+
+        (row,) = max_error(net, tree, joint=True).per_output
+        if row.unreachable:
+            assert joint.max() == 0.0
+        else:
+            _check_cone_row(row, joint, _input_cone(c, c.outputs))
 
 
 def test_joint_cones_no_cluster_holds_match_enumeration(corpus):
@@ -624,12 +679,11 @@ def test_joint_cones_no_cluster_holds_match_enumeration(corpus):
             continue
         split += 1
         joint = _all_wrong(c, eps)
-        for prune in (True, False):
-            rep = max_error(net, tree, prune=prune, joint=True)
-            assert not rep.per_output[0].unreachable
-            assert rep.max_error == pytest.approx(joint.max(), abs=1e-12)
-            assert joint[vector_index([int(ch) for ch in rep.worst_vector])] == \
-                pytest.approx(joint.max(), abs=1e-12)
+        rep = max_error(net, tree, joint=True)
+        assert not rep.per_output[0].unreachable
+        assert rep.max_error == pytest.approx(joint.max(), abs=1e-12)
+        assert joint[vector_index([int(ch) for ch in rep.worst_vector])] == \
+            pytest.approx(joint.max(), abs=1e-12)
     assert split == 46
 
 

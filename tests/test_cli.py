@@ -49,13 +49,13 @@ def test_analyze_json(capsys):
 
 def test_analyze_joint_and_audit_flags(capsys):
     code, out, _ = run(capsys, "analyze", C17_PATH, "--epsilon", "0.05",
-                       "--joint-evidence", "--no-prune",
-                       "--format", "json")
+                       "--joint-evidence", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert [r["output"] for r in doc["per_output"]] == ["*"]
-    assert doc["per_output"][0]["nodes_expanded"] == 63
-    assert doc["per_output"][0]["nodes_pruned"] == 0
+    # a descent over the joint cone's 5 inputs: 1 + 2 * 5 and 5
+    assert doc["per_output"][0]["nodes_expanded"] == 11
+    assert doc["per_output"][0]["nodes_pruned"] == 5
 
 
 def test_output_file_matches_stdout_and_skips_timing(tmp_path, capsys):
@@ -300,7 +300,7 @@ def test_sweep_rejects_epsilon_map(tmp_path, capsys):
 @pytest.mark.parametrize("cmd, option", [
     ("sweep", ["--epsilon", "0.05"]), ("sweep", ["--explain"]),
     ("spectrum", ["--explain"]), ("validate", ["--explain"]),
-    ("validate", ["--width-limit", "20"]),
+    ("validate", ["--width-limit", "20"]), ("analyze", ["--no-prune"]),
 ])
 def test_options_a_subcommand_does_not_read_are_rejected(capsys, cmd, option):
     args = ["--grid", "0.05"] if cmd == "sweep" else ["--epsilon", "0.05"]

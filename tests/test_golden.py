@@ -37,9 +37,9 @@ CORPUS_N = 20
 CORPUS_EPS = (0.01, 0.05, 0.2)
 
 
-def _report(c, eps, prune=True, joint=False) -> dict:
+def _report(c, eps, joint=False) -> dict:
     net, tree = prepare(c, eps)
-    rep = max_error(net, tree, prune=prune, joint=joint)
+    rep = max_error(net, tree, joint=joint)
     return {
         "per_output": [[r.output, r.vector, r.p_error.hex(), r.unreachable,
                         r.nodes_expanded, r.nodes_pruned] for r in rep.per_output],
@@ -51,8 +51,8 @@ def _report(c, eps, prune=True, joint=False) -> dict:
 
 def _c17_reports() -> dict:
     c = load_circuit(C17_PATH)
-    return {"%s joint=%s prune=%s" % (eps, joint, prune): _report(c, eps, prune, joint)
-            for eps in C17_EPS for joint in (False, True) for prune in (True, False)}
+    return {"%s joint=%s" % (eps, joint): _report(c, eps, joint)
+            for eps in C17_EPS for joint in (False, True)}
 
 
 def _c17_sweep() -> dict:

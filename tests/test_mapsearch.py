@@ -156,8 +156,8 @@ def test_ties_resolve_within_one_tolerance_of_the_maximum(monkeypatch):
     q = MapQuery(net, build_tree(net), {net.comparators[0]: 1}, (a, b))
     for prune in (True, False):
         r = solve(q, prune=prune)
-        assert (r.assignment, r.p_cone) == ({a: 0, b: 1}, 0.25)
-        assert r.p_cone >= cells.max() / (1 + PRUNE_TOL)
+        assert (r.assignment, r.p_map) == ({a: 0, b: 1}, 0.25)
+        assert r.p_map >= cells.max() / (1 + PRUNE_TOL)
 
 
 def test_held_inputs_are_checked(c17):
@@ -481,10 +481,10 @@ def test_shared_propagator_gives_fresh_answers(c17, corpus):
         net = build_error_model(circuit, EPS)
         tree = build_tree(net)
         evids = [{cv: 1} for cv in net.comparators]
-        fresh = [cone_tables(Propagator(tree, net), [evid])[0] for evid in evids]
+        fresh = [next(cone_tables(Propagator(tree, net), [evid])) for evid in evids]
         shared = Propagator(tree, net)
         for j in list(range(len(evids))) + list(reversed(range(len(evids)))):
-            table, cone = cone_tables(shared, [evids[j]])[0]
+            table, cone = next(cone_tables(shared, [evids[j]]))
             assert cone == fresh[j][1]
             assert table.shape == fresh[j][0].shape
             assert table.tobytes() == fresh[j][0].tobytes()
